@@ -35,7 +35,7 @@ from .io import (
     split,
 )
 from .nn.models import ModelSpec
-from .nn.train import TrainConfig, evaluate, load_model, run_experiment, save_model, train_single
+from .nn.train import TrainConfig, _experiment, evaluate, load_model, save_model
 from .nn.layers import build_graph_tensors
 from .sampling import SAMPLER_METHODS, SamplerSpec, run_sampler
 from .stats import compute_stats, sampler_report
@@ -296,7 +296,7 @@ def cmd_train(args) -> int:
     }
     _announce("train", resolved)
     g = load(path)
-    report = run_experiment(g, spec, cfg, seed)
+    report, model = _experiment(g, spec, cfg, seed)
     payload = {
         "toolkit_version": __version__,
         **_dataset_payload(path),
@@ -304,7 +304,6 @@ def cmd_train(args) -> int:
         "formatted": format_metric(report["mean"], report["std"]),
     }
     if args.save_model:
-        model, _, _ = train_single(g, spec, cfg, seed)
         save_model(model, spec, g.task, g.node_features.shape[1], args.save_model)
         payload["model_file"] = args.save_model
     _emit(payload, args.out)

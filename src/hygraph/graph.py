@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -107,7 +108,7 @@ class HybridGraph:
         object.__setattr__(
             self,
             "hyperedges",
-            tuple(tuple(int(v) for v in e) for e in self.hyperedges),
+            tuple(tuple(map(int, e)) for e in self.hyperedges),
         )
         n = x.shape[0]
         if self.hyperedge_weights is None:
@@ -169,21 +170,43 @@ class HybridGraph:
         return deg
 
     @cached_property
+    def adjacency_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbour lists as CSR ``(indptr, indices)``.
+
+        Row ``v`` is ``indices[indptr[v]:indptr[v + 1]]``: the distinct
+        neighbours of ``v`` in ascending order.  Duplicate edges collapse and
+        a self-loop makes a node its own neighbour, so a row always equals
+        ``sorted(adjacency_sets[v])``.
+        """
+        n = self.num_nodes
+        edges = self.simple_edges
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise InvalidGraphError(["edge index out of range"])
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        pairs = np.unique(src * n + dst)  # sorted by (src, dst), duplicates gone
+        indices = pairs % n
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return indptr, indices
+
+    @cached_property
     def adjacency_sets(self) -> tuple[frozenset, ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.num_nodes)]
-        for u, v in self.simple_edges:
-            nbrs[u].add(int(v))
-            nbrs[v].add(int(u))
-        return tuple(frozenset(s) for s in nbrs)
+        indptr, indices = self.adjacency_csr
+        flat, bounds = indices.tolist(), indptr.tolist()
+        return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def incidence_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Flattened hyperedge membership: (member node ids, offsets per edge)."""
-        offsets = np.zeros(len(self.hyperedges) + 1, dtype=np.int64)
-        for i, e in enumerate(self.hyperedges):
-            offsets[i + 1] = offsets[i] + len(e)
+        m = len(self.hyperedges)
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, self.hyperedges), dtype=np.int64, count=m),
+                  out=offsets[1:])
         members = np.fromiter(
-            (v for e in self.hyperedges for v in e), dtype=np.int64, count=offsets[-1]
+            chain.from_iterable(self.hyperedges), dtype=np.int64, count=offsets[-1]
         )
         members.setflags(write=False)
         offsets.setflags(write=False)
@@ -216,25 +239,32 @@ def validate(g: HybridGraph) -> list[str]:
     edges = g.simple_edges
     if edges.size:
         bad = (edges < 0) | (edges >= n)
-        for i in np.nonzero(bad.any(axis=1))[0]:
+        for i in np.flatnonzero(bad.any(axis=1)):
             out.append(f"edge index out of range at edge {i}")
-        loops = edges[:, 0] == edges[:, 1]
-        for i in np.nonzero(loops)[0]:
+        for i in np.flatnonzero(edges[:, 0] == edges[:, 1]):
             out.append(f"self-loop at edge {i}")
-        seen: set[tuple[int, int]] = set()
-        for i, (u, v) in enumerate(edges):
-            key = (int(min(u, v)), int(max(u, v)))
-            if key in seen:
-                out.append(f"duplicate edge at index {i}")
-            seen.add(key)
+        canonical = np.sort(edges, axis=1)
+        _, first = np.unique(canonical, axis=0, return_index=True)
+        repeat = np.ones(edges.shape[0], dtype=bool)
+        repeat[first] = False  # np.unique reports each pair's first occurrence
+        for i in np.flatnonzero(repeat):
+            out.append(f"duplicate edge at index {i}")
 
-    for k, e in enumerate(g.hyperedges):
-        if len(e) == 0:
+    m = g.num_hyperedges
+    members, offsets = g.incidence_arrays
+    sizes = np.diff(offsets)
+    edge_of = np.repeat(np.arange(m), sizes)  # non-decreasing
+    ranked = members[np.lexsort((members, edge_of))]  # sorted within each hyperedge
+    twice = (ranked[1:] == ranked[:-1]) & (edge_of[1:] == edge_of[:-1])
+    has_twice = np.bincount(edge_of[1:][twice], minlength=m) > 0
+    outside = np.bincount(edge_of[(members < 0) | (members >= n)], minlength=m) > 0
+    for k in np.flatnonzero((sizes == 0) | has_twice | outside):
+        if sizes[k] == 0:
             out.append(f"empty hyperedge at index {k}")
             continue
-        if len(set(e)) != len(e):
+        if has_twice[k]:
             out.append(f"duplicate members in hyperedge {k}")
-        if any(v < 0 or v >= n for v in e):
+        if outside[k]:
             out.append(f"hyperedge member out of range at index {k}")
 
     if (g.hyperedge_weights <= 0).any():
@@ -244,31 +274,23 @@ def validate(g: HybridGraph) -> list[str]:
     if g.parent.shape[0] == n and n:
         if ((g.parent < 0) | (g.parent >= n)).any():
             out.append("parent index out of range")
-        else:
-            out.extend(_parent_cycle(g.parent))
+        elif _has_parent_cycle(g.parent):
+            out.append("parent cycle")
     return out
 
 
-def _parent_cycle(parent: np.ndarray) -> list[str]:
-    """Detect a cycle in the directed graph {v -> parent[v] : parent[v] != v}."""
-    n = parent.shape[0]
-    state = np.zeros(n, dtype=np.int8)  # 0 unvisited, 1 on stack, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        path = []
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            if parent[v] == v:
-                break
-            v = int(parent[v])
-        if state[v] == 1 and parent[v] != v:
-            return ["parent cycle"]
-        for u in path:
-            state[u] = 2
-    return []
+def _has_parent_cycle(parent: np.ndarray) -> bool:
+    """Whether {v -> parent[v] : parent[v] != v} has a cycle.
+
+    Pointer doubling: after k squarings ``up[v]`` is the ancestor 2**k
+    steps above ``v``.  A chain that ends at a root does so within n - 1
+    steps, so once 2**k >= n - 1 every such ``up[v]`` is a root; any node
+    whose ``up`` is not a root lies on or below a cycle.
+    """
+    up = parent
+    for _ in range(max(1, (parent.shape[0] - 1).bit_length())):
+        up = up[up]
+    return bool((parent[up] != up).any())
 
 
 def duplicate_hyperedges(g: HybridGraph) -> list[tuple[int, int]]:

@@ -195,9 +195,17 @@ def _check_finite(value, model_name: str, epoch: int) -> None:
 def run_experiment(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
                    base_seed: int) -> dict:
     """Repeated trials with seeds ``base_seed + i``; mean and population std."""
+    return _experiment(g, model_spec, cfg, base_seed)[0]
+
+
+def _experiment(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
+                base_seed: int) -> tuple[dict, object]:
+    """``run_experiment``'s report plus the model its first trial trained."""
     results = []
     for i in range(cfg.trials):
-        _, _, result = train_single(g, model_spec, cfg, base_seed + i)
+        model, _, result = train_single(g, model_spec, cfg, base_seed + i)
+        if i == 0:
+            first_model = model
         results.append(result)
     metrics = np.array([r.test_metric for r in results])
     task = g.task
@@ -232,7 +240,7 @@ def run_experiment(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
             "walk_length": cfg.saint.walk_length,
             "batches_per_epoch": cfg.batches_per_epoch,
         }
-    return report
+    return report, first_model
 
 
 def save_model(model, model_spec: ModelSpec, task: Task, d_in: int,

@@ -1,10 +1,14 @@
 """Subgraph samplers and node-induced subgraph extraction.
 
-Five samplers produce node sets; ``induce`` turns a node set into a
-``SampledSubgraph`` carrying relabeled simple edges, masked hyperedges
-(members restricted to the sample, empty ones dropped), inherited features
-and labels, and a parent function that falls back to self wherever the
-original parent fell outside the sample.
+Each of the five samplers draws a node set and returns the
+``SampledSubgraph`` that ``induce`` extracts for it: relabeled simple edges,
+masked hyperedges (members restricted to the sample and sorted, empty ones
+dropped), inherited features and labels, and a parent function that falls
+back to self wherever the original parent fell outside the sample.
+
+Draws read the graph's cached arrays and rebuild no whole-graph structure:
+the walk sampler steps through ``HybridGraph.adjacency_csr`` and ``induce``
+masks ``HybridGraph.incidence_arrays``.
 
 The degree and edge samplers draw without replacement from non-uniform
 distributions using the exponential-race trick: each item gets key
@@ -79,11 +83,6 @@ class SampledSubgraph:
     def num_nodes(self) -> int:
         return len(self.node_ids)
 
-    @property
-    def index_map(self) -> dict[int, int]:
-        """Global node id -> local index."""
-        return {int(v): i for i, v in enumerate(self.node_ids)}
-
     def to_graph(self, task=None) -> HybridGraph:
         kwargs = {} if task is None else {"task": task}
         return HybridGraph(
@@ -96,6 +95,33 @@ class SampledSubgraph:
             labels=self.labels,
             **kwargs,
         )
+
+
+def _hyperedge_of(offsets: np.ndarray) -> np.ndarray:
+    """The hyperedge index of every entry of the flattened member array."""
+    return np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+
+
+def _mask_hyperedges(g: HybridGraph, local: np.ndarray, size: int):
+    """Hyperedges restricted to the sample: (local member tuples, kept ids).
+
+    ``local`` maps global node ids to local ones (-1 outside the sample).
+    A hyperedge is kept iff some member survives; its local members are
+    sorted.
+    """
+    members, offsets = g.incidence_arrays
+    mapped = local[members]
+    inside = mapped >= 0
+    edge_of = _hyperedge_of(offsets)[inside]
+    # Members arrive grouped by hyperedge, so sorting (edge, member) keys
+    # sorts the members within each hyperedge and keeps the groups in order.
+    keys = np.sort(edge_of * size + mapped[inside])
+    flat = (keys % size).tolist()
+    counts = np.bincount(edge_of, minlength=g.num_hyperedges)
+    kept = np.flatnonzero(counts)
+    ends = np.cumsum(counts[kept]).tolist()
+    starts = [0, *ends[:-1]]
+    return tuple(tuple(flat[a:b]) for a, b in zip(starts, ends)), kept
 
 
 def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
@@ -113,14 +139,7 @@ def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
     else:
         sub_edges = np.zeros((0, 2), dtype=np.int64)
 
-    kept_he: list[tuple[int, ...]] = []
-    kept_idx: list[int] = []
-    for k, e in enumerate(g.hyperedges):
-        members = [int(local[v]) for v in e if local[v] >= 0]
-        if members:
-            kept_he.append(tuple(sorted(members)))
-            kept_idx.append(k)
-    kept_idx_arr = np.asarray(kept_idx, dtype=np.int64)
+    kept_he, kept_idx_arr = _mask_hyperedges(g, local, ids.size)
 
     mapped = local[g.parent[ids]]
     parent = np.where(mapped >= 0, mapped, np.arange(ids.size))
@@ -129,7 +148,7 @@ def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
         node_ids=ids,
         node_features=g.node_features[ids],
         simple_edges=sub_edges,
-        hyperedges=tuple(kept_he),
+        hyperedges=kept_he,
         hyperedge_ids=kept_idx_arr,
         hyperedge_weights=g.hyperedge_weights[kept_idx_arr]
         if len(g.hyperedges)
@@ -154,10 +173,19 @@ def weighted_sample_without_replacement(
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and non-negative")
     alive = np.flatnonzero(w > 0)
+    if k < 0:
+        raise ValueError(f"cannot draw a negative number of items ({k})")
     if k > alive.size:
         raise ValueError(f"cannot draw {k} items from {alive.size} with positive weight")
     keys = rng.exponential(size=alive.size) / w[alive]
-    order = np.argsort(keys, kind="stable")[:k]
+    if k == 0:
+        return alive[:0]
+    # The k smallest keys are those <= the k-th; taking them in index order
+    # before the stable sort breaks ties by index, as a full stable argsort
+    # of every key would.
+    kth = np.partition(keys, k - 1)[k - 1]
+    candidates = np.flatnonzero(keys <= kth)
+    order = candidates[np.argsort(keys[candidates], kind="stable")[:k]]
     return alive[order]
 
 
@@ -196,21 +224,19 @@ def sample_random_walk(
         raise ValueError(f"walk_length must be >= 0, got {walk_length}")
     if g.num_nodes == 0:
         raise ValueError("cannot walk an empty graph")
-    nbrs = [
-        np.sort(np.fromiter(s, dtype=np.int64)) if s else None
-        for s in g.adjacency_sets
-    ]
-    visited: set[int] = set()
+    indptr, indices = g.adjacency_csr
+    visited = []
     for _ in range(roots):
         v = int(rng.integers(g.num_nodes))
-        visited.add(v)
+        visited.append(v)
         for _ in range(walk_length):
-            options = nbrs[v]
-            if options is None:
+            start = int(indptr[v])
+            degree = int(indptr[v + 1]) - start
+            if degree == 0:
                 break
-            v = int(options[rng.integers(options.size)])
-            visited.add(v)
-    return induce(g, sorted(visited))
+            v = int(indices[start + rng.integers(degree)])
+            visited.append(v)
+    return induce(g, visited)
 
 
 def sample_uniform_nodes(g: HybridGraph, budget: int, rng) -> SampledSubgraph:
@@ -227,10 +253,10 @@ def sample_uniform_hyperedges(g: HybridGraph, budget: int, rng) -> SampledSubgra
     if budget < 1 or budget > m:
         raise ValueError(f"budget must be in [1, {m}], got {budget}")
     picked = rng.choice(m, size=budget, replace=False)
-    members: set[int] = set()
-    for k in picked:
-        members.update(g.hyperedges[int(k)])
-    return induce(g, sorted(members))
+    members, offsets = g.incidence_arrays
+    chosen = np.zeros(m, dtype=bool)
+    chosen[picked] = True
+    return induce(g, members[chosen[_hyperedge_of(offsets)]])
 
 
 def run_sampler(g: HybridGraph, spec: SamplerSpec, rng) -> SampledSubgraph:

@@ -1,0 +1,316 @@
+"""The array code of the graph core and the samplers against plain loops.
+
+Each reference below is the straightforward Python loop that the array
+version replaced; the tests compare the two on random and on crafted
+graphs, field for field and message for message.
+"""
+
+import numpy as np
+import pytest
+
+from hygraph import HybridGraph, validate
+from hygraph.sampling import induce, weighted_sample_without_replacement
+
+# -- reference loops -------------------------------------------------------
+
+
+def induce_loop(g, node_ids):
+    ids = np.unique(np.asarray(node_ids, dtype=np.int64))
+    local = np.full(g.num_nodes, -1, dtype=np.int64)
+    local[ids] = np.arange(ids.size)
+    kept_he, kept_idx = [], []
+    for k, e in enumerate(g.hyperedges):
+        members = [int(local[v]) for v in e if local[v] >= 0]
+        if members:
+            kept_he.append(tuple(sorted(members)))
+            kept_idx.append(k)
+    return tuple(kept_he), np.asarray(kept_idx, dtype=np.int64)
+
+
+def parent_cycle_loop(parent):
+    n = parent.shape[0]
+    state = np.zeros(n, dtype=np.int8)  # 0 unvisited, 1 on stack, 2 done
+    for start in range(n):
+        if state[start]:
+            continue
+        path = []
+        v = start
+        while state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            if parent[v] == v:
+                break
+            v = int(parent[v])
+        if state[v] == 1 and parent[v] != v:
+            return ["parent cycle"]
+        for u in path:
+            state[u] = 2
+    return []
+
+
+def validate_loop(g):
+    out = []
+    n = g.num_nodes
+    if g.labels.shape[0] != n:
+        out.append(f"labels length {g.labels.shape[0]} != num_nodes {n}")
+    if g.parent.shape[0] != n:
+        out.append(f"parent length {g.parent.shape[0]} != num_nodes {n}")
+    if g.hyperedge_weights.shape[0] != g.num_hyperedges:
+        out.append(
+            f"hyperedge_weights length {g.hyperedge_weights.shape[0]} != "
+            f"num_hyperedges {g.num_hyperedges}"
+        )
+    if g.hyperedge_features is not None and g.hyperedge_features.shape[0] != g.num_hyperedges:
+        out.append(
+            f"hyperedge_features rows {g.hyperedge_features.shape[0]} != "
+            f"num_hyperedges {g.num_hyperedges}"
+        )
+    edges = g.simple_edges
+    if edges.size:
+        bad = (edges < 0) | (edges >= n)
+        for i in np.nonzero(bad.any(axis=1))[0]:
+            out.append(f"edge index out of range at edge {i}")
+        for i in np.nonzero(edges[:, 0] == edges[:, 1])[0]:
+            out.append(f"self-loop at edge {i}")
+        seen = set()
+        for i, (u, v) in enumerate(edges):
+            key = (int(min(u, v)), int(max(u, v)))
+            if key in seen:
+                out.append(f"duplicate edge at index {i}")
+            seen.add(key)
+    for k, e in enumerate(g.hyperedges):
+        if len(e) == 0:
+            out.append(f"empty hyperedge at index {k}")
+            continue
+        if len(set(e)) != len(e):
+            out.append(f"duplicate members in hyperedge {k}")
+        if any(v < 0 or v >= n for v in e):
+            out.append(f"hyperedge member out of range at index {k}")
+    if (g.hyperedge_weights <= 0).any():
+        idx = int(np.nonzero(g.hyperedge_weights <= 0)[0][0])
+        out.append(f"non-positive hyperedge weight at index {idx}")
+    if g.parent.shape[0] == n and n:
+        if ((g.parent < 0) | (g.parent >= n)).any():
+            out.append("parent index out of range")
+        else:
+            out.extend(parent_cycle_loop(g.parent))
+    return out
+
+
+def neighbour_loop(g):
+    nbrs = [set() for _ in range(g.num_nodes)]
+    for u, v in g.simple_edges:
+        nbrs[u].add(int(v))
+        nbrs[v].add(int(u))
+    return [sorted(s) for s in nbrs]
+
+
+# -- graphs ----------------------------------------------------------------
+
+
+def random_graph(rng, n, num_hyperedges, edge_features=False, hierarchy=False):
+    """Unsorted hyperedges of mixed size; some nodes in nothing at all."""
+    reach = max(1, n - 3)  # the last nodes stay isolated
+    edges = rng.integers(reach, size=(2 * n, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    edges = np.unique(np.sort(edges, axis=1), axis=0)
+    hyperedges = tuple(
+        tuple(int(v) for v in rng.choice(reach, size=rng.integers(1, min(6, reach + 1)),
+                                         replace=False))
+        for _ in range(num_hyperedges)
+    )
+    parent = None
+    if hierarchy:  # each node points at itself or an earlier node: acyclic
+        parent = np.where(rng.random(n) < 0.4, np.arange(n),
+                          (rng.random(n) * np.arange(n)).astype(np.int64))
+    return HybridGraph(
+        node_features=rng.standard_normal((n, 3)),
+        simple_edges=edges,
+        hyperedges=hyperedges,
+        hyperedge_weights=rng.uniform(0.5, 2.0, size=num_hyperedges),
+        hyperedge_features=rng.standard_normal((num_hyperedges, 2)) if edge_features else None,
+        parent=parent,
+    )
+
+
+def bare(n, edges=(), hyperedges=(), **kwargs):
+    return HybridGraph(
+        node_features=np.zeros((n, 1)),
+        simple_edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        hyperedges=tuple(tuple(e) for e in hyperedges),
+        **kwargs,
+    )
+
+
+# -- induce ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_induce_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    g = random_graph(rng, n, int(rng.integers(0, 15)),
+                     edge_features=seed % 2 == 0, hierarchy=seed % 3 == 0)
+    assert g.violations == ()
+    for size in (0, 1, n // 3, n):
+        ids = rng.choice(n, size=size, replace=True)
+        sub = induce(g, ids)
+        hyperedges, kept = induce_loop(g, ids)
+        assert sub.hyperedges == hyperedges
+        assert all(type(v) is int for e in sub.hyperedges for v in e)
+        np.testing.assert_array_equal(sub.hyperedge_ids, kept)
+        assert sub.hyperedge_ids.dtype == np.int64
+        np.testing.assert_array_equal(sub.hyperedge_weights, g.hyperedge_weights[kept])
+        if g.hyperedge_features is None:
+            assert sub.hyperedge_features is None
+        else:
+            np.testing.assert_array_equal(sub.hyperedge_features, g.hyperedge_features[kept])
+        assert sub.to_graph().violations == ()
+
+
+def test_induce_without_hyperedges():
+    g = bare(4, edges=[[0, 1], [2, 3]])
+    sub = induce(g, [1, 2, 3])
+    assert sub.hyperedges == ()
+    assert sub.hyperedge_ids.dtype == np.int64 and sub.hyperedge_ids.size == 0
+    assert sub.hyperedge_weights.size == 0
+
+
+def test_induce_keeps_duplicate_members_sorted():
+    # Invalid input still masks like the loop: duplicates kept, order sorted.
+    g = bare(5, hyperedges=[(4, 1, 4, 0), (3,), (2, 0)])
+    for ids in ([0, 1, 4], [3], [2, 4]):
+        assert induce(g, ids).hyperedges == induce_loop(g, ids)[0]
+
+
+# -- validate --------------------------------------------------------------
+
+
+CRAFTED = {
+    "valid": bare(4, edges=[[0, 1], [2, 3]], hyperedges=[(0, 1, 2)]),
+    "edge out of range": bare(3, edges=[[0, 1], [0, 3], [-1, 2], [1, 2]]),
+    "self-loops": bare(3, edges=[[1, 1], [0, 2], [2, 2]]),
+    "duplicates both ways": bare(
+        4, edges=[[0, 1], [1, 0], [2, 3], [0, 1], [3, 2], [1, 2]]),
+    "loops, range and duplicates": bare(
+        3, edges=[[2, 2], [0, 5], [5, 0], [2, 2], [1, 0], [0, 1]]),
+    "empty hyperedges": bare(3, hyperedges=[(), (0, 1), ()]),
+    "duplicate members": bare(3, hyperedges=[(0, 0), (1, 2), (2, 1, 2)]),
+    "members out of range": bare(3, hyperedges=[(0, 3), (-1, 1), (1, 2)]),
+    "mixed hyperedges": bare(3, hyperedges=[(5, 5), (), (0, 1), (1, -2, 1)]),
+    "non-positive weights": bare(3, hyperedges=[(0, 1), (1, 2), (0, 2)],
+                                 hyperedge_weights=np.array([1.0, 0.0, -2.0])),
+    "parent cycle": bare(5, parent=np.array([1, 2, 0, 3, 3])),
+    "long parent cycle": bare(6, parent=np.array([0, 2, 3, 4, 5, 1])),
+    "self parent chain": bare(5, parent=np.array([0, 0, 1, 2, 3])),
+    "parent out of range": bare(3, parent=np.array([0, 5, 1])),
+    "wrong lengths": bare(3, hyperedges=[(0, 1)], labels=np.zeros(2),
+                          hyperedge_weights=np.ones(2),
+                          hyperedge_features=np.ones((3, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED))
+def test_validate_matches_loop_on_crafted_graphs(name):
+    g = CRAFTED[name]
+    expected = validate_loop(g)
+    assert validate(g) == expected
+    assert (expected == []) == (name in ("valid", "self parent chain"))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_validate_matches_loop_on_random_invalid_graphs(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(1, 12))
+    edges = rng.integers(-1, n + 1, size=(int(rng.integers(0, 15)), 2))
+    hyperedges = [tuple(rng.integers(-1, n + 1, size=rng.integers(0, 5)).tolist())
+                  for _ in range(int(rng.integers(0, 6)))]
+    g = bare(n, edges=edges, hyperedges=hyperedges,
+             hyperedge_weights=rng.choice([-1.0, 0.0, 1.0, 2.0], size=len(hyperedges)),
+             parent=rng.integers(n, size=n))
+    assert validate(g) == validate_loop(g)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_parent_cycle_matches_loop_on_random_parents(seed):
+    rng = np.random.default_rng(200 + seed)
+    n = int(rng.integers(1, 60))
+    # Mostly roots and downward links, sometimes a cycle of any length.
+    parent = np.where(rng.random(n) < 0.3, np.arange(n),
+                      (rng.random(n) * np.arange(n)).astype(np.int64))
+    if seed % 2:
+        cycle = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        parent[cycle] = np.roll(cycle, 1)
+    g = bare(n, parent=parent)
+    assert validate(g) == validate_loop(g)
+
+
+# -- neighbours --------------------------------------------------------------
+
+
+def test_csr_rows_match_sorted_neighbour_sets():
+    # Duplicates in both orientations and a self-loop: invalid, yet the
+    # neighbour rows stay the de-duplicated sorted sets.
+    g = bare(6, edges=[[0, 3], [3, 0], [2, 2], [1, 4], [0, 3], [4, 0], [2, 1]])
+    indptr, indices = g.adjacency_csr
+    reference = neighbour_loop(g)
+    assert indptr.shape == (7,) and indptr[0] == 0 and indptr[-1] == indices.size
+    for v in range(g.num_nodes):
+        row = indices[indptr[v]:indptr[v + 1]].tolist()
+        assert row == reference[v] == sorted(g.adjacency_sets[v])
+    assert g.adjacency_sets[5] == frozenset()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_csr_rows_match_loop_on_random_graphs(seed):
+    rng = np.random.default_rng(300 + seed)
+    g = random_graph(rng, int(rng.integers(1, 50)), 0)
+    indptr, indices = g.adjacency_csr
+    rows = [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+    assert rows == neighbour_loop(g)
+
+
+def test_csr_rejects_out_of_range_edges():
+    with pytest.raises(ValueError, match="out of range"):
+        bare(3, edges=[[0, 3]]).adjacency_csr
+
+
+# -- weighted draws ------------------------------------------------------------
+
+
+class FixedKeys:
+    """An rng stand-in whose exponential draws are given, so keys can tie."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def exponential(self, size):
+        assert size == self.draws.size
+        return self.draws.copy()
+
+
+def argsort_reference(weights, k, draws):
+    alive = np.flatnonzero(weights > 0)
+    keys = draws / weights[alive]
+    return alive[np.argsort(keys, kind="stable")[:k]]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_weighted_draw_matches_stable_argsort_with_ties(seed):
+    rng = np.random.default_rng(400 + seed)
+    w = rng.choice([0.0, 1.0, 2.0, 4.0], size=int(rng.integers(1, 30)))
+    w[0] = 1.0
+    alive = int((w > 0).sum())
+    for k in range(alive + 1):
+        # Integer draws over tied weights give many equal keys.
+        draws = rng.integers(1, 4, size=alive).astype(np.float64)
+        got = weighted_sample_without_replacement(w, k, FixedKeys(draws))
+        np.testing.assert_array_equal(got, argsort_reference(w, k, draws))
+
+
+def test_weighted_draw_matches_stable_argsort_on_a_real_stream():
+    w = np.repeat([1.0, 3.0], 50)
+    for k in (1, 7, 50, 100):
+        got = weighted_sample_without_replacement(w, k, np.random.default_rng(k))
+        draws = np.random.default_rng(k).exponential(size=w.size)
+        np.testing.assert_array_equal(got, argsort_reference(w, k, draws))

