@@ -25,12 +25,12 @@ from .construct import (
 )
 from .graph import to_hypergraph, to_simple, to_two_level_hierarchy
 from .io import (
-    DatasetFile,
     ParseError,
     SchemaError,
     load,
     load_file,
     resolve_dataset,
+    save,
     save_file,
     split,
 )
@@ -122,19 +122,7 @@ def cmd_convert(args) -> int:
         "hypergraph": to_hypergraph,
         "two-level": to_two_level_hierarchy,
     }[target](g)
-    out_ds = DatasetFile(
-        name=ds.name + f":{target}" if ds.name else target,
-        num_nodes=converted.num_nodes,
-        node_features=converted.node_features,
-        edges=converted.simple_edges,
-        hyperedges=converted.hyperedges,
-        hyperedge_weights=converted.hyperedge_weights,
-        hyperedge_features=converted.hyperedge_features,
-        parent=converted.parent,
-        labels=converted.labels,
-        task=converted.task,
-    )
-    save_file(out_ds, args.output)
+    save(converted, args.output, ds.name + f":{target}" if ds.name else target)
     return 0
 
 
@@ -213,21 +201,8 @@ def cmd_sample(args) -> int:
                          "walk_length": spec.walk_length, "seed": seed})
     g = load(path)
     sub = run_sampler(g, spec, np.random.default_rng(seed))
-    graph = sub.to_graph(g.task)
-    out_ds = DatasetFile(
-        name=f"sample:{spec.method}",
-        num_nodes=graph.num_nodes,
-        node_features=graph.node_features,
-        edges=graph.simple_edges,
-        hyperedges=graph.hyperedges,
-        hyperedge_weights=graph.hyperedge_weights,
-        hyperedge_features=graph.hyperedge_features,
-        parent=graph.parent,
-        labels=graph.labels,
-        task=graph.task,
-    )
     if args.out:
-        save_file(out_ds, args.out)
+        save(sub, args.out, f"sample:{spec.method}")
         mapping = {
             "node_ids": sub.node_ids.tolist(),
             "hyperedge_ids": sub.hyperedge_ids.tolist(),
@@ -237,8 +212,8 @@ def cmd_sample(args) -> int:
         payload = {
             "node_ids": sub.node_ids.tolist(),
             "hyperedge_ids": sub.hyperedge_ids.tolist(),
-            "num_edges": int(graph.num_edges),
-            "num_hyperedges": int(graph.num_hyperedges),
+            "num_edges": int(sub.num_edges),
+            "num_hyperedges": int(sub.num_hyperedges),
         }
         _emit(payload, None)
     return 0

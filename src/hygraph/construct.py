@@ -17,6 +17,8 @@ ordered lexicographically; the ball list is in anchor order.
 
 import numpy as np
 
+from .graph import neighbour_csr, neighbour_sets
+
 __all__ = [
     "ball_hyperedges",
     "cliques_to_hyperedges",
@@ -26,15 +28,7 @@ __all__ = [
 INTERVAL_WINDOW = 200_000
 
 
-def _adjacency_sets(num_nodes: int, edges: np.ndarray) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(num_nodes)]
-    for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2):
-        adj[int(u)].add(int(v))
-        adj[int(v)].add(int(u))
-    return adj
-
-
-def _degeneracy_order(adj: list[set[int]]) -> list[int]:
+def _degeneracy_order(adj: tuple[frozenset, ...]) -> list[int]:
     """Peel minimum-degree nodes repeatedly; classic bucket-queue version."""
     n = len(adj)
     degree = [len(a) for a in adj]
@@ -83,7 +77,7 @@ def cliques_to_hyperedges(
     """
     if min_size < 3:
         raise ValueError(f"min_size must be >= 3, got {min_size}")
-    adj = _adjacency_sets(num_nodes, edges)
+    adj = neighbour_sets(*neighbour_csr(num_nodes, edges))
     order = _degeneracy_order(adj)
     rank = {v: i for i, v in enumerate(order)}
     raw: list[tuple[int, ...]] = []

@@ -28,6 +28,8 @@ __all__ = [
     "Task",
     "classify",
     "duplicate_hyperedges",
+    "neighbour_csr",
+    "neighbour_sets",
     "structurally_equal",
     "to_hypergraph",
     "to_simple",
@@ -71,6 +73,34 @@ class Task:
     @property
     def is_classification(self) -> bool:
         return self.kind == "classification"
+
+
+def neighbour_csr(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour lists of an undirected edge list as CSR ``(indptr, indices)``.
+
+    Row ``v`` is ``indices[indptr[v]:indptr[v + 1]]``: the distinct
+    neighbours of ``v`` in ascending order.  Duplicate edges collapse and
+    a self-loop makes a node its own neighbour.  Both arrays are read-only.
+    """
+    n = num_nodes
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise InvalidGraphError(["edge index out of range"])
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    pairs = np.unique(src * n + dst)  # sorted by (src, dst), duplicates gone
+    indices = pairs % n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
+
+
+def neighbour_sets(indptr: np.ndarray, indices: np.ndarray) -> tuple[frozenset, ...]:
+    """The rows of a neighbour CSR as one frozenset per node."""
+    flat, bounds = indices.tolist(), indptr.tolist()
+    return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def _as_edge_array(edges) -> np.ndarray:
@@ -171,32 +201,12 @@ class HybridGraph:
 
     @cached_property
     def adjacency_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbour lists as CSR ``(indptr, indices)``.
-
-        Row ``v`` is ``indices[indptr[v]:indptr[v + 1]]``: the distinct
-        neighbours of ``v`` in ascending order.  Duplicate edges collapse and
-        a self-loop makes a node its own neighbour, so a row always equals
-        ``sorted(adjacency_sets[v])``.
-        """
-        n = self.num_nodes
-        edges = self.simple_edges
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise InvalidGraphError(["edge index out of range"])
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        pairs = np.unique(src * n + dst)  # sorted by (src, dst), duplicates gone
-        indices = pairs % n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        return indptr, indices
+        """Neighbour lists as CSR ``(indptr, indices)``; see :func:`neighbour_csr`."""
+        return neighbour_csr(self.num_nodes, self.simple_edges)
 
     @cached_property
     def adjacency_sets(self) -> tuple[frozenset, ...]:
-        indptr, indices = self.adjacency_csr
-        flat, bounds = indices.tolist(), indptr.tolist()
-        return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return neighbour_sets(*self.adjacency_csr)
 
     @cached_property
     def incidence_arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -11,11 +11,16 @@ Missing optional fields take documented defaults: weights -> all 1.0,
 parent -> identity.  ``positions`` (per-node ``[chromosome, offset]``) and
 ``embeddings`` are carried for the hyperedge-construction pipelines and are
 not part of the in-memory graph.
+
+Index fields (``edges``, ``hyperedges``, ``parent``, class ``labels``) must
+hold integers: ``1.0`` reads as 1, while ``1.5`` is refused rather than
+truncated.  Every malformed field raises a ``SchemaError`` that names it.
 """
 
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -86,6 +91,63 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _numbers(value, path: str, key: str) -> np.ndarray:
+    """A JSON (nested) list of numbers as an int or float array."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise SchemaError(f"{path}: field '{key}' must hold numbers only")
+    return arr
+
+
+def _floats(value, path: str, key: str) -> np.ndarray:
+    return _numbers(value, path, key).astype(np.float64, copy=False)
+
+
+def _integers(value, path: str, key: str, what: str = "index") -> np.ndarray:
+    """Numbers that must be integral: ``1.0`` is read as 1, ``1.5`` is refused."""
+    arr = _numbers(value, path, key)
+    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.round(arr))).all():
+        raise SchemaError(f"{path}: field '{key}': non-integer {what}")
+    return arr.astype(np.int64)
+
+
+def _of_length(arr: np.ndarray, n: int, path: str, key: str) -> np.ndarray:
+    """Check that ``arr`` is a flat list of length ``n``."""
+    if arr.ndim != 1:
+        raise SchemaError(f"{path}: field '{key}' must be a flat list")
+    if arr.shape[0] != n:
+        raise SchemaError(f"{path}: field '{key}' length {arr.shape[0]}, expected {n}")
+    return arr
+
+
+def _hyperedges(value, n: int, path: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list) or not all(isinstance(e, list) for e in value):
+        raise SchemaError(f"{path}: field 'hyperedges' must be a list of lists")
+    flat = _integers(list(chain.from_iterable(value)), path, "hyperedges")
+    ends = np.cumsum([len(e) for e in value], dtype=np.int64)
+    bad = np.flatnonzero((flat < 0) | (flat >= n))
+    if bad.size:
+        k = int(np.searchsorted(ends, bad[0], side="right"))
+        raise SchemaError(f"{path}: field 'hyperedges'[{k}]: index out of range")
+    members, bounds = flat.tolist(), [0, *ends.tolist()]
+    return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def _positions(value, n: int, path: str) -> list[tuple[object, int]]:
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: field 'positions' must be a list")
+    if len(value) != n:
+        raise SchemaError(f"{path}: field 'positions' length {len(value)}, expected {n}")
+    if not all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], (str, int))
+               for p in value):
+        raise SchemaError(f"{path}: field 'positions' entries must be [chromosome, offset]")
+    offsets = _integers([p[1] for p in value], path, "positions", what="offset")
+    return [(p[0], o) for p, o in zip(value, offsets.tolist())]
+
+
 def load_file(path: str) -> DatasetFile:
     """Parse a canonical JSON dataset, checking the schema field by field."""
     with open(path, encoding="utf-8") as fh:
@@ -97,75 +159,69 @@ def load_file(path: str) -> DatasetFile:
         raise SchemaError(f"{path}: top level must be a JSON object")
 
     n = _need(obj, "num_nodes", path)
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise SchemaError(f"{path}: field 'num_nodes' must be a non-negative integer")
 
-    features = np.asarray(_need(obj, "node_features", path), dtype=np.float64)
-    features = np.atleast_2d(features)
+    features = np.atleast_2d(_floats(_need(obj, "node_features", path), path, "node_features"))
     if features.shape[0] != n:
         raise SchemaError(
             f"{path}: field 'node_features' has {features.shape[0]} rows, expected {n}"
         )
 
-    edges_raw = _need(obj, "edges", path)
-    edges = np.asarray(edges_raw, dtype=np.int64).reshape(-1, 2) if edges_raw else np.zeros((0, 2), np.int64)
+    edges = _integers(_need(obj, "edges", path), path, "edges")
+    if edges.size == 0:
+        edges = np.zeros((0, 2), np.int64)
+    elif edges.ndim != 2 or edges.shape[1] != 2:
+        raise SchemaError(f"{path}: field 'edges' must be a list of node pairs")
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise SchemaError(f"{path}: field 'edges': index out of range")
 
-    hyperedges = tuple(tuple(int(v) for v in e) for e in obj.get("hyperedges", []))
-    for k, e in enumerate(hyperedges):
-        if any(v < 0 or v >= n for v in e):
-            raise SchemaError(f"{path}: field 'hyperedges'[{k}]: index out of range")
+    hyperedges = _hyperedges(obj.get("hyperedges", []), n, path)
 
     weights = obj.get("hyperedge_weights")
     if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape[0] != len(hyperedges):
-            raise SchemaError(
-                f"{path}: field 'hyperedge_weights' length {weights.shape[0]}, "
-                f"expected {len(hyperedges)}"
-            )
+        weights = _of_length(_floats(weights, path, "hyperedge_weights"),
+                            len(hyperedges), path, "hyperedge_weights")
 
     he_features = obj.get("hyperedge_features")
     if he_features is not None:
-        he_features = np.atleast_2d(np.asarray(he_features, dtype=np.float64))
+        he_features = np.atleast_2d(_floats(he_features, path, "hyperedge_features"))
 
     parent = obj.get("parent")
     if parent is not None:
-        parent = np.asarray(parent, dtype=np.int64)
-        if parent.shape[0] != n:
-            raise SchemaError(f"{path}: field 'parent' length {parent.shape[0]}, expected {n}")
+        parent = _of_length(_integers(parent, path, "parent"), n, path, "parent")
         if parent.size and (parent.min() < 0 or parent.max() >= n):
             raise SchemaError(f"{path}: field 'parent': index out of range")
 
     task_kind = _need(obj, "task", path)
     if task_kind == "classification":
-        task = Task("classification", num_classes=_need(obj, "num_classes", path))
+        k = _need(obj, "num_classes", path)
+        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+            raise SchemaError(f"{path}: field 'num_classes' must be an integer >= 2")
+        task = Task("classification", num_classes=k)
     elif task_kind == "regression":
         task = Task("regression")
     else:
         raise SchemaError(f"{path}: field 'task' must be 'classification' or 'regression'")
 
-    labels = np.asarray(_need(obj, "labels", path))
-    if labels.shape[0] != n:
-        raise SchemaError(f"{path}: field 'labels' length {labels.shape[0]}, expected {n}")
+    labels = _need(obj, "labels", path)
     if task.is_classification:
-        lab_int = labels.astype(np.int64)
-        if labels.dtype.kind == "f" and not np.array_equal(lab_int, labels):
-            raise SchemaError(f"{path}: field 'labels': non-integer class label")
-        if lab_int.size and (lab_int.min() < 0 or lab_int.max() >= task.num_classes):
-            raise SchemaError(f"{path}: field 'labels': class out of range")
-        labels = lab_int
+        labels = _integers(labels, path, "labels", what="class label")
+    else:
+        labels = _numbers(labels, path, "labels")
+    _of_length(labels, n, path, "labels")
+    if task.is_classification and labels.size and (
+        labels.min() < 0 or labels.max() >= task.num_classes
+    ):
+        raise SchemaError(f"{path}: field 'labels': class out of range")
 
     positions = obj.get("positions")
     if positions is not None:
-        if len(positions) != n:
-            raise SchemaError(f"{path}: field 'positions' length {len(positions)}, expected {n}")
-        positions = [(p[0], int(p[1])) for p in positions]
+        positions = _positions(positions, n, path)
 
     embeddings = obj.get("embeddings")
     if embeddings is not None:
-        embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+        embeddings = np.atleast_2d(_floats(embeddings, path, "embeddings"))
         if embeddings.shape[0] != n:
             raise SchemaError(
                 f"{path}: field 'embeddings' has {embeddings.shape[0]} rows, expected {n}"

@@ -6,12 +6,13 @@ receive no gradient.  Every op builds the graph eagerly and stores a closure
 that pushes the output gradient to its tensor parents; ``Tensor.backward``
 walks the graph once in reverse topological order.
 
-The op set is deliberately small: linear maps (``matmul``, ``add``,
-``concat``, ``reshape``, ``take_rows``, ``edge_mix``, ``mean``), pointwise
-nonlinearities (``relu``, ``elu``, ``leaky_relu``), normalizers (``softmax``,
-``log_softmax``, ``segment_softmax``) and masked ``dropout``.  Gathers and
-scatters are linear maps too (selection matrices), which keeps every
-gradient a hand-derivable expression checked by finite differences.
+The op set holds only what the layers and losses use: linear maps
+(``matmul``, ``add``, ``concat``, ``take_rows``, ``edge_mix``), pointwise
+nonlinearities (``relu``, ``leaky_relu``), normalizers (``log_softmax``,
+``segment_softmax``) and masked ``dropout``, plus ``mean``, the reduction
+every gradient check ends in.  Gathers and scatters are linear maps too
+(selection matrices), which keeps every gradient a hand-derivable
+expression checked by finite differences.
 """
 
 import numpy as np
@@ -23,16 +24,13 @@ __all__ = [
     "concat",
     "dropout",
     "edge_mix",
-    "elu",
     "leaky_relu",
     "log_softmax",
     "matmul",
     "mean",
     "random_mask",
     "relu",
-    "reshape",
     "segment_softmax",
-    "softmax",
     "take_rows",
 ]
 
@@ -158,13 +156,6 @@ def concat(tensors, axis: int = 1) -> Tensor:
     return Tensor(np.concatenate(values, axis=axis), tuple(tensors), backward)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    def backward(g):
-        _accumulate(a, g.reshape(a.value.shape))
-
-    return Tensor(a.value.reshape(shape), (a,), backward)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.value > 0
 
@@ -174,17 +165,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, a.value, 0.0), (a,), backward)
 
 
-def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
-    pos = a.value > 0
-    neg_part = alpha * np.expm1(np.minimum(a.value, 0.0))
-    out_value = np.where(pos, a.value, neg_part)
-
-    def backward(g):
-        _accumulate(a, g * np.where(pos, 1.0, neg_part + alpha))
-
-    return Tensor(out_value, (a,), backward)
-
-
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     pos = a.value > 0
 
@@ -192,18 +172,6 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
         _accumulate(a, g * np.where(pos, 1.0, slope))
 
     return Tensor(np.where(pos, a.value, slope * a.value), (a,), backward)
-
-
-def softmax(a: Tensor) -> Tensor:
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_value = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        inner = (g * out_value).sum(axis=-1, keepdims=True)
-        _accumulate(a, out_value * (g - inner))
-
-    return Tensor(out_value, (a,), backward)
 
 
 def log_softmax(a: Tensor) -> Tensor:

@@ -50,15 +50,8 @@ def build_graph_tensors(g: HybridGraph) -> GraphTensors:
     g.require_valid()
     n = g.num_nodes
     m = g.num_hyperedges
-    edges = g.simple_edges
-
-    if edges.size:
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        data = np.ones(rows.size, dtype=np.float64)
-        adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    else:
-        adj = sp.csr_matrix((n, n), dtype=np.float64)
+    indptr, indices = g.adjacency_csr
+    adj = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
 
     with_loops = (adj + sp.eye(n, format="csr")).tocsr()
     deg_hat = np.asarray(with_loops.sum(axis=1)).ravel()
@@ -69,15 +62,10 @@ def build_graph_tensors(g: HybridGraph) -> GraphTensors:
     inv_deg = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
     mean_adj = sp.diags(inv_deg) @ adj
 
-    loops = np.arange(n, dtype=np.int64)
-    if edges.size:
-        att_src = np.concatenate([edges[:, 0], edges[:, 1], loops])
-        att_dst = np.concatenate([edges[:, 1], edges[:, 0], loops])
-    else:
-        att_src = loops.copy()
-        att_dst = loops.copy()
-    order = np.lexsort((att_src, att_dst))
-    att_src, att_dst = att_src[order], att_dst[order]
+    # Attention pairs (source, target) with self-loops, ordered by target
+    # and then source: the rows of the adjacency with self-loops.
+    att_dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(with_loops.indptr))
+    att_src = with_loops.indices.astype(np.int64)
 
     members, offsets = g.incidence_arrays
     sizes = np.diff(offsets)

@@ -1,10 +1,13 @@
 """Subgraph samplers and node-induced subgraph extraction.
 
 Each of the five samplers draws a node set and returns the
-``SampledSubgraph`` that ``induce`` extracts for it: relabeled simple edges,
-masked hyperedges (members restricted to the sample and sorted, empty ones
-dropped), inherited features and labels, and a parent function that falls
-back to self wherever the original parent fell outside the sample.
+``SampledSubgraph`` that ``induce`` extracts for it.  A sampled subgraph is
+a ``HybridGraph`` in local coordinates: relabeled simple edges, masked
+hyperedges (members restricted to the sample and sorted, empty ones
+dropped), inherited features, labels and task, and a parent function that
+falls back to self wherever the original parent fell outside the sample.
+It also carries ``node_ids`` and ``hyperedge_ids``, its map back to the
+parent graph.  ``to_graph()`` without a task keeps the parent's task.
 
 Draws read the graph's cached arrays and rebuild no whole-graph structure:
 the walk sampler steps through ``HybridGraph.adjacency_csr`` and ``induce``
@@ -16,7 +19,7 @@ distributions using the exponential-race trick: each item gets key
 reproduces sequential weighted draws.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,41 +63,25 @@ class SamplerSpec:
             )
 
 
-@dataclass(frozen=True)
-class SampledSubgraph:
-    """A node-induced subgraph with bookkeeping back to the parent graph.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class SampledSubgraph(HybridGraph):
+    """A ``HybridGraph`` induced on sampled nodes, plus its map to the parent.
 
-    ``node_ids`` are the sampled global ids in ascending order;
-    ``hyperedge_ids`` are the global indices of the retained hyperedges.
-    All other fields are in local coordinates.
+    ``node_ids`` are the sampled global ids in ascending order (local node
+    ``i`` is global node ``node_ids[i]``); ``hyperedge_ids`` are the global
+    indices of the retained hyperedges.  The subgraph keeps the parent's
+    task, so ``to_graph()`` without a task returns the subgraph itself
+    (before, it fell back to a regression task with float labels).
     """
 
     node_ids: np.ndarray
-    node_features: np.ndarray
-    simple_edges: np.ndarray
-    hyperedges: tuple[tuple[int, ...], ...]
     hyperedge_ids: np.ndarray
-    hyperedge_weights: np.ndarray
-    hyperedge_features: np.ndarray | None
-    parent: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.node_ids)
 
     def to_graph(self, task=None) -> HybridGraph:
-        kwargs = {} if task is None else {"task": task}
-        return HybridGraph(
-            node_features=self.node_features,
-            simple_edges=self.simple_edges,
-            hyperedges=self.hyperedges,
-            hyperedge_weights=self.hyperedge_weights,
-            hyperedge_features=self.hyperedge_features,
-            parent=self.parent,
-            labels=self.labels,
-            **kwargs,
-        )
+        """This subgraph, relabelled for ``task`` if that differs from its own."""
+        if task is None or task == self.task:
+            return self
+        return replace(self, task=task)
 
 
 def _hyperedge_of(offsets: np.ndarray) -> np.ndarray:
@@ -133,31 +120,23 @@ def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
     local[ids] = np.arange(ids.size)
 
     edges = g.simple_edges
-    if edges.size:
-        keep = (local[edges[:, 0]] >= 0) & (local[edges[:, 1]] >= 0)
-        sub_edges = local[edges[keep]]
-    else:
-        sub_edges = np.zeros((0, 2), dtype=np.int64)
-
-    kept_he, kept_idx_arr = _mask_hyperedges(g, local, ids.size)
-
+    keep = (local[edges[:, 0]] >= 0) & (local[edges[:, 1]] >= 0)
+    hyperedges, kept = _mask_hyperedges(g, local, ids.size)
     mapped = local[g.parent[ids]]
-    parent = np.where(mapped >= 0, mapped, np.arange(ids.size))
 
     return SampledSubgraph(
         node_ids=ids,
+        hyperedge_ids=kept,
         node_features=g.node_features[ids],
-        simple_edges=sub_edges,
-        hyperedges=kept_he,
-        hyperedge_ids=kept_idx_arr,
-        hyperedge_weights=g.hyperedge_weights[kept_idx_arr]
-        if len(g.hyperedges)
-        else np.zeros(0, dtype=np.float64),
-        hyperedge_features=g.hyperedge_features[kept_idx_arr]
-        if g.hyperedge_features is not None
-        else None,
-        parent=parent,
+        simple_edges=local[edges[keep]],
+        hyperedges=hyperedges,
+        hyperedge_weights=g.hyperedge_weights[kept],
+        hyperedge_features=None
+        if g.hyperedge_features is None
+        else g.hyperedge_features[kept],
+        parent=np.where(mapped >= 0, mapped, np.arange(ids.size)),
         labels=g.labels[ids],
+        task=g.task,
     )
 
 

@@ -27,17 +27,11 @@ class GraphStats:
 
 def _clustering_mean(g: HybridGraph) -> float:
     """Mean over all nodes of 2 T(v) / (deg(v) (deg(v) - 1)), 0 when deg < 2."""
+    if g.num_edges == 0:
+        return 0.0
     n = g.num_nodes
-    if n == 0:
-        return 0.0
-    edges = g.simple_edges
-    if edges.size == 0:
-        return 0.0
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    a = sp.csr_matrix(
-        (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(n, n)
-    )
+    indptr, indices = g.adjacency_csr
+    a = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     triangles = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel() / 2.0
     deg = g.degrees.astype(np.float64)
     denom = deg * (deg - 1.0)

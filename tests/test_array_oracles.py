@@ -7,8 +7,10 @@ graphs, field for field and message for message.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hygraph import HybridGraph, validate
+from hygraph.nn.layers import build_graph_tensors
 from hygraph.sampling import induce, weighted_sample_without_replacement
 
 # -- reference loops -------------------------------------------------------
@@ -103,6 +105,31 @@ def neighbour_loop(g):
         nbrs[u].add(int(v))
         nbrs[v].add(int(u))
     return [sorted(s) for s in nbrs]
+
+
+def adjacency_tensors_from_edges(g):
+    """``a_hat``, ``mean_adj`` and the attention pairs built from the edge
+    pairs: the matrices as a COO sum, the pairs by one lexsort."""
+    n = g.num_nodes
+    edges = g.simple_edges
+    if edges.size:
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
+        data = np.ones(rows.size, dtype=np.float64)
+        adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    else:
+        adj = sp.csr_matrix((n, n), dtype=np.float64)
+    with_loops = (adj + sp.eye(n, format="csr")).tocsr()
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(with_loops.sum(axis=1)).ravel())
+    a_hat = sp.diags(inv_sqrt) @ with_loops @ sp.diags(inv_sqrt)
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    inv_deg = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
+    mean_adj = sp.diags(inv_deg) @ adj
+    loops = np.arange(n, dtype=np.int64)
+    att_src = np.concatenate([edges[:, 0], edges[:, 1], loops])
+    att_dst = np.concatenate([edges[:, 1], edges[:, 0], loops])
+    order = np.lexsort((att_src, att_dst))
+    return a_hat.tocsr(), mean_adj.tocsr(), att_src[order], att_dst[order]
 
 
 # -- graphs ----------------------------------------------------------------
@@ -273,6 +300,29 @@ def test_csr_rows_match_loop_on_random_graphs(seed):
 def test_csr_rejects_out_of_range_edges():
     with pytest.raises(ValueError, match="out of range"):
         bare(3, edges=[[0, 3]]).adjacency_csr
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adjacency_tensors_match_edge_list_construction(seed):
+    # Seeds 0 and 1 have no edges at all; random graphs leave their last
+    # nodes isolated.
+    rng = np.random.default_rng(500 + seed)
+    if seed == 0:
+        g = bare(4)
+    elif seed == 1:
+        g = bare(1)
+    else:
+        g = random_graph(rng, int(rng.integers(2, 60)), 3)
+    gt = build_graph_tensors(g)
+    a_hat, mean_adj, att_src, att_dst = adjacency_tensors_from_edges(g)
+    for got, want in ((gt.a_hat, a_hat), (gt.mean_adj, mean_adj)):
+        for field in ("data", "indices", "indptr"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+    for got, want in ((gt.att_src, att_src), (gt.att_dst, att_dst)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 # -- weighted draws ------------------------------------------------------------

@@ -94,12 +94,6 @@ class TestLinearOps:
         mix = rng.standard_normal((6, 1))
         gradcheck(lambda: ad.mean(ad.matmul(ad.concat([a, b], axis=1), mix)), [a, b])
 
-    def test_reshape(self):
-        rng = np.random.default_rng(5)
-        a = ad.Tensor(rng.standard_normal((6,)))
-        mix = rng.standard_normal((2, 1))
-        gradcheck(lambda: ad.mean(ad.matmul(ad.reshape(a, (3, 2)), mix)), [a])
-
     def test_take_rows_with_repeats(self):
         rng = np.random.default_rng(6)
         x = ad.Tensor(rng.standard_normal((4, 3)))
@@ -132,12 +126,6 @@ class TestNonlinearities:
         mix = rng.standard_normal((3, 1))
         gradcheck(lambda: ad.mean(ad.matmul(ad.relu(x), mix)), [x])
 
-    def test_elu(self):
-        rng = np.random.default_rng(9)
-        x = ad.Tensor(away_from_kinks(rng, (4, 3)))
-        mix = rng.standard_normal((3, 1))
-        gradcheck(lambda: ad.mean(ad.matmul(ad.elu(x), mix)), [x])
-
     def test_leaky_relu(self):
         rng = np.random.default_rng(10)
         x = ad.Tensor(away_from_kinks(rng, (4, 3)))
@@ -147,17 +135,6 @@ class TestNonlinearities:
     def test_leaky_relu_value(self):
         x = ad.Tensor(np.array([-1.0, 0.5]))
         np.testing.assert_allclose(ad.leaky_relu(x, 0.2).value, [-0.2, 0.5])
-
-    def test_softmax(self):
-        rng = np.random.default_rng(11)
-        x = ad.Tensor(rng.standard_normal((4, 5)))
-        mix = rng.standard_normal((5, 1))
-        gradcheck(lambda: ad.mean(ad.matmul(ad.softmax(x), mix)), [x])
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(12)
-        s = ad.softmax(ad.Tensor(rng.standard_normal((6, 4)) * 30)).value
-        np.testing.assert_allclose(s.sum(axis=1), np.ones(6), rtol=1e-12)
 
     def test_log_softmax(self):
         rng = np.random.default_rng(13)

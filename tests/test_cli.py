@@ -59,6 +59,17 @@ class TestStats:
         assert payload["dataset_checksum"]
         assert payload["toolkit_version"]
 
+    def test_malformed_field_is_a_schema_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "num_nodes": 3, "node_features": [[0.0], [1.0], [2.0]], "edges": [],
+            "hyperedges": [[0, 1.5]], "labels": [0, 1, 0], "task": "classification",
+            "num_classes": 2,
+        }))
+        code, _, err = run(capsys, "stats", str(path))
+        assert code == 1
+        assert "'hyperedges'" in err and "Traceback" not in err
+
     def test_missing_dataset(self, capsys):
         code, _, err = run(capsys, "stats", "no-such-file.json")
         assert code == 1

@@ -114,6 +114,27 @@ class TestLoad:
         with pytest.raises(SchemaError, match="positions"):
             load_file(write_json(tmp_path / "a.json", obj))
 
+    @pytest.mark.parametrize("field, value", [
+        ("hyperedges", 5),
+        ("hyperedges", [[0, 1], 2]),
+        ("hyperedges", [[0, 1.5, 2]]),
+        ("hyperedges", [[0, "1"]]),
+        ("edges", [[0, 1.5]]),
+        ("edges", [[0, 1, 2]]),
+        ("parent", 0),
+        ("parent", [0, 0.5, 2]),
+        ("labels", 0),
+        ("labels", ["a", "b", "c"]),
+        ("hyperedge_weights", 1.0),
+        ("num_classes", "2"),
+        ("positions", [["chr1"], ["chr1", 5], ["chr2", 7]]),
+        ("positions", [["chr1", 0], ["chr1", 2.5], ["chr2", 7]]),
+    ])
+    def test_malformed_field_named(self, tmp_path, field, value):
+        obj = minimal(**{field: value})
+        with pytest.raises(SchemaError, match=f"'{field}'"):
+            load_file(write_json(tmp_path / "a.json", obj))
+
 
 class TestSaveRoundTrip:
     def test_graph_roundtrip_exact(self, tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hygraph import HybridGraph, Task
+from hygraph.nn.layers import build_graph_tensors
 from hygraph.nn.models import ModelSpec
 from hygraph.nn.train import TrainConfig, run_experiment
 from hygraph.sampling import (
@@ -22,7 +23,7 @@ from hygraph.sampling import (
     sample_uniform_nodes,
     weighted_sample_without_replacement,
 )
-from hygraph.stats import sampler_report
+from hygraph.stats import compute_stats, sampler_report
 from hygraph.synthetic import make_classification_graph
 
 
@@ -271,11 +272,17 @@ class TestSpecAndDispatch:
             SamplerSpec("rand-node", budget=4),
             SamplerSpec("rand-hyperedge", budget=1),
         ]
+        g = replace(g, labels=np.arange(8) % 2, task=Task("classification", 2))
         for spec in specs:
             sub = run_sampler(g, spec, np.random.default_rng(18))
             assert isinstance(sub, SampledSubgraph)
+            assert isinstance(sub, HybridGraph)
+            assert sub.task == g.task
+            assert sub.to_graph(g.task) is sub
             assert sub.num_nodes >= 1
             assert sub.to_graph().violations == ()
+            assert build_graph_tensors(sub).num_nodes == sub.num_nodes
+            assert compute_stats(sub).num_nodes == sub.num_nodes
 
     def test_same_seed_same_sample(self):
         g = graph(30, edges=[[i, i + 1] for i in range(29)])
@@ -286,12 +293,14 @@ class TestSpecAndDispatch:
 
 
 class TestPinnedStreams:
-    """Sampler and SAINT outputs, byte for byte, for fixed seeds.
+    """Sampler, SAINT and full-batch outputs, byte for byte, for fixed seeds.
 
-    The digests were taken from the loop-based samplers that the array code
-    replaced, so any change to a draw, to the order of RNG calls or to the
-    report bytes shows here.  The training digests also fix the float
-    results of the model, as computed with the pinned numpy and OpenBLAS.
+    The sampler and SAINT digests were taken from the loop-based samplers
+    that the array code replaced, and the full-batch digests from the layers'
+    edge-list adjacency that the neighbour CSR replaced, so any change to a
+    draw, to the order of RNG calls or to the report bytes shows here.  The
+    training digests also fix the float results of the model, as computed
+    with the pinned numpy and OpenBLAS.
     """
 
     SAMPLERS = {
@@ -316,6 +325,14 @@ class TestPinnedStreams:
             "189b8f2c791eabffa68589b231823f051d589e3b4c33d37ee5f4d7fb12095639",
         SamplerSpec("node", budget=50):
             "870e4802a16ea15e3a9d87ff7e12aaecd666158d43ea801f6ab1563f4b9e5dbf",
+    }
+    FULL_BATCH = {
+        "gcn": "973504ffbf0f7b7ae8665d4c40d49f8f4b2da6ec1d1f16e4a72b478cf3d113a0",
+        "sage": "5ebf31a90b8682b36cfa3448e1f7b91f98955721cd383cfe02e41e23dc73e61e",
+        "gat": "cf586206f77cad4429968748252d6105fceddc97f63876608cd7957e93074c60",
+        "gatv2": "7b5f69c19c15ae640db47eb1916a5e1b9d59dc6f6e565be2dfd1e4155097e0f3",
+        "hyperconv": "8134bdbe6007d644852fc2b0e07f15ca95dd618198dbd25ca35db44036017a68",
+        "hyperatten": "240da12608a97573e3109c0274910b78ea97a298f9140ab680e5e479dd65901e",
     }
 
     @staticmethod
@@ -358,3 +375,9 @@ class TestPinnedStreams:
         cfg = TrainConfig(epochs=3, lr=0.05, trials=2, saint=spec, batches_per_epoch=3)
         report = run_experiment(self.pinned_graph(), ModelSpec("gcn", hidden=8), cfg, 4)
         assert self.digest(report) == self.SAINT[spec]
+
+    @pytest.mark.parametrize("name", list(FULL_BATCH))
+    def test_full_batch_experiment(self, name):
+        cfg = TrainConfig(epochs=3, lr=0.05, trials=2)
+        report = run_experiment(self.pinned_graph(), ModelSpec(name, hidden=8), cfg, 4)
+        assert self.digest(report) == self.FULL_BATCH[name]
