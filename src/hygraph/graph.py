@@ -191,11 +191,15 @@ class HybridGraph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Simple-edge degree of every node."""
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        if self.num_edges:
-            np.add.at(deg, self.simple_edges[:, 0], 1)
-            np.add.at(deg, self.simple_edges[:, 1], 1)
+        """Simple-edge degree of every node.
+
+        Every edge counts once at each end, so duplicate edges count again
+        and a self-loop adds two.
+        """
+        ends = self.simple_edges.ravel()
+        if ends.size and (ends.min() < 0 or ends.max() >= self.num_nodes):
+            raise InvalidGraphError(["edge index out of range"])
+        deg = np.bincount(ends, minlength=self.num_nodes).astype(np.int64, copy=False)
         deg.setflags(write=False)
         return deg
 

@@ -10,8 +10,13 @@ The op set holds only what the layers and losses use: linear maps
 (``matmul``, ``add``, ``concat``, ``take_rows``, ``edge_mix``), pointwise
 nonlinearities (``relu``, ``leaky_relu``), normalizers (``log_softmax``,
 ``segment_softmax``) and masked ``dropout``, plus ``mean``, the reduction
-every gradient check ends in.  Gathers and scatters are linear maps too
-(selection matrices), which keeps every gradient a hand-derivable
+every gradient check ends in.  Gathers and scatters are linear maps too:
+``take_rows`` scatters its gradient back through a 0/1 selection matrix,
+and ``edge_mix`` is a sparse matrix whose fixed pattern holds the pairs and
+whose data is the per-pair coefficients.  Both are applied as scipy sparse
+products.  Such a product adds each output row's terms in storage order,
+starting from zero, so its floats equal those of a loop that adds the pairs
+one by one in that order; and every gradient stays a hand-derivable
 expression checked by finite differences.
 """
 
@@ -82,9 +87,9 @@ def _topological(root: Tensor) -> list[Tensor]:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad = t.grad + g
+    # No op writes into a gradient in place, so the first one can be kept
+    # as is (even when another tensor holds the same array).
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -190,21 +195,20 @@ def segment_softmax(scores: Tensor, segments, num_segments: int) -> Tensor:
 
     ``scores`` is (k,) or (k, 1); ``segments`` gives each entry's group.
     Groups never mix, so the gradient is the per-segment softmax Jacobian.
+    Segment sums are ``np.bincount``, which adds in entry order.
     """
     seg = np.asarray(segments, dtype=np.int64)
     s = scores.value.reshape(-1)
     seg_max = np.full(num_segments, -np.inf)
     np.maximum.at(seg_max, seg, s)
     e = np.exp(s - seg_max[seg])
-    denom = np.zeros(num_segments)
-    np.add.at(denom, seg, e)
+    denom = np.bincount(seg, weights=e, minlength=num_segments)
     flat = e / denom[seg]
     out_value = flat.reshape(scores.value.shape)
 
     def backward(g):
         gv = g.reshape(-1)
-        seg_dot = np.zeros(num_segments)
-        np.add.at(seg_dot, seg, gv * flat)
+        seg_dot = np.bincount(seg, weights=gv * flat, minlength=num_segments)
         _accumulate(scores, (flat * (gv - seg_dot[seg])).reshape(scores.value.shape))
 
     return Tensor(out_value, (scores,), backward)
@@ -215,30 +219,60 @@ def take_rows(a: Tensor, idx) -> Tensor:
     rows = np.asarray(idx, dtype=np.int64)
 
     def backward(g):
-        ga = np.zeros_like(a.value)
-        np.add.at(ga, rows, g)
-        _accumulate(a, ga)
+        k = rows.size
+        select = sp.csr_matrix(
+            (np.ones(k), (rows, np.arange(k))), shape=(a.value.shape[0], k)
+        )
+        _accumulate(a, select @ g)
 
-    return Tensor(a.value[rows], (a,), backward)
+    return Tensor(np.take(a.value, rows, axis=0), (a,), backward)
 
 
-def edge_mix(alpha: Tensor, h: Tensor, targets, num_rows: int) -> Tensor:
-    """Weighted scatter: ``out[targets[e]] += alpha[e] * h[e]``.
+def edge_mix(alpha: Tensor, h: Tensor, pattern) -> Tensor:
+    """Weighted gather-scatter: ``out[i] = sum over pairs (i, j) of alpha * h[j]``.
 
-    The workhorse of attention layers: ``alpha`` holds one coefficient per
-    edge (or incidence pair), ``h`` the per-edge message rows.
+    The workhorse of attention layers.  ``pattern`` is a CSR or CSC matrix of
+    shape (output rows, rows of ``h``) whose stored entries are the pairs
+    (edges, or node-hyperedge incidences); only its structure is read.
+    ``alpha`` holds one coefficient per pair, in the pattern's storage
+    order, and becomes the data of the mixing matrix ``A``: the forward pass
+    is ``A @ h``, the gradient of ``h`` is ``A.T @ g``, and the gradient of a
+    pair's coefficient is the dot product of its output row of ``g`` with
+    its row of ``h``.
     """
-    tgt = np.asarray(targets, dtype=np.int64)
     av = alpha.value.reshape(-1)
-    out_value = np.zeros((num_rows, h.value.shape[1]))
-    np.add.at(out_value, tgt, av[:, None] * h.value)
+    mixing = type(pattern)((av, pattern.indices, pattern.indptr), shape=pattern.shape)
+    # ``h`` usually feeds ``alpha`` too.  Its gradient from here passes
+    # through ``source``, which the reverse walk reaches only after alpha's
+    # ancestors, so it is added to h's other gradients last: the order a
+    # gather of h's rows feeding this op would give, kept bit for bit.
+    source = Tensor(h.value, (h,), lambda g: _accumulate(h, g))
 
     def backward(g):
-        g_rows = g[tgt]
-        _accumulate(h, av[:, None] * g_rows)
-        _accumulate(alpha, (g_rows * h.value).sum(axis=1).reshape(alpha.value.shape))
+        _accumulate(source, mixing.T @ g)
+        pairs = pattern.tocoo()
+        dots = _pair_dots(g, h.value, pairs.row, pairs.col)
+        _accumulate(alpha, dots.reshape(alpha.value.shape))
 
-    return Tensor(out_value, (alpha, h), backward)
+    return Tensor(mixing @ h.value, (alpha, source), backward)
+
+
+_PAIR_BLOCK = 2048
+
+
+def _pair_dots(a: np.ndarray, b: np.ndarray, rows, cols) -> np.ndarray:
+    """``(a[rows] * b[cols]).sum(axis=1)``, in blocks of pairs that stay in cache.
+
+    Each row's sum is the same reduction as on the whole array, so the
+    result is identical; the blocks only avoid two (pairs, d) temporaries.
+    """
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), _PAIR_BLOCK):
+        stop = start + _PAIR_BLOCK
+        prod = np.take(a, rows[start:stop], axis=0)
+        prod *= np.take(b, cols[start:stop], axis=0)
+        prod.sum(axis=1, out=out[start:stop])
+    return out
 
 
 def dropout(a: Tensor, mask: np.ndarray, keep: float) -> Tensor:

@@ -5,12 +5,18 @@ structure precomputed once per graph in :class:`GraphTensors`:
 
 * ``a_hat``: symmetrically normalized adjacency with self-loops,
 * ``mean_adj``: row-normalized adjacency (zero rows for isolated nodes),
-* directed edge pairs with self-loops for pairwise attention,
-* node-hyperedge incidence pairs for hypergraph attention,
+* directed edge pairs with self-loops for pairwise attention, and
+  ``att_pattern``, the CSR matrix (target, source) that stores them,
+* node-hyperedge incidence pairs for hypergraph attention, and
+  ``inc_pattern``, the CSC incidence matrix (node, hyperedge) that stores
+  them hyperedge by hyperedge, members in hyperedge order,
 * ``hyper_prop``: the normalized weighted clique-style propagation matrix.
 
 Attention never materializes dense score matrices; scores live on the edge
-or incidence pair lists and are normalized with a segment softmax.
+or incidence pair lists and are normalized with a segment softmax.  The
+pair lists are the storage order of their pattern, so the attention
+coefficients become the data of a sparse mixing matrix with that pattern
+(``autodiff.edge_mix``): aggregation and its gradients are sparse products.
 """
 
 from dataclasses import dataclass
@@ -39,8 +45,10 @@ class GraphTensors:
     mean_adj: sp.csr_matrix
     att_src: np.ndarray
     att_dst: np.ndarray
+    att_pattern: sp.csr_matrix
     inc_node: np.ndarray
     inc_edge: np.ndarray
+    inc_pattern: sp.csc_matrix
     incidence_t: sp.csr_matrix
     hyper_prop: sp.csr_matrix
     log_weights: np.ndarray
@@ -71,12 +79,11 @@ def build_graph_tensors(g: HybridGraph) -> GraphTensors:
     sizes = np.diff(offsets)
     inc_edge = np.repeat(np.arange(m, dtype=np.int64), sizes)
     inc_node = members.copy()
-    if members.size:
-        incidence = sp.csr_matrix(
-            (np.ones(members.size), (inc_node, inc_edge)), shape=(n, m)
-        )
-    else:
-        incidence = sp.csr_matrix((n, m), dtype=np.float64)
+    # Stored hyperedge by hyperedge, members in hyperedge order: the order of
+    # the incidence pairs.  A valid graph repeats no member, so as CSR it is
+    # the plain 0/1 incidence matrix.
+    inc_pattern = sp.csc_matrix((np.ones(members.size), inc_node, offsets), shape=(n, m))
+    incidence = inc_pattern.tocsr()
 
     w = g.hyperedge_weights
     edge_scale = np.where(sizes > 0, w / np.where(sizes > 0, sizes, 1), 0.0)
@@ -93,8 +100,10 @@ def build_graph_tensors(g: HybridGraph) -> GraphTensors:
         mean_adj=mean_adj.tocsr(),
         att_src=att_src,
         att_dst=att_dst,
+        att_pattern=with_loops,
         inc_node=inc_node,
         inc_edge=inc_edge,
+        inc_pattern=inc_pattern,
         incidence_t=incidence.T.tocsr(),
         hyper_prop=hyper_prop,
         log_weights=np.log(w) if m else np.zeros(0),
@@ -155,7 +164,7 @@ class GATLayer:
             LEAKY_SLOPE,
         )
         alpha = ad.segment_softmax(scores, gt.att_dst, gt.num_nodes)
-        return ad.edge_mix(alpha, ad.take_rows(h, gt.att_src), gt.att_dst, gt.num_nodes)
+        return ad.edge_mix(alpha, h, gt.att_pattern)
 
 
 class GATv2Layer:
@@ -175,9 +184,7 @@ class GATv2Layer:
         pair = ad.add(ad.take_rows(h_l, gt.att_src), ad.take_rows(h_r, gt.att_dst))
         scores = ad.matmul(ad.leaky_relu(pair, LEAKY_SLOPE), self.a)
         alpha = ad.segment_softmax(scores, gt.att_dst, gt.num_nodes)
-        return ad.edge_mix(
-            alpha, ad.take_rows(h_l, gt.att_src), gt.att_dst, gt.num_nodes
-        )
+        return ad.edge_mix(alpha, h_l, gt.att_pattern)
 
 
 class HyperConvLayer:
@@ -226,7 +233,7 @@ class HyperAttenLayer:
         )
         scores = ad.add(raw, gt.log_weights[gt.inc_edge].reshape(-1, 1))
         alpha = ad.segment_softmax(scores, gt.inc_node, gt.num_nodes)
-        return ad.edge_mix(alpha, ad.take_rows(z, gt.inc_edge), gt.inc_node, gt.num_nodes)
+        return ad.edge_mix(alpha, z, gt.inc_pattern)
 
 
 LAYER_TYPES = {

@@ -96,6 +96,8 @@ def _mask_hyperedges(g: HybridGraph, local: np.ndarray, size: int):
     A hyperedge is kept iff some member survives; its local members are
     sorted.
     """
+    if g.num_hyperedges == 0:
+        return (), np.zeros(0, dtype=np.int64)
     members, offsets = g.incidence_arrays
     mapped = local[members]
     inside = mapped >= 0

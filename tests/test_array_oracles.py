@@ -1,8 +1,10 @@
-"""The array code of the graph core and the samplers against plain loops.
+"""The array code of the graph core, the samplers and the autodiff
+scatters against plain loops.
 
-Each reference below is the straightforward Python loop that the array
-version replaced; the tests compare the two on random and on crafted
-graphs, field for field and message for message.
+Each reference below is the straightforward Python loop (or ``np.add.at``
+scatter) that the array version replaced; the tests compare the two on
+random and on crafted inputs, field for field, message for message and,
+for floats, bit for bit.
 """
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 import scipy.sparse as sp
 
 from hygraph import HybridGraph, validate
-from hygraph.nn.layers import build_graph_tensors
+from hygraph.nn import autodiff as ad
+from hygraph.nn.autodiff import _accumulate
+from hygraph.nn.layers import LAYER_TYPES, LEAKY_SLOPE, build_graph_tensors
 from hygraph.sampling import induce, weighted_sample_without_replacement
 
 # -- reference loops -------------------------------------------------------
@@ -364,3 +368,225 @@ def test_weighted_draw_matches_stable_argsort_on_a_real_stream():
         got = weighted_sample_without_replacement(w, k, np.random.default_rng(k))
         draws = np.random.default_rng(k).exponential(size=w.size)
         np.testing.assert_array_equal(got, argsort_reference(w, k, draws))
+
+
+# -- degrees -------------------------------------------------------------------
+
+
+def degrees_loop(g):
+    deg = np.zeros(g.num_nodes, dtype=np.int64)
+    np.add.at(deg, g.simple_edges[:, 0], 1)
+    np.add.at(deg, g.simple_edges[:, 1], 1)
+    return deg
+
+
+@pytest.mark.parametrize("edges", [
+    [], [[0, 1], [1, 2]], [[0, 1], [1, 0], [0, 1]], [[2, 2], [0, 2], [3, 3], [3, 3]],
+], ids=["none", "path", "duplicates", "self-loops"])
+def test_degrees_match_loop(edges):
+    g = bare(5, edges=edges)
+    assert g.degrees.dtype == np.int64
+    np.testing.assert_array_equal(g.degrees, degrees_loop(g))
+
+
+@pytest.mark.parametrize("edge", [[0, 3], [-1, 2]])
+def test_degrees_reject_out_of_range_edges(edge):
+    with pytest.raises(ValueError, match="out of range"):
+        bare(3, edges=[edge]).degrees
+
+
+# -- autodiff scatters -------------------------------------------------------
+#
+# The ops as they were before the sparse products: gathers materialized, and
+# every scatter an ``np.add.at`` over the pairs in list order.
+
+
+def take_rows_loop(a, idx):
+    rows = np.asarray(idx, dtype=np.int64)
+
+    def backward(g):
+        ga = np.zeros_like(a.value)
+        np.add.at(ga, rows, g)
+        _accumulate(a, ga)
+
+    return ad.Tensor(a.value[rows], (a,), backward)
+
+
+def edge_mix_loop(alpha, h, targets, num_rows):
+    tgt = np.asarray(targets, dtype=np.int64)
+    av = alpha.value.reshape(-1)
+    out_value = np.zeros((num_rows, h.value.shape[1]))
+    np.add.at(out_value, tgt, av[:, None] * h.value)
+
+    def backward(g):
+        g_rows = g[tgt]
+        _accumulate(h, av[:, None] * g_rows)
+        _accumulate(alpha, (g_rows * h.value).sum(axis=1).reshape(alpha.value.shape))
+
+    return ad.Tensor(out_value, (alpha, h), backward)
+
+
+def segment_softmax_loop(scores, segments, num_segments):
+    seg = np.asarray(segments, dtype=np.int64)
+    s = scores.value.reshape(-1)
+    seg_max = np.full(num_segments, -np.inf)
+    np.maximum.at(seg_max, seg, s)
+    e = np.exp(s - seg_max[seg])
+    denom = np.zeros(num_segments)
+    np.add.at(denom, seg, e)
+    flat = e / denom[seg]
+
+    def backward(g):
+        gv = g.reshape(-1)
+        seg_dot = np.zeros(num_segments)
+        np.add.at(seg_dot, seg, gv * flat)
+        _accumulate(scores, (flat * (gv - seg_dot[seg])).reshape(scores.value.shape))
+
+    return ad.Tensor(flat.reshape(scores.value.shape), (scores,), backward)
+
+
+def gat_loop(layer, gt, x):
+    h = ad.matmul(x, layer.theta)
+    s_src = ad.matmul(h, layer.a_src)
+    s_dst = ad.matmul(h, layer.a_dst)
+    scores = ad.leaky_relu(
+        ad.add(take_rows_loop(s_src, gt.att_src), take_rows_loop(s_dst, gt.att_dst)),
+        LEAKY_SLOPE,
+    )
+    alpha = segment_softmax_loop(scores, gt.att_dst, gt.num_nodes)
+    return edge_mix_loop(alpha, take_rows_loop(h, gt.att_src), gt.att_dst, gt.num_nodes)
+
+
+def gatv2_loop(layer, gt, x):
+    h_l = ad.matmul(x, layer.theta_l)
+    h_r = ad.matmul(x, layer.theta_r)
+    pair = ad.add(take_rows_loop(h_l, gt.att_src), take_rows_loop(h_r, gt.att_dst))
+    scores = ad.matmul(ad.leaky_relu(pair, LEAKY_SLOPE), layer.a)
+    alpha = segment_softmax_loop(scores, gt.att_dst, gt.num_nodes)
+    return edge_mix_loop(alpha, take_rows_loop(h_l, gt.att_src), gt.att_dst, gt.num_nodes)
+
+
+def hyperatten_loop(layer, gt, x):
+    h = ad.matmul(x, layer.theta)
+    z = ad.matmul(gt.incidence_t, h)
+    s_node = ad.matmul(h, layer.a_node)
+    s_edge = ad.matmul(z, layer.a_edge)
+    raw = ad.leaky_relu(
+        ad.add(take_rows_loop(s_node, gt.inc_node), take_rows_loop(s_edge, gt.inc_edge)),
+        LEAKY_SLOPE,
+    )
+    scores = ad.add(raw, gt.log_weights[gt.inc_edge].reshape(-1, 1))
+    alpha = segment_softmax_loop(scores, gt.inc_node, gt.num_nodes)
+    return edge_mix_loop(alpha, take_rows_loop(z, gt.inc_edge), gt.inc_node, gt.num_nodes)
+
+
+LOOP_LAYERS = {"gat": gat_loop, "gatv2": gatv2_loop, "hyperatten": hyperatten_loop}
+
+
+def backprop(out, upstream):
+    """Run the backward walk from ``out`` with ``upstream`` as its gradient.
+
+    Dropout with keep 1 multiplies by a fixed array; the mean makes a root.
+    """
+    ad.mean(ad.dropout(out, upstream, 1.0)).backward()
+
+
+def random_pairs(rng, num_out, num_in, k):
+    """Pair lists sorted by output row, with the last output row and the last
+    input row in no pair; inputs repeat."""
+    rows = np.sort(rng.integers(max(1, num_out - 1), size=k))
+    cols = rng.integers(max(1, num_in - 1), size=k)
+    return rows, cols
+
+
+def compressed(pattern_type, major, minor, shape):
+    """A 0/1 pattern storing the pairs in their given order (``major``
+    sorted): CSR when ``major`` are rows, CSC when it is columns."""
+    num_major = shape[0] if pattern_type is sp.csr_matrix else shape[1]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(major, minlength=num_major))])
+    return pattern_type((np.ones(major.size), minor, indptr), shape=shape)
+
+
+@pytest.mark.parametrize("k, d", [(0, 3), (1, 2), (60, 3), (5000, 9)])
+@pytest.mark.parametrize("layout", ["csr", "csc"])
+def test_edge_mix_matches_scatter_loop(k, d, layout):
+    rng = np.random.default_rng(700 + k + d)
+    num_out, num_in = 40, 30
+    rows, cols = random_pairs(rng, num_out, num_in, k)
+    if layout == "csr":
+        pattern = compressed(sp.csr_matrix, rows, cols, (num_out, num_in))
+    else:  # pairs grouped by input row, output rows in any order
+        cols, rows = random_pairs(rng, num_in, num_out, k)
+        pattern = compressed(sp.csc_matrix, cols, rows, (num_out, num_in))
+    alpha_value = rng.standard_normal((k, 1))
+    h_value = rng.standard_normal((num_in, d))
+    upstream = rng.standard_normal((num_out, d))
+    results = []
+    for mix in (lambda a, h: ad.edge_mix(a, h, pattern),
+                lambda a, h: edge_mix_loop(a, take_rows_loop(h, cols), rows, num_out)):
+        alpha, h = ad.Tensor(alpha_value), ad.Tensor(h_value)
+        out = mix(alpha, h)
+        backprop(out, upstream)
+        results.append((out.value, alpha.grad, h.grad))
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    assert not results[0][0][-1].any()  # the empty output row
+    assert not results[0][2][-1].any()  # the input row no pair reads
+
+
+@pytest.mark.parametrize("shape", [(50,), (50, 1), (50, 4)])
+def test_take_rows_matches_scatter_loop(shape):
+    rng = np.random.default_rng(710 + len(shape))
+    idx = rng.integers(shape[0] - 5, size=200)  # repeats; the last rows unused
+    value = rng.standard_normal(shape)
+    upstream = rng.standard_normal((200,) + shape[1:])
+    grads = []
+    for take in (ad.take_rows, take_rows_loop):
+        a = ad.Tensor(value)
+        out = take(a, idx)
+        np.testing.assert_array_equal(out.value, value[idx])
+        backprop(out, upstream)
+        grads.append(a.grad)
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_segment_softmax_matches_scatter_loop(seed):
+    rng = np.random.default_rng(720 + seed)
+    k, num_segments = int(rng.integers(1, 300)), 25
+    segments = rng.integers(num_segments - 3, size=k)  # unsorted, 3 empty
+    shape = (k, 1) if seed % 2 else (k,)
+    value = 5 * rng.standard_normal(shape)
+    upstream = rng.standard_normal(shape)
+    results = []
+    for softmax in (ad.segment_softmax, segment_softmax_loop):
+        scores = ad.Tensor(value)
+        out = softmax(scores, segments, num_segments)
+        backprop(out, upstream)
+        results.append((out.value, scores.grad))
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(LOOP_LAYERS))
+def test_attention_layer_matches_scatter_loop_layer(name, seed):
+    # Unsorted hyperedge members and nodes in no edge or hyperedge; the
+    # input, every parameter and every output must agree to the bit, so the
+    # order in which each gradient's terms are summed must be the loop's.
+    rng = np.random.default_rng(730 + seed)
+    g = random_graph(rng, int(rng.integers(8, 80)), int(rng.integers(1, 30)))
+    gt = build_graph_tensors(g)
+    layer = LAYER_TYPES[name](3, 5, np.random.default_rng(seed))
+    upstream = rng.standard_normal((g.num_nodes, 5))
+    results = []
+    for forward in (layer.forward, lambda gt, x: LOOP_LAYERS[name](layer, gt, x)):
+        for p in layer.params():
+            p.grad = None
+        x = ad.Tensor(g.node_features)
+        out = forward(gt, x)
+        backprop(out, upstream)
+        results.append([out.value, x.grad] + [p.grad for p in layer.params()])
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)

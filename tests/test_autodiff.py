@@ -102,20 +102,45 @@ class TestLinearOps:
         gradcheck(lambda: ad.mean(ad.matmul(ad.take_rows(x, idx), mix)), [x])
 
     def test_edge_mix(self):
+        # Rows 0..3 of the output; row 1 is empty, h row 0 is gathered twice
+        # into row 2, h row 1 feeds rows 0 and 3, h row 4 is never gathered.
         rng = np.random.default_rng(7)
-        alpha = ad.Tensor(rng.standard_normal(5))
+        pattern = sp.csr_matrix(
+            (np.ones(6), np.array([1, 3, 0, 0, 2, 1]), np.array([0, 2, 2, 5, 6])),
+            shape=(4, 5),
+        )
+        alpha = ad.Tensor(rng.standard_normal(6))
         h = ad.Tensor(rng.standard_normal((5, 3)))
-        targets = np.array([0, 1, 1, 2, 0])
         mix = rng.standard_normal((3, 1))
         gradcheck(
-            lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, h, targets, 3), mix)),
+            lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, h, pattern), mix)),
             [alpha, h],
+        )
+
+    def test_edge_mix_column_major_pattern(self):
+        # Incidence-style: pairs stored hyperedge by hyperedge (CSC), members
+        # unsorted, node 2 in no hyperedge (an empty output row).
+        rng = np.random.default_rng(8)
+        pattern = sp.csc_matrix(
+            (np.ones(5), np.array([3, 0, 1, 4, 0]), np.array([0, 3, 5])), shape=(5, 2)
+        )
+        alpha = ad.Tensor(rng.standard_normal((5, 1)))
+        z = ad.Tensor(rng.standard_normal((2, 3)))
+        mix = rng.standard_normal((3, 1))
+        out = ad.edge_mix(alpha, z, pattern)
+        np.testing.assert_array_equal(out.value[2], np.zeros(3))
+        gradcheck(
+            lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, z, pattern), mix)),
+            [alpha, z],
         )
 
     def test_edge_mix_value(self):
         alpha = ad.Tensor(np.array([2.0, 3.0]))
         h = ad.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        out = ad.edge_mix(alpha, h, np.array([1, 1]), 3)
+        pattern = sp.csr_matrix(
+            (np.ones(2), np.array([0, 1]), np.array([0, 0, 2, 2])), shape=(3, 2)
+        )
+        out = ad.edge_mix(alpha, h, pattern)
         np.testing.assert_allclose(out.value, [[0, 0], [2, 3], [0, 0]])
 
 
@@ -162,9 +187,12 @@ class TestNonlinearities:
         h = ad.Tensor(rng.standard_normal((7, 3)))
         mix = rng.standard_normal((3, 1))
 
+        # Pair e mixes row e of h into output row segments[e].
+        pattern = sp.csc_matrix((np.ones(7), segments, np.arange(8)), shape=(3, 7))
+
         def build():
             alpha = ad.segment_softmax(scores, segments, 3)
-            return ad.mean(ad.matmul(ad.edge_mix(alpha, h, segments, 3), mix))
+            return ad.mean(ad.matmul(ad.edge_mix(alpha, h, pattern), mix))
 
         gradcheck(build, [scores, h])
 
