@@ -1,18 +1,25 @@
 """Command-line interface.
 
 Every subcommand reads canonical JSON datasets (resolved against the
-working directory, then ``$HYGRAPH_DATA``), prints its resolved
-configuration to stderr for reproducibility, and emits deterministic JSON:
+working directory, then ``$HYGRAPH_DATA``) and emits deterministic JSON:
 reruns with the same inputs and seeds produce byte-identical output.
 
-Options may come from ``--config FILE`` (a flat JSON object per
-subcommand); explicit flags win over config values, which win over
-defaults.  Exit status: 0 on success, 1 on failure, 2 on usage errors.
+Each subcommand's options are declared once, in ``OPTIONS``.  An option's
+value comes from its ``--flag``, else from ``--config FILE`` (a flat JSON
+object keyed by the flag names without the leading dashes, such as
+``walk-length``), else from its default.  Config values are checked against
+the declared type and choices; a mismatch is a ``SchemaError`` that names
+the key.  Before it runs, a subcommand prints one JSON line to stderr whose
+``config`` lists every resolved option under its config-file key, plus the
+dataset and the files it reads and writes; saved to a file, that object can
+be passed back with ``--config`` to rerun the same job.  Exit status: 0 on
+success, 1 on failure, 2 on usage errors.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +36,7 @@ from .io import (
     SchemaError,
     load,
     load_file,
+    read_json_object,
     resolve_dataset,
     save,
     save_file,
@@ -43,14 +51,88 @@ from .suite import file_checksum, format_metric, run_experiment_suite
 
 __all__ = ["main"]
 
+CONVERSIONS = {
+    "simple": to_simple,
+    "hypergraph": to_hypergraph,
+    "two-level": to_two_level_hierarchy,
+}
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+@dataclass(frozen=True)
+class Option:
+    """An option's type, default and, where the set is closed, its choices."""
+
+    type: type
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+    def check(self, key: str, value):
+        """Return a config-file value unconverted, or raise if it does not fit."""
+        if value is None and self.default is None:
+            return value
+        accepted = (int, float) if self.type is float else self.type
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise SchemaError(
+                f"config key {key!r}: expected {self.type.__name__}, got {value!r}"
+            )
+        if self.choices is not None and value not in self.choices:
+            raise SchemaError(
+                f"config key {key!r}: expected one of {'|'.join(self.choices)}, "
+                f"got {value!r}"
+            )
+        return value
+
+
+_SEED = Option(int, 0)
+_SAMPLER = {
+    "budget": Option(int, SamplerSpec.budget),
+    "roots": Option(int, SamplerSpec.roots),
+    "walk-length": Option(int, SamplerSpec.walk_length),
+}
+_SAMPLE = {"method": Option(str, None, SAMPLER_METHODS), **_SAMPLER, "seed": _SEED}
+
+# Subcommand -> config-file key -> declaration; the flag is ``--<key>``.
+OPTIONS: dict[str, dict[str, Option]] = {
+    "stats": {"format": Option(str, "table", ("table", "json"))},
+    "convert": {"to": Option(str, None, tuple(CONVERSIONS))},
+    "split": {"seed": _SEED},
+    "build-hyperedges": {
+        "method": Option(str, None, ("clique", "interval", "ball")),
+        "min-size": Option(int, 3),
+        "window": Option(int, INTERVAL_WINDOW),
+        "threshold": Option(float),
+        "metric": Option(str, "euclidean", ("euclidean", "cosine")),
+    },
+    "sample": _SAMPLE,
+    "sampler-report": {**_SAMPLE, "trials": Option(int, 10)},
+    "train": {
+        "model": Option(str),
+        "epochs": Option(int, TrainConfig.epochs),
+        "lr": Option(float, TrainConfig.lr),
+        "hidden": Option(int, ModelSpec.hidden),
+        "dropout": Option(float, ModelSpec.dropout),
+        "trials": Option(int, TrainConfig.trials),
+        "seed": _SEED,
+        "saint": Option(str, None, SAMPLER_METHODS,
+                        "train on sampled subgraphs with this sampler"),
+        **_SAMPLER,
+        "batches": Option(int, TrainConfig.batches_per_epoch),
+    },
+    "eval": {"split": Option(str, "test", ("train", "val", "test")), "seed": _SEED},
+    "suite": {},
+}
+
+
+def _emit(payload: dict | str, out_path: str | None) -> None:
+    """Write text, or a dict as sorted indented JSON, to ``out_path`` or stdout."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
 
 
 def _announce(subcommand: str, resolved: dict) -> None:
@@ -58,40 +140,47 @@ def _announce(subcommand: str, resolved: dict) -> None:
     print(line, file=sys.stderr)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: config must be a JSON object")
-    return obj
+def _configure(args) -> dict:
+    """Resolve ``args.command``'s options (flag > config > default) and announce them.
 
-
-def _resolve(args, config: dict, key: str, default):
-    flag = getattr(args, key.replace("-", "_"))
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+    The result also holds the resolved input path (under ``in`` for the
+    file-to-file commands, ``dataset`` otherwise), ``out`` and, for
+    ``eval``, ``model_file``.
+    """
+    config = read_json_object(args.config) if args.config else {}
+    resolved = {}
+    for key, option in OPTIONS[args.command].items():
+        flag = getattr(args, key.replace("-", "_"))
+        if flag is not None:
+            resolved[key] = flag
+        elif key in config:
+            resolved[key] = option.check(key, config[key])
+        else:
+            resolved[key] = option.default
+    resolved[COMMANDS[args.command][2]] = resolve_dataset(args.dataset)
+    resolved["out"] = args.out
+    if hasattr(args, "model_file"):
+        resolved["model_file"] = args.model_file
+    _announce(args.command, resolved)
+    return resolved
 
 
 def _dataset_payload(path: str) -> dict:
-    return {"dataset": path, "dataset_checksum": file_checksum(path)}
+    return {"toolkit_version": __version__, "dataset": path,
+            "dataset_checksum": file_checksum(path)}
+
+
+def _sampler_spec(opts: dict, method: str) -> SamplerSpec:
+    return SamplerSpec(method, budget=opts["budget"], roots=opts["roots"],
+                       walk_length=opts["walk-length"])
 
 
 def cmd_stats(args) -> int:
-    config = _load_config(args.config)
-    fmt = _resolve(args, config, "format", "table")
-    path = resolve_dataset(args.dataset)
-    _announce("stats", {"dataset": path, "format": fmt})
-    g = load(path)
-    stats = compute_stats(g)
-    if fmt == "json":
-        payload = {"toolkit_version": __version__, **_dataset_payload(path),
-                   "stats": stats.as_dict()}
-        _emit(payload, args.out)
+    opts = _configure(args)
+    path = opts["dataset"]
+    stats = compute_stats(load(path))
+    if opts["format"] == "json":
+        _emit({**_dataset_payload(path), "stats": stats.as_dict()}, args.out)
     else:
         rows = list(stats.as_dict().items())
         width = max(len(k) for k, _ in rows)
@@ -99,185 +188,96 @@ def cmd_stats(args) -> int:
         for key, value in rows:
             shown = f"{value:.4f}" if isinstance(value, float) else str(value)
             lines.append(f"{key:<{width}}  {shown}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_convert(args) -> int:
-    config = _load_config(args.config)
-    target = _resolve(args, config, "to", None)
-    if target not in ("simple", "hypergraph", "two-level"):
-        raise SchemaError("convert needs --to simple|hypergraph|two-level")
-    path = resolve_dataset(args.input)
-    _announce("convert", {"in": path, "out": args.output, "to": target})
-    ds = load_file(path)
-    g = ds.to_graph()
-    converted = {
-        "simple": to_simple,
-        "hypergraph": to_hypergraph,
-        "two-level": to_two_level_hierarchy,
-    }[target](g)
-    save(converted, args.output, ds.name + f":{target}" if ds.name else target)
+    opts = _configure(args)
+    target = opts["to"]
+    if target is None:
+        raise SchemaError(f"convert needs --to {'|'.join(CONVERSIONS)}")
+    ds = load_file(opts["in"])
+    converted = CONVERSIONS[target](ds.to_graph())
+    save(converted, args.out, ds.name + f":{target}" if ds.name else target)
     return 0
 
 
 def cmd_split(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve(args, config, "seed", 0)
-    path = resolve_dataset(args.dataset)
-    _announce("split", {"dataset": path, "seed": seed})
+    opts = _configure(args)
+    path, seed = opts["dataset"], opts["seed"]
     masks = split(load(path), seed)
-    payload = {
-        "toolkit_version": __version__,
-        **_dataset_payload(path),
-        "seed": seed,
-        **masks.as_dict(),
-    }
-    _emit(payload, args.out)
+    _emit({**_dataset_payload(path), "seed": seed, **masks.as_dict()}, args.out)
     return 0
 
 
 def cmd_build_hyperedges(args) -> int:
-    config = _load_config(args.config)
-    method = _resolve(args, config, "method", None)
-    if method not in ("clique", "interval", "ball"):
+    opts = _configure(args)
+    method, path = opts["method"], opts["in"]
+    if method is None:
         raise SchemaError("build-hyperedges needs --method clique|interval|ball")
-    path = resolve_dataset(args.input)
     ds = load_file(path)
     if method == "clique":
-        min_size = _resolve(args, config, "min-size", 3)
-        _announce("build-hyperedges", {"in": path, "method": method,
-                                       "min_size": min_size})
-        built = cliques_to_hyperedges(ds.num_nodes, ds.edges, min_size)
+        built = cliques_to_hyperedges(ds.num_nodes, ds.edges, opts["min-size"])
     elif method == "interval":
-        window = _resolve(args, config, "window", INTERVAL_WINDOW)
         if ds.positions is None:
             raise SchemaError(f"{path}: interval construction needs 'positions'")
-        _announce("build-hyperedges", {"in": path, "method": method,
-                                       "window": window})
-        built = interval_hyperedges(ds.positions, window)
+        built = interval_hyperedges(ds.positions, opts["window"])
     else:
-        tau = _resolve(args, config, "threshold", None)
-        metric = _resolve(args, config, "metric", "euclidean")
-        if tau is None:
+        if opts["threshold"] is None:
             raise SchemaError("ball construction needs --threshold")
         if ds.embeddings is None:
             raise SchemaError(f"{path}: ball construction needs 'embeddings'")
-        _announce("build-hyperedges", {"in": path, "method": method,
-                                       "threshold": tau, "metric": metric})
-        built = ball_hyperedges(ds.embeddings, tau, metric)
+        built = ball_hyperedges(ds.embeddings, opts["threshold"], opts["metric"])
     ds.hyperedges = tuple(built)
     ds.hyperedge_weights = None
     ds.hyperedge_features = None
-    save_file(ds, args.output)
+    save_file(ds, args.out)
     print(f"built {len(built)} hyperedges", file=sys.stderr)
     return 0
 
 
-def _sampler_spec_from(args, config) -> tuple[SamplerSpec, int]:
-    method = _resolve(args, config, "method", None)
-    if method not in SAMPLER_METHODS:
-        raise SchemaError(f"sampler method must be one of {SAMPLER_METHODS}")
-    spec = SamplerSpec(
-        method,
-        budget=_resolve(args, config, "budget", 0),
-        roots=_resolve(args, config, "roots", 0),
-        walk_length=_resolve(args, config, "walk-length", 0),
-    )
-    return spec, _resolve(args, config, "seed", 0)
-
-
 def cmd_sample(args) -> int:
-    config = _load_config(args.config)
-    spec, seed = _sampler_spec_from(args, config)
-    path = resolve_dataset(args.dataset)
-    _announce("sample", {"dataset": path, "method": spec.method,
-                         "budget": spec.budget, "roots": spec.roots,
-                         "walk_length": spec.walk_length, "seed": seed})
-    g = load(path)
-    sub = run_sampler(g, spec, np.random.default_rng(seed))
+    opts = _configure(args)
+    spec = _sampler_spec(opts, opts["method"])
+    g = load(opts["dataset"])
+    sub = run_sampler(g, spec, np.random.default_rng(opts["seed"]))
+    ids = {"node_ids": sub.node_ids.tolist(), "hyperedge_ids": sub.hyperedge_ids.tolist()}
     if args.out:
         save(sub, args.out, f"sample:{spec.method}")
-        mapping = {
-            "node_ids": sub.node_ids.tolist(),
-            "hyperedge_ids": sub.hyperedge_ids.tolist(),
-        }
-        print(json.dumps(mapping, sort_keys=True), file=sys.stderr)
+        print(json.dumps(ids, sort_keys=True), file=sys.stderr)
     else:
-        payload = {
-            "node_ids": sub.node_ids.tolist(),
-            "hyperedge_ids": sub.hyperedge_ids.tolist(),
-            "num_edges": int(sub.num_edges),
-            "num_hyperedges": int(sub.num_hyperedges),
-        }
-        _emit(payload, None)
+        sizes = {"num_edges": int(sub.num_edges), "num_hyperedges": int(sub.num_hyperedges)}
+        _emit({**ids, **sizes}, None)
     return 0
 
 
 def cmd_sampler_report(args) -> int:
-    config = _load_config(args.config)
-    spec, seed = _sampler_spec_from(args, config)
-    trials = _resolve(args, config, "trials", 10)
-    path = resolve_dataset(args.dataset)
-    _announce("sampler-report", {"dataset": path, "method": spec.method,
-                                 "budget": spec.budget, "roots": spec.roots,
-                                 "walk_length": spec.walk_length,
-                                 "trials": trials, "seed": seed})
-    g = load(path)
-    report = sampler_report(g, spec, trials, seed)
-    payload = {"toolkit_version": __version__, **_dataset_payload(path), **report}
-    _emit(payload, args.out)
+    opts = _configure(args)
+    spec = _sampler_spec(opts, opts["method"])
+    path = opts["dataset"]
+    report = sampler_report(load(path), spec, opts["trials"], opts["seed"])
+    _emit({**_dataset_payload(path), **report}, args.out)
     return 0
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    model_name = _resolve(args, config, "model", None)
-    if not model_name:
+    opts = _configure(args)
+    if not opts["model"]:
         raise SchemaError("train needs --model")
-    spec = ModelSpec(
-        model_name,
-        hidden=_resolve(args, config, "hidden", 32),
-        dropout=_resolve(args, config, "dropout", 0.5),
-    )
-    saint_method = _resolve(args, config, "saint", None)
-    saint = None
-    if saint_method:
-        saint = SamplerSpec(
-            saint_method,
-            budget=_resolve(args, config, "budget", 0),
-            roots=_resolve(args, config, "roots", 0),
-            walk_length=_resolve(args, config, "walk-length", 0),
-        )
+    spec = ModelSpec(opts["model"], hidden=opts["hidden"], dropout=opts["dropout"])
     cfg = TrainConfig(
-        epochs=_resolve(args, config, "epochs", 50),
-        lr=_resolve(args, config, "lr", 0.01),
-        trials=_resolve(args, config, "trials", 5),
-        saint=saint,
-        batches_per_epoch=_resolve(args, config, "batches", 5),
+        epochs=opts["epochs"],
+        lr=opts["lr"],
+        trials=opts["trials"],
+        saint=_sampler_spec(opts, opts["saint"]) if opts["saint"] else None,
+        batches_per_epoch=opts["batches"],
     )
-    seed = _resolve(args, config, "seed", 0)
-    path = resolve_dataset(args.dataset)
-    resolved = {
-        "dataset": path, "model": spec.name, "hidden": spec.hidden,
-        "dropout": spec.dropout, "epochs": cfg.epochs, "lr": cfg.lr,
-        "trials": cfg.trials, "seed": seed,
-        "saint": saint_method or None,
-    }
-    _announce("train", resolved)
+    path = opts["dataset"]
     g = load(path)
-    report, model = _experiment(g, spec, cfg, seed)
-    payload = {
-        "toolkit_version": __version__,
-        **_dataset_payload(path),
-        **report,
-        "formatted": format_metric(report["mean"], report["std"]),
-    }
+    report, model = _experiment(g, spec, cfg, opts["seed"])
+    payload = {**_dataset_payload(path), **report,
+               "formatted": format_metric(report["mean"], report["std"])}
     if args.save_model:
         save_model(model, spec, g.task, g.node_features.shape[1], args.save_model)
         payload["model_file"] = args.save_model
@@ -286,14 +286,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
-    which = _resolve(args, config, "split", "test")
-    if which not in ("train", "val", "test"):
-        raise SchemaError("eval needs --split train|val|test")
-    seed = _resolve(args, config, "seed", 0)
-    path = resolve_dataset(args.dataset)
-    _announce("eval", {"dataset": path, "model_file": args.model_file,
-                       "split": which, "seed": seed})
+    opts = _configure(args)
+    path, which, seed = opts["dataset"], opts["split"], opts["seed"]
     g = load(path)
     model, spec, task = load_model(args.model_file)
     if task != g.task:
@@ -305,7 +299,6 @@ def cmd_eval(args) -> int:
     gt = build_graph_tensors(g)
     metric = evaluate(model, gt, np.asarray(g.node_features), g.labels, rows, task)
     payload = {
-        "toolkit_version": __version__,
         **_dataset_payload(path),
         "model": spec.name,
         "model_file": args.model_file,
@@ -319,13 +312,29 @@ def cmd_eval(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json_object(args.manifest)
     _announce("suite", {"manifest": args.manifest,
                         "master_seed": manifest.get("master_seed", 0)})
     report = run_experiment_suite(manifest)
     _emit(report, args.out)
     return 1 if report["num_incomplete"] else 0
+
+
+# Subcommand -> (handler, help, what it reads: a "dataset" positional, "in"
+# as a required ``--in`` for the file-to-file commands, or a "manifest").
+COMMANDS = {
+    "stats": (cmd_stats, "summary statistics of a dataset", "dataset"),
+    "convert": (cmd_convert, "apply a graph transformation", "in"),
+    "split": (cmd_split, "deterministic train/val/test node split", "dataset"),
+    "build-hyperedges": (cmd_build_hyperedges, "construct hyperedges from raw data",
+                         "in"),
+    "sample": (cmd_sample, "draw one subgraph sample", "dataset"),
+    "sampler-report": (cmd_sampler_report, "average subgraph stats over trials",
+                       "dataset"),
+    "train": (cmd_train, "train a model over several seeds", "dataset"),
+    "eval": (cmd_eval, "evaluate a saved model on a split", "dataset"),
+    "suite": (cmd_suite, "run a manifest of experiments", "manifest"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,94 +344,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (func, help_text, source) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if source == "in":
+            p.add_argument("--in", dest="dataset", required=True)
+        else:
+            p.add_argument(source)
+        p.add_argument("--out", required=source == "in",
+                       help="write the output to this file")
+        for key, option in OPTIONS[name].items():
+            p.add_argument(f"--{key}", type=option.type, choices=option.choices,
+                           help=option.help)
         p.add_argument("--config", help="JSON file with default options")
-        p.add_argument("--out", help="write JSON output to this file")
-
-    p = sub.add_parser("stats", help="summary statistics of a dataset")
-    p.add_argument("dataset")
-    p.add_argument("--format", choices=("table", "json"))
-    common(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("convert", help="apply a graph transformation")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--to", choices=("simple", "hypergraph", "two-level"))
-    p.add_argument("--config", help="JSON file with default options")
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("split", help="deterministic train/val/test node split")
-    p.add_argument("dataset")
-    p.add_argument("--seed", type=int)
-    common(p)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("build-hyperedges", help="construct hyperedges from raw data")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--method", choices=("clique", "interval", "ball"))
-    p.add_argument("--min-size", type=int, dest="min_size")
-    p.add_argument("--window", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--metric", choices=("euclidean", "cosine"))
-    p.add_argument("--config", help="JSON file with default options")
-    p.set_defaults(func=cmd_build_hyperedges)
-
-    def sampler_flags(p):
-        p.add_argument("--method", choices=SAMPLER_METHODS)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--roots", type=int)
-        p.add_argument("--walk-length", type=int, dest="walk_length")
-        p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("sample", help="draw one subgraph sample")
-    p.add_argument("dataset")
-    sampler_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("sampler-report", help="average subgraph stats over trials")
-    p.add_argument("dataset")
-    sampler_flags(p)
-    p.add_argument("--trials", type=int)
-    common(p)
-    p.set_defaults(func=cmd_sampler_report)
-
-    p = sub.add_parser("train", help="train a model over several seeds")
-    p.add_argument("dataset")
-    p.add_argument("--model")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--saint", choices=SAMPLER_METHODS,
-                   help="train on sampled subgraphs with this sampler")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--roots", type=int)
-    p.add_argument("--walk-length", type=int, dest="walk_length")
-    p.add_argument("--batches", type=int)
-    p.add_argument("--save-model", dest="save_model",
-                   help="write trained weights (base seed) to this npz file")
-    common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a saved model on a split")
-    p.add_argument("dataset")
-    p.add_argument("--model-file", dest="model_file", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"))
-    p.add_argument("--seed", type=int)
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("suite", help="run a manifest of experiments")
-    p.add_argument("manifest")
-    common(p)
-    p.set_defaults(func=cmd_suite)
-
+    sub.choices["train"].add_argument(
+        "--save-model", help="write trained weights (base seed) to this npz file")
+    sub.choices["eval"].add_argument("--model-file", required=True)
     return parser
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "SplitMasks",
     "load",
     "load_file",
+    "read_json_object",
     "resolve_dataset",
     "save",
     "split",
@@ -148,8 +149,8 @@ def _positions(value, n: int, path: str) -> list[tuple[object, int]]:
     return [(p[0], o) for p, o in zip(value, offsets.tolist())]
 
 
-def load_file(path: str) -> DatasetFile:
-    """Parse a canonical JSON dataset, checking the schema field by field."""
+def read_json_object(path: str) -> dict:
+    """Parse ``path`` as one JSON object; errors name the file (and the line)."""
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -157,6 +158,12 @@ def load_file(path: str) -> DatasetFile:
             raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from e
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
+    return obj
+
+
+def load_file(path: str) -> DatasetFile:
+    """Parse a canonical JSON dataset, checking the schema field by field."""
+    obj = read_json_object(path)
 
     n = _need(obj, "num_nodes", path)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:

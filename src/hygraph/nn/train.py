@@ -57,27 +57,30 @@ class TrainConfig:
             raise ValueError("batches_per_epoch must be >= 1")
 
 
-class Adam:
-    """Adam with bias correction; beta1 0.9, beta2 0.999, eps 1e-8."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: list[ad.Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam with bias correction; beta1, beta2 and eps are the ``ADAM_*`` constants."""
+
+    def __init__(self, params: list[ad.Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
         self.t = 0
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.value)
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
             m_hat = self.m[i] / (1 - b1**self.t)
             v_hat = self.v[i] / (1 - b2**self.t)
-            p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -147,33 +150,17 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
 
     for epoch in range(cfg.epochs):
         lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
-        if cfg.saint is None:
+        batch_losses = []
+        for batch_gt, batch_x, batch_targets, rows in _batches(
+                g, cfg, masks, rng, (gt, x, targets, masks.train)):
             optimizer.zero_grad()
-            out = model.forward(gt, ad.Tensor(x), rng, training=True)
-            loss = _loss_on(out, masks.train, targets, task)
+            out = model.forward(batch_gt, ad.Tensor(batch_x), rng, training=True)
+            loss = _loss_on(out, rows, batch_targets, task)
             _check_finite(loss.value, model_spec.name, epoch)
             loss.backward()
             optimizer.step(lr)
-            losses.append(float(loss.value))
-        else:
-            batch_losses = []
-            for _ in range(cfg.batches_per_epoch):
-                sub = run_sampler(g, cfg.saint, rng)
-                in_train = np.isin(sub.node_ids, masks.train)
-                local_train = np.flatnonzero(in_train)
-                if local_train.size == 0:
-                    continue
-                sub_gt = build_graph_tensors(sub.to_graph(task))
-                sub_x = sub.node_features
-                sub_targets = _targets(sub.labels, task)
-                optimizer.zero_grad()
-                out = model.forward(sub_gt, ad.Tensor(sub_x), rng, training=True)
-                loss = _loss_on(out, local_train, sub_targets, task)
-                _check_finite(loss.value, model_spec.name, epoch)
-                loss.backward()
-                optimizer.step(lr)
-                batch_losses.append(float(loss.value))
-            losses.append(float(np.mean(batch_losses)) if batch_losses else np.nan)
+            batch_losses.append(float(loss.value))
+        losses.append(float(np.mean(batch_losses)) if batch_losses else np.nan)
 
     result = TrialResult(
         seed=seed,
@@ -182,6 +169,26 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
         train_losses=losses,
     )
     return model, masks, result
+
+
+def _batches(g: HybridGraph, cfg: TrainConfig, masks: SplitMasks,
+             rng: np.random.Generator, full: tuple):
+    """One epoch's ``(graph tensors, features, targets, training rows)`` batches.
+
+    Full-batch training is the single batch ``full``, the whole graph.  SAINT
+    draws each subgraph only when the previous batch has been trained on, so
+    sampler draws and dropout masks take turns on ``rng`` in a fixed order;
+    a subgraph that holds no training node is skipped.
+    """
+    if cfg.saint is None:
+        yield full
+        return
+    for _ in range(cfg.batches_per_epoch):
+        sub = run_sampler(g, cfg.saint, rng)
+        local_train = np.flatnonzero(np.isin(sub.node_ids, masks.train))
+        if local_train.size:
+            yield (build_graph_tensors(sub.to_graph(g.task)), sub.node_features,
+                   _targets(sub.labels, g.task), local_train)
 
 
 def _check_finite(value, model_name: str, epoch: int) -> None:

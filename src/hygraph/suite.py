@@ -37,50 +37,36 @@ def file_checksum(path: str) -> str:
     return digest.hexdigest()
 
 
+# Manifest keys beside "dataset", "model" and "saint", grouped by the spec
+# that takes them; a key a run leaves out keeps that spec's default.
+_MODEL_KEYS = ("hidden", "dropout")
+_SAMPLER_KEYS = ("budget", "roots", "walk_length")
+_TRAIN_KEYS = ("epochs", "lr", "trials", "batches_per_epoch")
+_MANIFEST_KEYS = {"dataset", "model", "saint", *_MODEL_KEYS, *_SAMPLER_KEYS, *_TRAIN_KEYS}
+
+
 def _run_config(defaults: dict, overrides: dict) -> dict:
-    cfg = {
-        "model": None,
-        "dataset": None,
-        "epochs": 50,
-        "lr": 0.01,
-        "hidden": 32,
-        "dropout": 0.5,
-        "trials": 5,
-        "saint": None,
-        "budget": 0,
-        "roots": 0,
-        "walk_length": 0,
-        "batches_per_epoch": 5,
-    }
-    for source in (defaults, overrides):
-        for key, value in source.items():
-            if key not in cfg:
-                raise ValueError(f"unknown manifest key {key!r}")
-            cfg[key] = value
-    if not cfg["model"] or not cfg["dataset"]:
+    cfg = {**defaults, **overrides}
+    for key in cfg:
+        if key not in _MANIFEST_KEYS:
+            raise ValueError(f"unknown manifest key {key!r}")
+    if not cfg.get("model") or not cfg.get("dataset"):
         raise ValueError("every run needs 'dataset' and 'model'")
     return cfg
+
+
+def _given(cfg: dict, keys: tuple[str, ...]) -> dict:
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
 def _execute_run(cfg: dict, base_seed: int) -> dict:
     path = resolve_dataset(cfg["dataset"])
     g = load(path)
-    spec = ModelSpec(cfg["model"], hidden=cfg["hidden"], dropout=cfg["dropout"])
+    spec = ModelSpec(cfg["model"], **_given(cfg, _MODEL_KEYS))
     saint = None
-    if cfg["saint"]:
-        saint = SamplerSpec(
-            cfg["saint"],
-            budget=cfg["budget"],
-            roots=cfg["roots"],
-            walk_length=cfg["walk_length"],
-        )
-    train_cfg = TrainConfig(
-        epochs=cfg["epochs"],
-        lr=cfg["lr"],
-        trials=cfg["trials"],
-        saint=saint,
-        batches_per_epoch=cfg["batches_per_epoch"],
-    )
+    if cfg.get("saint"):
+        saint = SamplerSpec(cfg["saint"], **_given(cfg, _SAMPLER_KEYS))
+    train_cfg = TrainConfig(saint=saint, **_given(cfg, _TRAIN_KEYS))
     report = run_experiment(g, spec, train_cfg, base_seed)
     report["dataset"] = cfg["dataset"]
     report["dataset_checksum"] = file_checksum(path)

@@ -285,6 +285,82 @@ class TestTrainEval:
         assert "task" in err
 
 
+def announced_config(err):
+    line = next(ln for ln in err.splitlines() if ln.startswith('{"command":'))
+    return json.loads(line)["config"]
+
+
+# Inputs and outputs the announce line carries beside the options.
+PATH_KEYS = {"dataset", "in", "out", "model_file"}
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("argv, flags, options", [
+        (["train", "{data}"],
+         ["--model", "gcn", "--epochs", "2", "--hidden", "4", "--trials", "1",
+          "--saint", "rw", "--roots", "10", "--walk-length", "2", "--batches", "2"],
+         {"model", "epochs", "lr", "hidden", "dropout", "trials", "seed", "saint",
+          "budget", "roots", "walk-length", "batches"}),
+        (["sample", "{data}"],
+         ["--method", "rw", "--roots", "3", "--walk-length", "3", "--seed", "2"],
+         {"method", "budget", "roots", "walk-length", "seed"}),
+        (["build-hyperedges", "--in", "{geo}", "--out", "{out}"],
+         ["--method", "ball", "--threshold", "2.0"],
+         {"method", "min-size", "window", "threshold", "metric"}),
+        (["build-hyperedges", "--in", "{geo}", "--out", "{out}"],
+         ["--method", "clique", "--min-size", "4"],
+         {"method", "min-size", "window", "threshold", "metric"}),
+    ], ids=["train-saint", "sample-rw", "build-ball", "build-clique"])
+    def test_announced_config_replays_the_run(self, capsys, class_dataset,
+                                              geo_dataset, tmp_path, argv,
+                                              flags, options):
+        def fill(out):
+            return [a.format(data=class_dataset, geo=geo_dataset, out=out) for a in argv]
+
+        first_out = str(tmp_path / "first.json")
+        code, first, err = run(capsys, *fill(first_out), *flags)
+        assert code == 0
+        config = announced_config(err)
+        assert set(config) - PATH_KEYS == options
+        config_path = tmp_path / "announced.json"
+        config_path.write_text(json.dumps(
+            {k: v for k, v in config.items() if k not in PATH_KEYS}))
+
+        again_out = str(tmp_path / "again.json")
+        code, again, _ = run(capsys, *fill(again_out), "--config", str(config_path))
+        assert code == 0
+        assert again == first
+        if "{out}" in argv:
+            assert open(again_out, "rb").read() == open(first_out, "rb").read()
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (["train", "{data}", "--model", "gcn"], {"epochs": "2"}, "config key 'epochs'"),
+        (["split", "{data}"], {"seed": None}, "config key 'seed'"),
+        (["train", "{data}", "--model", "gcn"], {"lr": True}, "config key 'lr'"),
+        (["sample", "{data}"], {"method": "bogus"}, "config key 'method'"),
+        (["split", "{data}"], '{"seed": 1', "{config}: line 1"),
+    ], ids=["epochs-string", "seed-null", "lr-bool", "method-choice", "truncated-file"])
+    def test_bad_config_value_is_named(self, capsys, class_dataset, tmp_path,
+                                       argv, config, named):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(config if isinstance(config, str) else json.dumps(config))
+        code, _, err = run(capsys, *[a.format(data=class_dataset) for a in argv],
+                           "--config", str(config_path))
+        assert code == 1
+        assert named.format(config=config_path) in err
+        assert "Traceback" not in err
+
+    def test_null_saint_and_integer_lr_are_accepted(self, capsys, class_dataset,
+                                                    tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"model": "gcn", "epochs": 1, "hidden": 4,
+                                           "trials": 1, "saint": None, "lr": 1}))
+        code, out, _ = run(capsys, "train", class_dataset, "--config", str(config_path))
+        assert code == 0
+        assert '"lr": 1,' in out
+        assert "sampler" not in json.loads(out)
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -298,7 +374,6 @@ class TestUsage:
 
     def test_data_dir_resolution(self, capsys, class_dataset, tmp_path,
                                  monkeypatch):
-        import os
         import shutil
         store = tmp_path / "store"
         store.mkdir()

@@ -5,7 +5,6 @@ import pytest
 
 from hygraph import HybridGraph, Task, structurally_equal
 from hygraph.io import (
-    DatasetFile,
     ParseError,
     SchemaError,
     load,
