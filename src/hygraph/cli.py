@@ -8,12 +8,13 @@ Each subcommand's options are declared once, in ``OPTIONS``.  An option's
 value comes from its ``--flag``, else from ``--config FILE`` (a flat JSON
 object keyed by the flag names without the leading dashes, such as
 ``walk-length``), else from its default.  Config values are checked against
-the declared type and choices; a mismatch is a ``SchemaError`` that names
-the key.  Before it runs, a subcommand prints one JSON line to stderr whose
-``config`` lists every resolved option under its config-file key, plus the
-dataset and the files it reads and writes; saved to a file, that object can
-be passed back with ``--config`` to rerun the same job.  Exit status: 0 on
-success, 1 on failure, 2 on usage errors.
+the declared type and choices; a mismatch, or a key the subcommand does
+not declare, is a ``SchemaError`` that names the key.  Before it runs, a
+subcommand prints one JSON line to stderr whose ``config`` lists every
+resolved option under its config-file key, plus the dataset and the files it
+reads and writes; saved to a file, that object can be passed back with
+``--config`` to rerun the same job.  ``suite`` declares no options and takes
+no ``--config``.  Exit status: 0 on success, 1 on failure, 2 on usage errors.
 """
 
 import argparse
@@ -122,6 +123,9 @@ OPTIONS: dict[str, dict[str, Option]] = {
     "eval": {"split": Option(str, "test", ("train", "val", "test")), "seed": _SEED},
     "suite": {},
 }
+# The announce line's inputs and outputs: accepted in a config file, so that
+# a saved announce line replays, and ignored, since arguments set them.
+PATH_KEYS = ("dataset", "in", "out", "model_file")
 
 
 def _emit(payload: dict | str, out_path: str | None) -> None:
@@ -148,8 +152,13 @@ def _configure(args) -> dict:
     ``eval``, ``model_file``.
     """
     config = read_json_object(args.config) if args.config else {}
+    options = OPTIONS[args.command]
+    for key in config:
+        if key not in options and key not in PATH_KEYS:
+            raise SchemaError(f"config key {key!r}: not an option of {args.command}, "
+                              f"expected one of {'|'.join(options)}")
     resolved = {}
-    for key, option in OPTIONS[args.command].items():
+    for key, option in options.items():
         flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
             resolved[key] = flag
@@ -356,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         for key, option in OPTIONS[name].items():
             p.add_argument(f"--{key}", type=option.type, choices=option.choices,
                            help=option.help)
-        p.add_argument("--config", help="JSON file with default options")
+        if OPTIONS[name]:
+            p.add_argument("--config", help="JSON file with default options")
     sub.choices["train"].add_argument(
         "--save-model", help="write trained weights (base seed) to this npz file")
     sub.choices["eval"].add_argument("--model-file", required=True)

@@ -55,9 +55,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.value.size != 1:
             raise ValueError("backward requires a scalar root")
@@ -102,26 +99,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product; ``a`` may be a constant ndarray or sparse matrix."""
+    """Matrix product with a dense ``b``; ``a`` may be a constant sparse matrix."""
     a_is_t = isinstance(a, Tensor)
     b_is_t = isinstance(b, Tensor)
     av = a.value if a_is_t else a
     bv = b.value if b_is_t else b
-    out_value = av @ bv
-    if sp.issparse(out_value):
-        out_value = out_value.toarray()
     parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
 
     def backward(g):
         if a_is_t:
             _accumulate(a, g @ bv.T)
         if b_is_t:
-            if sp.issparse(av):
-                _accumulate(b, np.asarray(av.T @ g))
-            else:
-                _accumulate(b, av.T @ g)
+            _accumulate(b, av.T @ g)
 
-    return Tensor(out_value, parents, backward)
+    return Tensor(av @ bv, parents, backward)
 
 
 def add(a, b) -> Tensor:

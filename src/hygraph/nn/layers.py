@@ -10,7 +10,8 @@ structure precomputed once per graph in :class:`GraphTensors`:
 * node-hyperedge incidence pairs for hypergraph attention, and
   ``inc_pattern``, the CSC incidence matrix (node, hyperedge) that stores
   them hyperedge by hyperedge, members in hyperedge order,
-* ``hyper_prop``: the normalized weighted clique-style propagation matrix.
+* ``hyper_gather`` (``W D_e⁻¹ Hᵀ``) and ``hyper_scatter`` (``D_v⁻¹ H``), the
+  incidence factors of hypergraph convolution; nothing grows with Σ|e|².
 
 Attention never materializes dense score matrices; scores live on the edge
 or incidence pair lists and are normalized with a segment softmax.  The
@@ -50,8 +51,18 @@ class GraphTensors:
     inc_edge: np.ndarray
     inc_pattern: sp.csc_matrix
     incidence_t: sp.csr_matrix
-    hyper_prop: sp.csr_matrix
+    hyper_gather: sp.csr_matrix
+    hyper_scatter: sp.csr_matrix
     log_weights: np.ndarray
+
+    @property
+    def hyper_prop(self) -> sp.csr_matrix:
+        """The clique-expanded ``D_v⁻¹ H W D_e⁻¹ Hᵀ``, whose nnz grows with Σ|e|².
+
+        The reference matrix form; no layer reads it.  The benchmark tracer
+        reports its nnz until ROADMAP item 5 replaces that with incidence nnz.
+        """
+        return (self.hyper_scatter @ self.hyper_gather).tocsr()
 
 
 def build_graph_tensors(g: HybridGraph) -> GraphTensors:
@@ -62,11 +73,10 @@ def build_graph_tensors(g: HybridGraph) -> GraphTensors:
     adj = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
 
     with_loops = (adj + sp.eye(n, format="csr")).tocsr()
-    deg_hat = np.asarray(with_loops.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg_hat)
+    deg = np.diff(indptr)
+    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
     a_hat = sp.diags(inv_sqrt) @ with_loops @ sp.diags(inv_sqrt)
 
-    deg = np.asarray(adj.sum(axis=1)).ravel()
     inv_deg = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
     mean_adj = sp.diags(inv_deg) @ adj
 
@@ -80,18 +90,14 @@ def build_graph_tensors(g: HybridGraph) -> GraphTensors:
     inc_edge = np.repeat(np.arange(m, dtype=np.int64), sizes)
     inc_node = members.copy()
     # Stored hyperedge by hyperedge, members in hyperedge order: the order of
-    # the incidence pairs.  A valid graph repeats no member, so as CSR it is
-    # the plain 0/1 incidence matrix.
+    # the incidence pairs.  A valid graph has no empty hyperedge and repeats
+    # no member, so as CSR it is the plain 0/1 incidence matrix.
     inc_pattern = sp.csc_matrix((np.ones(members.size), inc_node, offsets), shape=(n, m))
     incidence = inc_pattern.tocsr()
 
     w = g.hyperedge_weights
-    edge_scale = np.where(sizes > 0, w / np.where(sizes > 0, sizes, 1), 0.0)
-    node_mass = np.asarray((incidence @ sp.diags(w)).sum(axis=1)).ravel()
+    node_mass = incidence @ w
     node_scale = np.where(node_mass > 0, 1.0 / np.where(node_mass > 0, node_mass, 1.0), 0.0)
-    hyper_prop = (
-        sp.diags(node_scale) @ incidence @ sp.diags(edge_scale) @ incidence.T
-    ).tocsr()
 
     return GraphTensors(
         num_nodes=n,
@@ -105,7 +111,8 @@ def build_graph_tensors(g: HybridGraph) -> GraphTensors:
         inc_edge=inc_edge,
         inc_pattern=inc_pattern,
         incidence_t=incidence.T.tocsr(),
-        hyper_prop=hyper_prop,
+        hyper_gather=inc_pattern.T.multiply((w / sizes)[:, None]).tocsr(),
+        hyper_scatter=incidence.multiply(node_scale[:, None]).tocsr(),
         log_weights=np.log(w) if m else np.zeros(0),
     )
 
@@ -188,10 +195,10 @@ class GATv2Layer:
 
 
 class HyperConvLayer:
-    """Weighted clique-style hypergraph convolution.
+    """Weighted hypergraph convolution ``D_v⁻¹ H W D_e⁻¹ Hᵀ x θ``, in HGNN form.
 
-    Propagates with the degree-normalized incidence product; nodes in no
-    hyperedge get zero rows.
+    Applied as two incidence products (Feng et al., arXiv:1809.09401) at
+    O(Σ|e|·d), never as the clique expansion; nodes in no hyperedge get zero rows.
     """
 
     def __init__(self, d_in: int, d_out: int, rng):
@@ -201,7 +208,8 @@ class HyperConvLayer:
         return [self.theta]
 
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
-        return ad.matmul(gt.hyper_prop, ad.matmul(x, self.theta))
+        h = ad.matmul(x, self.theta)
+        return ad.matmul(gt.hyper_scatter, ad.matmul(gt.hyper_gather, h))
 
 
 class HyperAttenLayer:

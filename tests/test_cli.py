@@ -323,8 +323,7 @@ class TestConfigFile:
         config = announced_config(err)
         assert set(config) - PATH_KEYS == options
         config_path = tmp_path / "announced.json"
-        config_path.write_text(json.dumps(
-            {k: v for k, v in config.items() if k not in PATH_KEYS}))
+        config_path.write_text(json.dumps(config))
 
         again_out = str(tmp_path / "again.json")
         code, again, _ = run(capsys, *fill(again_out), "--config", str(config_path))
@@ -339,7 +338,10 @@ class TestConfigFile:
         (["train", "{data}", "--model", "gcn"], {"lr": True}, "config key 'lr'"),
         (["sample", "{data}"], {"method": "bogus"}, "config key 'method'"),
         (["split", "{data}"], '{"seed": 1', "{config}: line 1"),
-    ], ids=["epochs-string", "seed-null", "lr-bool", "method-choice", "truncated-file"])
+        (["sample", "{data}", "--method", "rw"], {"walk_length": 5},
+         "config key 'walk_length'"),
+    ], ids=["epochs-string", "seed-null", "lr-bool", "method-choice", "truncated-file",
+            "undeclared-key"])
     def test_bad_config_value_is_named(self, capsys, class_dataset, tmp_path,
                                        argv, config, named):
         config_path = tmp_path / "cfg.json"
@@ -366,6 +368,17 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["fit"])
         assert err.value.code == 2
+
+    def test_suite_has_no_config_flag(self, capsys, class_dataset, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "defaults": {"epochs": 1, "trials": 1, "hidden": 4},
+            "runs": [{"dataset": class_dataset, "model": "gcn"}],
+        }))
+        with pytest.raises(SystemExit) as err:
+            main(["suite", str(manifest), "--config", str(tmp_path / "x.json")])
+        assert err.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hygraph import HybridGraph
 from hygraph.nn import autodiff as ad
@@ -143,6 +146,18 @@ class TestGraphTensors:
         gt = build_graph_tensors(g)
         pairs = set(zip(gt.inc_node.tolist(), gt.inc_edge.tolist()))
         assert pairs == {(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)}
+
+    def test_no_stored_matrix_grows_with_squared_hyperedge_sizes(self):
+        # One hyperedge of 300 members: its clique expansion has 90,000 entries.
+        n = 300
+        edges = [[v, v + 1] for v in range(n - 1)]
+        hyperedges = [tuple(range(n))]
+        gt = build_graph_tensors(graph(n, edges, hyperedges))
+        bound = n + 2 * len(edges) + 2 * sum(len(e) for e in hyperedges)
+        stored = {f.name: getattr(gt, f.name) for f in dataclasses.fields(gt)}
+        sizes = {name: v.nnz for name, v in stored.items() if sp.issparse(v)}
+        assert "a_hat" in sizes and "incidence_t" in sizes
+        assert {name: k for name, k in sizes.items() if k > bound} == {}
 
 
 class TestGCN:
@@ -298,6 +313,19 @@ class TestHyperConv:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(10)
+
+        def check(n, hyperedges, weights):
+            x = rng.standard_normal((n, 3))
+            g = graph(n, hyperedges=hyperedges, weights=weights, x=x)
+            layer = HyperConvLayer(3, 2, rng)
+            want = dense_hyperconv(n, hyperedges, weights, x, layer.theta.value)
+            np.testing.assert_allclose(forward(layer, g, x), want,
+                                       rtol=1e-10, atol=1e-12)
+            # The derived clique-expanded matrix is the same operator.
+            prop = dense_hyperconv(n, hyperedges, weights, np.eye(n), np.eye(n))
+            np.testing.assert_allclose(build_graph_tensors(g).hyper_prop.toarray(),
+                                       prop, rtol=1e-10, atol=1e-12)
+
         for trial in range(8):
             n = int(rng.integers(4, 10))
             hyperedges = tuple(
@@ -305,13 +333,20 @@ class TestHyperConv:
                     n, size=int(rng.integers(2, 4)), replace=False).tolist()))
                 for _ in range(int(rng.integers(1, 4)))
             )
+            check(n, hyperedges, rng.uniform(0.5, 2.0, size=len(hyperedges)))
+        # Overlapping hyperedges of 1 to n members, then a duplicate of the
+        # first (weight 3) and one holding every node; no weight is 1.
+        for trial in range(8):
+            n = int(rng.integers(2, 12))
+            hyperedges = [
+                tuple(sorted(rng.choice(
+                    n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            hyperedges += [hyperedges[0], tuple(range(n))]
             weights = rng.uniform(0.5, 2.0, size=len(hyperedges))
-            x = rng.standard_normal((n, 3))
-            g = graph(n, hyperedges=hyperedges, weights=weights, x=x)
-            layer = HyperConvLayer(3, 2, rng)
-            want = dense_hyperconv(n, hyperedges, weights, x, layer.theta.value)
-            np.testing.assert_allclose(forward(layer, g, x), want,
-                                       rtol=1e-10, atol=1e-12)
+            weights[-2] = 3.0
+            check(n, tuple(hyperedges), weights)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(11)
