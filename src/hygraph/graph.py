@@ -281,9 +281,10 @@ def validate(g: HybridGraph) -> list[str]:
         if outside[k]:
             out.append(f"hyperedge member out of range at index {k}")
 
-    if (g.hyperedge_weights <= 0).any():
-        idx = int(np.nonzero(g.hyperedge_weights <= 0)[0][0])
-        out.append(f"non-positive hyperedge weight at index {idx}")
+    w = g.hyperedge_weights
+    for what, bad in (("non-positive", w <= 0), ("non-finite", ~np.isfinite(w))):
+        if bad.any():
+            out.append(f"{what} hyperedge weight at index {int(np.flatnonzero(bad)[0])}")
 
     if g.parent.shape[0] == n and n:
         if ((g.parent < 0) | (g.parent >= n)).any():

@@ -14,7 +14,10 @@ not part of the in-memory graph.
 
 Index fields (``edges``, ``hyperedges``, ``parent``, class ``labels``) must
 hold integers: ``1.0`` reads as 1, while ``1.5`` is refused rather than
-truncated.  Every malformed field raises a ``SchemaError`` that names it.
+truncated.  Every number must be finite: JSON ``NaN`` and ``Infinity`` are
+refused in every numeric field (``node_features``, ``hyperedge_weights``,
+``hyperedge_features``, ``embeddings``, regression ``labels``, ...).  Every
+malformed field raises a ``SchemaError`` that names it.
 """
 
 import json
@@ -100,6 +103,8 @@ def _numbers(value, path: str, key: str) -> np.ndarray:
         arr = None
     if arr is None or arr.dtype.kind not in "iuf":
         raise SchemaError(f"{path}: field '{key}' must hold numbers only")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise SchemaError(f"{path}: field '{key}': non-finite number")
     return arr
 
 
@@ -110,7 +115,7 @@ def _floats(value, path: str, key: str) -> np.ndarray:
 def _integers(value, path: str, key: str, what: str = "index") -> np.ndarray:
     """Numbers that must be integral: ``1.0`` is read as 1, ``1.5`` is refused."""
     arr = _numbers(value, path, key)
-    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.round(arr))).all():
+    if arr.dtype.kind == "f" and not (arr == np.round(arr)).all():
         raise SchemaError(f"{path}: field '{key}': non-integer {what}")
     return arr.astype(np.int64)
 
@@ -128,6 +133,8 @@ def _hyperedges(value, n: int, path: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(value, list) or not all(isinstance(e, list) for e in value):
         raise SchemaError(f"{path}: field 'hyperedges' must be a list of lists")
     flat = _integers(list(chain.from_iterable(value)), path, "hyperedges")
+    if flat.ndim != 1:
+        raise SchemaError(f"{path}: field 'hyperedges' members must be node indices")
     ends = np.cumsum([len(e) for e in value], dtype=np.int64)
     bad = np.flatnonzero((flat < 0) | (flat >= n))
     if bad.size:

@@ -188,7 +188,7 @@ def segment_softmax(scores: Tensor, segments, num_segments: int) -> Tensor:
     Groups never mix, so the gradient is the per-segment softmax Jacobian.
     Segment sums are ``np.bincount``, which adds in entry order.
     """
-    seg = np.asarray(segments, dtype=np.int64)
+    seg = np.asarray(segments)
     s = scores.value.reshape(-1)
     seg_max = np.full(num_segments, -np.inf)
     np.maximum.at(seg_max, seg, s)
@@ -207,7 +207,7 @@ def segment_softmax(scores: Tensor, segments, num_segments: int) -> Tensor:
 
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows; the transpose scatter-adds, so repeats accumulate."""
-    rows = np.asarray(idx, dtype=np.int64)
+    rows = np.asarray(idx)
 
     def backward(g):
         k = rows.size

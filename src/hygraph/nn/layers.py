@@ -1,17 +1,8 @@
 """Message-passing layers over hybrid graphs.
 
 Every layer maps a node feature matrix (n, d_in) to (n, d_out) using
-structure precomputed once per graph in :class:`GraphTensors`:
-
-* ``a_hat``: symmetrically normalized adjacency with self-loops,
-* ``mean_adj``: row-normalized adjacency (zero rows for isolated nodes),
-* directed edge pairs with self-loops for pairwise attention, and
-  ``att_pattern``, the CSR matrix (target, source) that stores them,
-* node-hyperedge incidence pairs for hypergraph attention, and
-  ``inc_pattern``, the CSC incidence matrix (node, hyperedge) that stores
-  them hyperedge by hyperedge, members in hyperedge order,
-* ``hyper_gather`` (``W D_e⁻¹ Hᵀ``) and ``hyper_scatter`` (``D_v⁻¹ H``), the
-  incidence factors of hypergraph convolution; nothing grows with Σ|e|².
+structure precomputed once per graph in :class:`GraphTensors`.  Hypergraph
+convolution keeps its two incidence factors, so nothing grows with Σ|e|².
 
 Attention never materializes dense score matrices; scores live on the edge
 or incidence pair lists and are normalized with a segment softmax.  The
@@ -40,16 +31,29 @@ LEAKY_SLOPE = 0.2
 
 @dataclass(frozen=True)
 class GraphTensors:
-    num_nodes: int
-    num_hyperedges: int
+    """The structure every layer reads, built once per graph.
+
+    Each pair list is stored once: a pattern's ``indices`` hold one end of
+    its pairs and one int64 array holds the other.  Counts come from shapes.
+
+    * ``a_hat`` (gcn): ``D̃^-½ (A + I) D̃^-½``, on ``att_pattern``'s index arrays.
+    * ``mean_adj`` (sage): ``D⁻¹ A``, zero rows for isolated nodes.
+    * ``att_pattern`` (gat, gatv2): CSR (target, source), both edge directions and loops.
+    * ``att_dst`` (gat, gatv2): each attention pair's target, the softmax segment.
+    * ``inc_pattern`` (hyperatten): CSC (node, hyperedge), members in hyperedge order.
+    * ``inc_edge`` (hyperatten): each incidence pair's hyperedge.
+    * ``incidence_t`` (hyperatten): CSR ``Hᵀ``, members ascending.
+    * ``hyper_gather`` (hyperconv): ``W D_e⁻¹ Hᵀ``, on ``incidence_t``'s index arrays.
+    * ``hyper_scatter`` (hyperconv): ``D_v⁻¹ H``, CSR, hyperedges ascending.
+    * ``log_weights`` (hyperatten): ``log w`` per hyperedge.
+    """
+
     a_hat: sp.csr_matrix
     mean_adj: sp.csr_matrix
-    att_src: np.ndarray
-    att_dst: np.ndarray
     att_pattern: sp.csr_matrix
-    inc_node: np.ndarray
-    inc_edge: np.ndarray
+    att_dst: np.ndarray
     inc_pattern: sp.csc_matrix
+    inc_edge: np.ndarray
     incidence_t: sp.csr_matrix
     hyper_gather: sp.csr_matrix
     hyper_scatter: sp.csr_matrix
@@ -59,61 +63,57 @@ class GraphTensors:
     def hyper_prop(self) -> sp.csr_matrix:
         """The clique-expanded ``D_v⁻¹ H W D_e⁻¹ Hᵀ``, whose nnz grows with Σ|e|².
 
-        The reference matrix form; no layer reads it.  The benchmark tracer
-        reports its nnz until ROADMAP item 5 replaces that with incidence nnz.
+        No layer reads it; the benchmark tracer reports its nnz.
         """
         return (self.hyper_scatter @ self.hyper_gather).tocsr()
 
 
+def _major_index(pattern) -> np.ndarray:
+    """The row (CSR) or column (CSC) of each stored entry, as int64."""
+    counts = np.diff(pattern.indptr)
+    return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+
+
+def _with_data(pattern, data):
+    """A matrix with ``pattern``'s index arrays, shared, holding ``data``."""
+    return type(pattern)((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
 def build_graph_tensors(g: HybridGraph) -> GraphTensors:
     g.require_valid()
-    n = g.num_nodes
-    m = g.num_hyperedges
+    n, m = g.num_nodes, g.num_hyperedges
     indptr, indices = g.adjacency_csr
     adj = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-
-    with_loops = (adj + sp.eye(n, format="csr")).tocsr()
     deg = np.diff(indptr)
+
+    # Attention pairs with self-loops, ordered by target and then source.
+    att_pattern = adj + sp.eye(n, format="csr")
+    att_dst = _major_index(att_pattern)
     inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-    a_hat = sp.diags(inv_sqrt) @ with_loops @ sp.diags(inv_sqrt)
 
-    inv_deg = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    mean_adj = sp.diags(inv_deg) @ adj
-
-    # Attention pairs (source, target) with self-loops, ordered by target
-    # and then source: the rows of the adjacency with self-loops.
-    att_dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(with_loops.indptr))
-    att_src = with_loops.indices.astype(np.int64)
-
+    # A valid graph has no empty hyperedge and repeats no member, so this is
+    # the plain 0/1 incidence matrix, its pairs in hyperedge order.
     members, offsets = g.incidence_arrays
-    sizes = np.diff(offsets)
-    inc_edge = np.repeat(np.arange(m, dtype=np.int64), sizes)
-    inc_node = members.copy()
-    # Stored hyperedge by hyperedge, members in hyperedge order: the order of
-    # the incidence pairs.  A valid graph has no empty hyperedge and repeats
-    # no member, so as CSR it is the plain 0/1 incidence matrix.
-    inc_pattern = sp.csc_matrix((np.ones(members.size), inc_node, offsets), shape=(n, m))
-    incidence = inc_pattern.tocsr()
+    inc_pattern = sp.csc_matrix((np.ones(members.size), members, offsets), shape=(n, m))
+    inc_edge = _major_index(inc_pattern)
+    incidence = inc_pattern.tocsr()  # hyperedges ascending in each row
+    incidence_t = incidence.T.tocsr()  # members ascending in each row
 
     w = g.hyperedge_weights
     node_mass = incidence @ w
-    node_scale = np.where(node_mass > 0, 1.0 / np.where(node_mass > 0, node_mass, 1.0), 0.0)
-
+    node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
     return GraphTensors(
-        num_nodes=n,
-        num_hyperedges=m,
-        a_hat=a_hat.tocsr(),
-        mean_adj=mean_adj.tocsr(),
-        att_src=att_src,
+        a_hat=_with_data(att_pattern, inv_sqrt[att_dst] * inv_sqrt[att_pattern.indices]),
+        # Kept a product: its rows are stored in descending column order, SAGE's sum order.
+        mean_adj=sp.diags(np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)) @ adj,
+        att_pattern=att_pattern,
         att_dst=att_dst,
-        att_pattern=with_loops,
-        inc_node=inc_node,
-        inc_edge=inc_edge,
         inc_pattern=inc_pattern,
-        incidence_t=incidence.T.tocsr(),
-        hyper_gather=inc_pattern.T.multiply((w / sizes)[:, None]).tocsr(),
-        hyper_scatter=incidence.multiply(node_scale[:, None]).tocsr(),
-        log_weights=np.log(w) if m else np.zeros(0),
+        inc_edge=inc_edge,
+        incidence_t=incidence_t,
+        hyper_gather=_with_data(incidence_t, (w / np.diff(offsets))[inc_edge]),
+        hyper_scatter=_with_data(incidence, node_scale[_major_index(incidence)]),
+        log_weights=np.log(w),
     )
 
 
@@ -166,11 +166,11 @@ class GATLayer:
         h = ad.matmul(x, self.theta)
         s_src = ad.matmul(h, self.a_src)
         s_dst = ad.matmul(h, self.a_dst)
+        src, dst = gt.att_pattern.indices, gt.att_dst
         scores = ad.leaky_relu(
-            ad.add(ad.take_rows(s_src, gt.att_src), ad.take_rows(s_dst, gt.att_dst)),
-            LEAKY_SLOPE,
+            ad.add(ad.take_rows(s_src, src), ad.take_rows(s_dst, dst)), LEAKY_SLOPE
         )
-        alpha = ad.segment_softmax(scores, gt.att_dst, gt.num_nodes)
+        alpha = ad.segment_softmax(scores, dst, gt.att_pattern.shape[0])
         return ad.edge_mix(alpha, h, gt.att_pattern)
 
 
@@ -188,9 +188,10 @@ class GATv2Layer:
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
         h_l = ad.matmul(x, self.theta_l)
         h_r = ad.matmul(x, self.theta_r)
-        pair = ad.add(ad.take_rows(h_l, gt.att_src), ad.take_rows(h_r, gt.att_dst))
+        src, dst = gt.att_pattern.indices, gt.att_dst
+        pair = ad.add(ad.take_rows(h_l, src), ad.take_rows(h_r, dst))
         scores = ad.matmul(ad.leaky_relu(pair, LEAKY_SLOPE), self.a)
-        alpha = ad.segment_softmax(scores, gt.att_dst, gt.num_nodes)
+        alpha = ad.segment_softmax(scores, dst, gt.att_pattern.shape[0])
         return ad.edge_mix(alpha, h_l, gt.att_pattern)
 
 
@@ -233,14 +234,12 @@ class HyperAttenLayer:
         z = ad.matmul(gt.incidence_t, h)
         s_node = ad.matmul(h, self.a_node)
         s_edge = ad.matmul(z, self.a_edge)
+        node, edge = gt.inc_pattern.indices, gt.inc_edge
         raw = ad.leaky_relu(
-            ad.add(
-                ad.take_rows(s_node, gt.inc_node), ad.take_rows(s_edge, gt.inc_edge)
-            ),
-            LEAKY_SLOPE,
+            ad.add(ad.take_rows(s_node, node), ad.take_rows(s_edge, edge)), LEAKY_SLOPE
         )
-        scores = ad.add(raw, gt.log_weights[gt.inc_edge].reshape(-1, 1))
-        alpha = ad.segment_softmax(scores, gt.inc_node, gt.num_nodes)
+        scores = ad.add(raw, gt.log_weights[edge].reshape(-1, 1))
+        alpha = ad.segment_softmax(scores, node, gt.inc_pattern.shape[0])
         return ad.edge_mix(alpha, z, gt.inc_pattern)
 
 

@@ -70,8 +70,7 @@ class SampledSubgraph(HybridGraph):
     ``node_ids`` are the sampled global ids in ascending order (local node
     ``i`` is global node ``node_ids[i]``); ``hyperedge_ids`` are the global
     indices of the retained hyperedges.  The subgraph keeps the parent's
-    task, so ``to_graph()`` without a task returns the subgraph itself
-    (before, it fell back to a regression task with float labels).
+    task, so ``to_graph()`` without a task returns the subgraph itself.
     """
 
     node_ids: np.ndarray

@@ -95,6 +95,9 @@ def validate_loop(g):
     if (g.hyperedge_weights <= 0).any():
         idx = int(np.nonzero(g.hyperedge_weights <= 0)[0][0])
         out.append(f"non-positive hyperedge weight at index {idx}")
+    if (~np.isfinite(g.hyperedge_weights)).any():
+        idx = int(np.nonzero(~np.isfinite(g.hyperedge_weights))[0][0])
+        out.append(f"non-finite hyperedge weight at index {idx}")
     if g.parent.shape[0] == n and n:
         if ((g.parent < 0) | (g.parent >= n)).any():
             out.append("parent index out of range")
@@ -231,6 +234,10 @@ CRAFTED = {
     "mixed hyperedges": bare(3, hyperedges=[(5, 5), (), (0, 1), (1, -2, 1)]),
     "non-positive weights": bare(3, hyperedges=[(0, 1), (1, 2), (0, 2)],
                                  hyperedge_weights=np.array([1.0, 0.0, -2.0])),
+    "non-finite weights": bare(3, hyperedges=[(0, 1), (1, 2), (0, 2), (2, 1)],
+                               hyperedge_weights=np.array([1.0, np.inf, np.nan, -np.inf])),
+    "nan weight": bare(3, hyperedges=[(0, 1), (1, 2)],
+                       hyperedge_weights=np.array([2.0, np.nan])),
     "parent cycle": bare(5, parent=np.array([1, 2, 0, 3, 3])),
     "long parent cycle": bare(6, parent=np.array([0, 2, 3, 4, 5, 1])),
     "self parent chain": bare(5, parent=np.array([0, 0, 1, 2, 3])),
@@ -324,9 +331,10 @@ def test_adjacency_tensors_match_edge_list_construction(seed):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
-    for got, want in ((gt.att_src, att_src), (gt.att_dst, att_dst)):
-        assert got.dtype == want.dtype
+    pairs = gt.att_pattern.tocoo()
+    for got, want in ((pairs.col, att_src), (pairs.row, att_dst), (gt.att_dst, att_dst)):
         np.testing.assert_array_equal(got, want)
+    assert gt.att_dst.dtype == att_dst.dtype
 
 
 # -- weighted draws ------------------------------------------------------------
@@ -445,39 +453,47 @@ def segment_softmax_loop(scores, segments, num_segments):
     return ad.Tensor(flat.reshape(scores.value.shape), (scores,), backward)
 
 
+# The loop layers read their pairs from the patterns' COO form, in storage
+# order, not from the arrays the layers use.
+
+
 def gat_loop(layer, gt, x):
+    pairs = gt.att_pattern.tocoo()
+    src, dst, n = pairs.col, pairs.row, pairs.shape[0]
     h = ad.matmul(x, layer.theta)
     s_src = ad.matmul(h, layer.a_src)
     s_dst = ad.matmul(h, layer.a_dst)
     scores = ad.leaky_relu(
-        ad.add(take_rows_loop(s_src, gt.att_src), take_rows_loop(s_dst, gt.att_dst)),
-        LEAKY_SLOPE,
+        ad.add(take_rows_loop(s_src, src), take_rows_loop(s_dst, dst)), LEAKY_SLOPE
     )
-    alpha = segment_softmax_loop(scores, gt.att_dst, gt.num_nodes)
-    return edge_mix_loop(alpha, take_rows_loop(h, gt.att_src), gt.att_dst, gt.num_nodes)
+    alpha = segment_softmax_loop(scores, dst, n)
+    return edge_mix_loop(alpha, take_rows_loop(h, src), dst, n)
 
 
 def gatv2_loop(layer, gt, x):
+    pairs = gt.att_pattern.tocoo()
+    src, dst, n = pairs.col, pairs.row, pairs.shape[0]
     h_l = ad.matmul(x, layer.theta_l)
     h_r = ad.matmul(x, layer.theta_r)
-    pair = ad.add(take_rows_loop(h_l, gt.att_src), take_rows_loop(h_r, gt.att_dst))
+    pair = ad.add(take_rows_loop(h_l, src), take_rows_loop(h_r, dst))
     scores = ad.matmul(ad.leaky_relu(pair, LEAKY_SLOPE), layer.a)
-    alpha = segment_softmax_loop(scores, gt.att_dst, gt.num_nodes)
-    return edge_mix_loop(alpha, take_rows_loop(h_l, gt.att_src), gt.att_dst, gt.num_nodes)
+    alpha = segment_softmax_loop(scores, dst, n)
+    return edge_mix_loop(alpha, take_rows_loop(h_l, src), dst, n)
 
 
 def hyperatten_loop(layer, gt, x):
+    pairs = gt.inc_pattern.tocoo()
+    node, edge, n = pairs.row, pairs.col, pairs.shape[0]
     h = ad.matmul(x, layer.theta)
     z = ad.matmul(gt.incidence_t, h)
     s_node = ad.matmul(h, layer.a_node)
     s_edge = ad.matmul(z, layer.a_edge)
     raw = ad.leaky_relu(
-        ad.add(take_rows_loop(s_node, gt.inc_node), take_rows_loop(s_edge, gt.inc_edge)),
-        LEAKY_SLOPE,
+        ad.add(take_rows_loop(s_node, node), take_rows_loop(s_edge, edge)), LEAKY_SLOPE
     )
-    scores = ad.add(raw, gt.log_weights[gt.inc_edge].reshape(-1, 1))
-    alpha = segment_softmax_loop(scores, gt.inc_node, gt.num_nodes)
-    return edge_mix_loop(alpha, take_rows_loop(z, gt.inc_edge), gt.inc_node, gt.num_nodes)
+    scores = ad.add(raw, gt.log_weights[edge].reshape(-1, 1))
+    alpha = segment_softmax_loop(scores, node, n)
+    return edge_mix_loop(alpha, take_rows_loop(z, edge), node, n)
 
 
 LOOP_LAYERS = {"gat": gat_loop, "gatv2": gatv2_loop, "hyperatten": hyperatten_loop}

@@ -140,6 +140,11 @@ class TestValidate:
         g = graph(3, hyperedges=[(0, 1)], hyperedge_weights=np.array([0.0]))
         assert any("non-positive hyperedge weight" in m for m in validate(g))
 
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_non_finite_weight(self, w):
+        g = graph(3, hyperedges=[(0, 1), (1, 2)], hyperedge_weights=np.array([1.0, w]))
+        assert validate(g) == ["non-finite hyperedge weight at index 1"]
+
     def test_parent_out_of_range(self):
         g = graph(2, parent=np.array([0, 5]))
         assert any("parent index out of range" in m for m in validate(g))

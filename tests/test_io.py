@@ -128,10 +128,24 @@ class TestLoad:
         ("num_classes", "2"),
         ("positions", [["chr1"], ["chr1", 5], ["chr2", 7]]),
         ("positions", [["chr1", 0], ["chr1", 2.5], ["chr2", 7]]),
+        ("hyperedges", [[[0, 1]]]),
+        ("node_features", [[0.0], [float("nan")], [2.0]]),
+        ("node_features", [[0.0], [float("inf")], [2.0]]),
+        ("hyperedge_weights", [float("nan")]),
+        ("hyperedge_weights", [float("inf")]),
+        ("hyperedge_features", [[1.0, float("nan")]]),
+        ("embeddings", [[0.0], [float("-inf")], [1.0]]),
     ])
     def test_malformed_field_named(self, tmp_path, field, value):
         obj = minimal(**{field: value})
         with pytest.raises(SchemaError, match=f"'{field}'"):
+            load_file(write_json(tmp_path / "a.json", obj))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_regression_label_named(self, tmp_path, bad):
+        obj = minimal(task="regression", labels=[0.5, bad, 1.0])
+        del obj["num_classes"]
+        with pytest.raises(SchemaError, match="'labels': non-finite"):
             load_file(write_json(tmp_path / "a.json", obj))
 
 

@@ -138,13 +138,13 @@ class TestGraphTensors:
     def test_attention_pairs_cover_both_directions_and_loops(self):
         g = graph(3, [[0, 1]])
         gt = build_graph_tensors(g)
-        pairs = set(zip(gt.att_src.tolist(), gt.att_dst.tolist()))
+        pairs = set(zip(gt.att_pattern.indices.tolist(), gt.att_dst.tolist()))
         assert pairs == {(0, 1), (1, 0), (0, 0), (1, 1), (2, 2)}
 
     def test_incidence_pairs(self):
         g = graph(4, hyperedges=[(0, 1, 2), (2, 3)])
         gt = build_graph_tensors(g)
-        pairs = set(zip(gt.inc_node.tolist(), gt.inc_edge.tolist()))
+        pairs = set(zip(gt.inc_pattern.indices.tolist(), gt.inc_edge.tolist()))
         assert pairs == {(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)}
 
     def test_no_stored_matrix_grows_with_squared_hyperedge_sizes(self):
@@ -158,6 +158,22 @@ class TestGraphTensors:
         sizes = {name: v.nnz for name, v in stored.items() if sp.issparse(v)}
         assert "a_hat" in sizes and "incidence_t" in sizes
         assert {name: k for name, k in sizes.items() if k > bound} == {}
+
+    def test_no_pair_array_is_stored_twice(self):
+        # One end of each pair list is a pattern's indices; no array field
+        # repeats them, and the normalized matrices reuse their pattern's.
+        gt = build_graph_tensors(graph(
+            6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]], [(4, 0, 2), (1, 5), (3,)]
+        ))
+        stored = [getattr(gt, f.name) for f in dataclasses.fields(gt)]
+        arrays = [v for v in stored if isinstance(v, np.ndarray)]
+        indices = [v.indices for v in stored if sp.issparse(v)]
+        assert arrays and indices
+        assert not [a for a in arrays for i in indices if np.array_equal(a, i)]
+        for matrix, pattern in ((gt.a_hat, gt.att_pattern),
+                                (gt.hyper_gather, gt.incidence_t)):
+            assert np.shares_memory(matrix.indices, pattern.indices)
+            assert np.shares_memory(matrix.indptr, pattern.indptr)
 
 
 class TestGCN:

@@ -281,7 +281,7 @@ class TestSpecAndDispatch:
             assert sub.to_graph(g.task) is sub
             assert sub.num_nodes >= 1
             assert sub.to_graph().violations == ()
-            assert build_graph_tensors(sub).num_nodes == sub.num_nodes
+            assert build_graph_tensors(sub).a_hat.shape == (sub.num_nodes, sub.num_nodes)
             assert compute_stats(sub).num_nodes == sub.num_nodes
 
     def test_same_seed_same_sample(self):
