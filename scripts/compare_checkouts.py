@@ -27,6 +27,9 @@ CLI_RUNS = [
     ["stats", DATA],
     ["stats", DATA, "--out", "stats.txt"],
     ["convert", "--in", DATA, "--out", "flat.json", "--to", "two-level"],
+    ["stats", "flat.json"],  # classify's hierarchical branch
+    ["convert", "--in", DATA, "--out", "simple.json", "--to", "simple"],
+    ["convert", "--in", DATA, "--out", "hyper.json", "--to", "hypergraph"],
     ["split", DATA, "--seed", "0"],
     ["build-hyperedges", "--in", DATA, "--out", "clique.json", "--method", "clique",
      "--min-size", "3"],

@@ -13,7 +13,7 @@ This module holds the immutable container, its validation, the classifier
 into the special cases, and the tightening transformations between them.
 """
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -24,12 +24,14 @@ import numpy as np
 __all__ = [
     "GraphKind",
     "HybridGraph",
+    "Hyperedges",
     "InvalidGraphError",
     "Task",
     "classify",
     "duplicate_hyperedges",
     "neighbour_csr",
     "neighbour_sets",
+    "sort_unique",
     "structurally_equal",
     "to_hypergraph",
     "to_simple",
@@ -75,6 +77,19 @@ class Task:
         return self.kind == "classification"
 
 
+def sort_unique(keys: np.ndarray, return_index: bool = False):
+    """``np.unique(keys)`` of a 1-D array, and its ``return_index`` if asked.
+
+    A sort and a neighbour-difference mask give the same arrays, far faster
+    than numpy's hashing of wide-range integer keys.
+    """
+    order = np.argsort(keys, kind="stable") if return_index else None
+    ranked = keys[order] if return_index else np.sort(keys)
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return (ranked[first], order[first]) if return_index else ranked[first]
+
+
 def neighbour_csr(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """Neighbour lists of an undirected edge list as CSR ``(indptr, indices)``.
 
@@ -88,7 +103,7 @@ def neighbour_csr(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidGraphError(["edge index out of range"])
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    pairs = np.unique(src * n + dst)  # sorted by (src, dst), duplicates gone
+    pairs = sort_unique(src * n + dst)  # sorted by (src, dst), duplicates gone
     indices = pairs % n
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
@@ -101,6 +116,54 @@ def neighbour_sets(indptr: np.ndarray, indices: np.ndarray) -> tuple[frozenset, 
     """The rows of a neighbour CSR as one frozenset per node."""
     flat, bounds = indices.tolist(), indptr.tolist()
     return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+class Hyperedges(Sequence):
+    """Hyperedges stored flat, read like a tuple of tuples of Python ints.
+
+    Hyperedge ``k`` is ``members[offsets[k]:offsets[k + 1]]``, members in the
+    order given; both arrays are int64 and are made read-only.
+    """
+
+    def __init__(self, members: np.ndarray, offsets: np.ndarray):
+        self.members, self.offsets = members, offsets
+        members.setflags(write=False)
+        offsets.setflags(write=False)
+
+    @classmethod
+    def of(cls, hyperedges) -> "Hyperedges":
+        """``hyperedges`` as is if a view, else a view of ``int()`` of each member."""
+        if isinstance(hyperedges, cls):
+            return hyperedges
+        edges = [tuple(map(int, e)) for e in hyperedges]
+        offsets = np.cumsum([0, *map(len, edges)], dtype=np.int64)
+        return cls(np.fromiter(chain.from_iterable(edges), np.int64, offsets[-1]), offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def edge_of(self) -> np.ndarray:
+        """The hyperedge index of every member, in member order."""
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        k = range(len(self))[k]  # negative indices and IndexError as for a tuple
+        return tuple(self.members[self.offsets[k]:self.offsets[k + 1]].tolist())
+
+    def __iter__(self):
+        flat, bounds = self.members.tolist(), self.offsets.tolist()
+        return (tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other):
+        if isinstance(other, Hyperedges):
+            return (np.array_equal(self.offsets, other.offsets)
+                    and np.array_equal(self.members, other.members))
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _as_edge_array(edges) -> np.ndarray:
@@ -116,15 +179,16 @@ def _as_edge_array(edges) -> np.ndarray:
 class HybridGraph:
     """Immutable hybrid graph.
 
-    Hyperedges are stored as tuples of node indices; members are kept in the
-    order given so that validation can report duplicates.  Use
+    Hyperedges are stored flat, as a :class:`Hyperedges` view over one
+    member array and its offsets; members are kept in the order given so
+    that validation can report duplicates.  Use
     :func:`validate` to check all structural invariants; operations that
     assume a valid graph call :meth:`require_valid` (the result is cached).
     """
 
     node_features: np.ndarray  # (|V|, d_v) float64
     simple_edges: np.ndarray  # (|E|, 2) int64, unordered pairs
-    hyperedges: tuple[tuple[int, ...], ...] = ()
+    hyperedges: Hyperedges = ()  # any iterable of member iterables is accepted
     hyperedge_weights: np.ndarray | None = None  # (|HE|,) float64, default 1.0
     hyperedge_features: np.ndarray | None = None  # (|HE|, d_e) float64
     parent: np.ndarray | None = None  # (|V|,) int64, parent[v] == v = no parent
@@ -135,11 +199,7 @@ class HybridGraph:
         x = np.atleast_2d(np.array(self.node_features, dtype=np.float64))
         object.__setattr__(self, "node_features", x)
         object.__setattr__(self, "simple_edges", _as_edge_array(self.simple_edges))
-        object.__setattr__(
-            self,
-            "hyperedges",
-            tuple(tuple(map(int, e)) for e in self.hyperedges),
-        )
+        object.__setattr__(self, "hyperedges", Hyperedges.of(self.hyperedges))
         n = x.shape[0]
         if self.hyperedge_weights is None:
             w = np.ones(len(self.hyperedges), dtype=np.float64)
@@ -215,16 +275,7 @@ class HybridGraph:
     @cached_property
     def incidence_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Flattened hyperedge membership: (member node ids, offsets per edge)."""
-        m = len(self.hyperedges)
-        offsets = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, self.hyperedges), dtype=np.int64, count=m),
-                  out=offsets[1:])
-        members = np.fromiter(
-            chain.from_iterable(self.hyperedges), dtype=np.int64, count=offsets[-1]
-        )
-        members.setflags(write=False)
-        offsets.setflags(write=False)
-        return members, offsets
+        return self.hyperedges.members, self.hyperedges.offsets
 
 
 def validate(g: HybridGraph) -> list[str]:
@@ -237,6 +288,10 @@ def validate(g: HybridGraph) -> list[str]:
     n = g.num_nodes
     if g.labels.shape[0] != n:
         out.append(f"labels length {g.labels.shape[0]} != num_nodes {n}")
+    if g.task.is_classification:
+        bad = np.flatnonzero((g.labels < 0) | (g.labels >= g.task.num_classes))
+        if bad.size:
+            out.append(f"class label out of range at node {int(bad[0])}")
     if g.parent.shape[0] != n:
         out.append(f"parent length {g.parent.shape[0]} != num_nodes {n}")
     if g.hyperedge_weights.shape[0] != g.num_hyperedges:
@@ -258,16 +313,17 @@ def validate(g: HybridGraph) -> list[str]:
         for i in np.flatnonzero(edges[:, 0] == edges[:, 1]):
             out.append(f"self-loop at edge {i}")
         canonical = np.sort(edges, axis=1)
-        _, first = np.unique(canonical, axis=0, return_index=True)
-        repeat = np.ones(edges.shape[0], dtype=bool)
-        repeat[first] = False  # np.unique reports each pair's first occurrence
+        order = np.lexsort((canonical[:, 1], canonical[:, 0]))  # stable: first copy first
+        ranked = canonical[order]
+        repeat = np.zeros(edges.shape[0], dtype=bool)
+        repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
         for i in np.flatnonzero(repeat):
             out.append(f"duplicate edge at index {i}")
 
     m = g.num_hyperedges
     members, offsets = g.incidence_arrays
     sizes = np.diff(offsets)
-    edge_of = np.repeat(np.arange(m), sizes)  # non-decreasing
+    edge_of = g.hyperedges.edge_of()  # non-decreasing
     ranked = members[np.lexsort((members, edge_of))]  # sorted within each hyperedge
     twice = (ranked[1:] == ranked[:-1]) & (edge_of[1:] == edge_of[:-1])
     has_twice = np.bincount(edge_of[1:][twice], minlength=m) > 0
@@ -289,23 +345,24 @@ def validate(g: HybridGraph) -> list[str]:
     if g.parent.shape[0] == n and n:
         if ((g.parent < 0) | (g.parent >= n)).any():
             out.append("parent index out of range")
-        elif _has_parent_cycle(g.parent):
+        elif (_ancestry(g.parent)[0] < 0).any():
             out.append("parent cycle")
     return out
 
 
-def _has_parent_cycle(parent: np.ndarray) -> bool:
-    """Whether {v -> parent[v] : parent[v] != v} has a cycle.
+def _ancestry(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's top ancestor and its depth below it, by pointer doubling.
 
-    Pointer doubling: after k squarings ``up[v]`` is the ancestor 2**k
-    steps above ``v``.  A chain that ends at a root does so within n - 1
-    steps, so once 2**k >= n - 1 every such ``up[v]`` is a root; any node
-    whose ``up`` is not a root lies on or below a cycle.
+    After k squarings ``up[v]`` is the ancestor min(2**k, depth) steps above
+    ``v``.  Chains end at a root within n - 1 steps, so a final ``up[v]``
+    that is not a root means ``v`` lies on or below a cycle: its top is -1.
     """
     up = parent
+    depth = (parent != np.arange(parent.shape[0])).astype(np.int64)
     for _ in range(max(1, (parent.shape[0] - 1).bit_length())):
+        depth = depth + depth[up]
         up = up[up]
-    return bool((parent[up] != up).any())
+    return np.where(parent[up] == up, up, -1), depth
 
 
 def duplicate_hyperedges(g: HybridGraph) -> list[tuple[int, int]]:
@@ -314,42 +371,13 @@ def duplicate_hyperedges(g: HybridGraph) -> list[tuple[int, int]]:
     Published networks do contain duplicates, so this is advisory rather
     than a validation failure.
     """
-    seen: dict[frozenset, int] = {}
-    dups = []
-    for i, e in enumerate(g.hyperedges):
-        key = frozenset(e)
-        if key in seen:
-            dups.append((seen[key], i))
-        else:
-            seen[key] = i
-    return dups
-
-
-def _edge_sizes_all_two(g: HybridGraph) -> bool:
-    return all(len(e) == 2 for e in g.hyperedges)
+    first: dict[frozenset, int] = {}  # member set -> its lowest hyperedge index
+    pairs = ((first.setdefault(frozenset(e), i), i) for i, e in enumerate(g.hyperedges))
+    return [(j, i) for j, i in pairs if j != i]
 
 
 def _parent_is_identity(g: HybridGraph) -> bool:
     return bool((g.parent == np.arange(g.num_nodes)).all())
-
-
-def _levels(parent: np.ndarray) -> np.ndarray:
-    """Depth below the nearest root along the parent chain (roots are 0)."""
-    n = parent.shape[0]
-    depth = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        chain = []
-        u = v
-        while depth[u] < 0 and parent[u] != u:
-            chain.append(u)
-            u = int(parent[u])
-        base = depth[u] if depth[u] >= 0 else 0
-        if depth[u] < 0:
-            depth[u] = 0
-        for node in reversed(chain):
-            base += 1
-            depth[node] = base
-    return depth
 
 
 def classify(g: HybridGraph) -> GraphKind:
@@ -359,39 +387,30 @@ def classify(g: HybridGraph) -> GraphKind:
     list and member sizes matter, not which container an edge lives in.
     """
     g.require_valid()
-    flat = _parent_is_identity(g)
-    if flat:
-        if _edge_sizes_all_two(g):
+    sizes = np.diff(g.hyperedges.offsets)
+    all_two = bool((sizes == 2).all())
+    if _parent_is_identity(g):
+        if all_two:
             return GraphKind.SIMPLE
-        if any(len(e) >= 3 for e in g.hyperedges):
-            return GraphKind.HYPERGRAPH
-        return GraphKind.GENERAL_HYBRID
-    if not _edge_sizes_all_two(g):
+        return GraphKind.HYPERGRAPH if (sizes >= 3).any() else GraphKind.GENERAL_HYBRID
+    if not all_two:
         return GraphKind.GENERAL_HYBRID
     # Hierarchical: every node below the top level must share an edge with
     # some node exactly one level up (not necessarily its parent).
-    depth = _levels(g.parent)
-    nbrs = g.adjacency_sets
-    pair_nbrs: list[set[int]] = [set(s) for s in nbrs]
-    for e in g.hyperedges:  # size-2 hyperedges count as edges
-        u, v = e
-        pair_nbrs[u].add(v)
-        pair_nbrs[v].add(u)
-    for v in range(g.num_nodes):
-        if g.parent[v] == v:
-            continue
-        want = depth[v] - 1
-        if not any(depth[u] == want for u in pair_nbrs[v]):
-            return GraphKind.GENERAL_HYBRID
-    return GraphKind.HIERARCHICAL
+    _, depth = _ancestry(g.parent)
+    pairs = np.concatenate([g.simple_edges, g.hyperedges.members.reshape(-1, 2)])
+    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+    linked = g.parent == np.arange(g.num_nodes)
+    linked[src[depth[dst] == depth[src] - 1]] = True
+    return GraphKind.HIERARCHICAL if linked.all() else GraphKind.GENERAL_HYBRID
 
 
-def _canonical_pairs(pairs) -> np.ndarray:
+def _canonical_pairs(num_nodes: int, pairs: np.ndarray) -> np.ndarray:
     """Deduplicated (min, max) pairs in lexicographic order."""
-    uniq = sorted({(int(min(u, v)), int(max(u, v))) for u, v in pairs})
-    if not uniq:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.array(uniq, dtype=np.int64)
+    indptr, indices = neighbour_csr(num_nodes, pairs)
+    rows = np.repeat(np.arange(num_nodes), np.diff(indptr))
+    upper = rows <= indices
+    return np.stack([rows[upper], indices[upper]], axis=1)
 
 
 def to_simple(g: HybridGraph) -> HybridGraph:
@@ -399,10 +418,12 @@ def to_simple(g: HybridGraph) -> HybridGraph:
     g.require_valid()
     if not g.hyperedges and _parent_is_identity(g):
         return g
-    pairs = [tuple(e) for e in g.simple_edges] + [e for e in g.hyperedges if len(e) == 2]
+    members, offsets = g.incidence_arrays
+    sizes = np.diff(offsets)
+    pairs = members[np.repeat(sizes == 2, sizes)].reshape(-1, 2)
     return HybridGraph(
         node_features=g.node_features,
-        simple_edges=_canonical_pairs(pairs),
+        simple_edges=_canonical_pairs(g.num_nodes, np.concatenate([g.simple_edges, pairs])),
         hyperedges=(),
         parent=None,
         labels=g.labels,
@@ -430,35 +451,23 @@ def to_two_level_hierarchy(g: HybridGraph) -> HybridGraph:
     """
     g.require_valid()
     n, m = g.num_nodes, g.num_hyperedges
-    x = np.zeros((n + m, g.node_features.shape[1]))
-    x[:n] = g.node_features
-    parent = np.arange(n + m, dtype=np.int64)
-    parent[:n] = g.parent
-    labels = np.zeros(n + m, dtype=g.labels.dtype)
-    labels[:n] = g.labels
-
-    pairs = [tuple(e) for e in g.simple_edges]
-    for k, e in enumerate(g.hyperedges):
-        virt = n + k
-        member_rows = g.node_features[list(e)]
-        x[virt] = member_rows.mean(axis=0)
-        if g.task.is_classification:
-            counts = Counter(int(g.labels[v]) for v in e)
-            top = max(counts.values())
-            labels[virt] = min(c for c, cnt in counts.items() if cnt == top)
+    x = np.concatenate([g.node_features, np.zeros((m, g.node_features.shape[1]))])
+    labels = np.concatenate([g.labels, np.zeros(m, dtype=g.labels.dtype)])
+    for k, e in enumerate(map(list, g.hyperedges)):
+        x[n + k] = g.node_features[e].mean(axis=0)
+        if g.task.is_classification:  # valid labels are in [0, num_classes)
+            labels[n + k] = np.bincount(g.labels[e].astype(np.int64)).argmax()
         else:
-            labels[virt] = g.labels[list(e)].mean()
-        for v in e:
-            pairs.append((v, virt))
-    assigned = np.zeros(n, dtype=bool)
-    for k, e in enumerate(g.hyperedges):  # lowest containing hyperedge wins
-        for v in e:
-            if not assigned[v]:
-                parent[v] = n + k
-                assigned[v] = True
+            labels[n + k] = g.labels[e].mean()
+    members, _ = g.incidence_arrays
+    virtual = n + g.hyperedges.edge_of()
+    parent = np.concatenate([g.parent, n + np.arange(m)])
+    covered, first = sort_unique(members, return_index=True)
+    parent[covered] = virtual[first]  # members run hyperedge by hyperedge: lowest wins
+    pairs = np.concatenate([g.simple_edges, np.stack([members, virtual], axis=1)])
     return HybridGraph(
         node_features=x,
-        simple_edges=_canonical_pairs(pairs),
+        simple_edges=_canonical_pairs(n + m, pairs),
         hyperedges=(),
         parent=parent,
         labels=labels,
@@ -468,21 +477,7 @@ def to_two_level_hierarchy(g: HybridGraph) -> HybridGraph:
 
 def structurally_equal(a: HybridGraph, b: HybridGraph) -> bool:
     """Exact field-for-field equality (float features compared bitwise)."""
-    if a.num_nodes != b.num_nodes or a.task != b.task:
-        return False
-    if not np.array_equal(a.node_features, b.node_features):
-        return False
-    if not np.array_equal(a.simple_edges, b.simple_edges):
-        return False
-    if a.hyperedges != b.hyperedges:
-        return False
-    if not np.array_equal(a.hyperedge_weights, b.hyperedge_weights):
-        return False
-    ef_a, ef_b = a.hyperedge_features, b.hyperedge_features
-    if (ef_a is None) != (ef_b is None):
-        return False
-    if ef_a is not None and not np.array_equal(ef_a, ef_b):
-        return False
-    if not np.array_equal(a.parent, b.parent):
-        return False
-    return np.array_equal(a.labels, b.labels)
+    arrays = ("node_features", "simple_edges", "hyperedge_weights", "hyperedge_features",
+              "parent", "labels")  # np.array_equal(None, None) holds
+    return (a.task == b.task and a.hyperedges == b.hyperedges
+            and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in arrays))

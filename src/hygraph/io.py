@@ -8,9 +8,10 @@ node-index order:
 "num_classes"?, "positions"?, "embeddings"?}``
 
 Missing optional fields take documented defaults: weights -> all 1.0,
-parent -> identity.  ``positions`` (per-node ``[chromosome, offset]``) and
-``embeddings`` are carried for the hyperedge-construction pipelines and are
-not part of the in-memory graph.
+parent -> identity.  ``hyperedges`` load straight into the flat
+``graph.Hyperedges`` view, with no tuple per hyperedge.  ``positions``
+(per-node ``[chromosome, offset]``) and ``embeddings`` are carried for the
+hyperedge-construction pipelines and are not part of the in-memory graph.
 
 Index fields (``edges``, ``hyperedges``, ``parent``, class ``labels``) must
 hold integers: ``1.0`` reads as 1, while ``1.5`` is refused rather than
@@ -27,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import HybridGraph, InvalidGraphError, Task
+from .graph import HybridGraph, Hyperedges, InvalidGraphError, Task
 
 __all__ = [
     "DatasetFile",
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 DATA_DIR_ENV = "HYGRAPH_DATA"
+_ROWS = 1000  # list items per json.dumps call in save_file
 
 
 class ParseError(ValueError):
@@ -65,7 +67,7 @@ class DatasetFile:
     num_nodes: int
     node_features: np.ndarray
     edges: np.ndarray
-    hyperedges: tuple[tuple[int, ...], ...] = ()
+    hyperedges: Hyperedges | tuple = ()  # a flat view when loaded
     hyperedge_weights: np.ndarray | None = None
     hyperedge_features: np.ndarray | None = None
     parent: np.ndarray | None = None
@@ -75,7 +77,7 @@ class DatasetFile:
     embeddings: np.ndarray | None = None
 
     def to_graph(self) -> HybridGraph:
-        g = HybridGraph(
+        return HybridGraph(
             node_features=self.node_features,
             simple_edges=self.edges,
             hyperedges=self.hyperedges,
@@ -84,9 +86,7 @@ class DatasetFile:
             parent=self.parent,
             labels=self.labels,
             task=self.task,
-        )
-        g.require_valid()
-        return g
+        ).require_valid()
 
 
 def _need(obj: dict, key: str, path: str):
@@ -129,19 +129,18 @@ def _of_length(arr: np.ndarray, n: int, path: str, key: str) -> np.ndarray:
     return arr
 
 
-def _hyperedges(value, n: int, path: str) -> tuple[tuple[int, ...], ...]:
+def _hyperedges(value, n: int, path: str) -> Hyperedges:
     if not isinstance(value, list) or not all(isinstance(e, list) for e in value):
         raise SchemaError(f"{path}: field 'hyperedges' must be a list of lists")
     flat = _integers(list(chain.from_iterable(value)), path, "hyperedges")
     if flat.ndim != 1:
         raise SchemaError(f"{path}: field 'hyperedges' members must be node indices")
-    ends = np.cumsum([len(e) for e in value], dtype=np.int64)
+    offsets = np.cumsum([0, *map(len, value)], dtype=np.int64)
     bad = np.flatnonzero((flat < 0) | (flat >= n))
     if bad.size:
-        k = int(np.searchsorted(ends, bad[0], side="right"))
+        k = int(np.searchsorted(offsets[1:], bad[0], side="right"))
         raise SchemaError(f"{path}: field 'hyperedges'[{k}]: index out of range")
-    members, bounds = flat.tolist(), [0, *ends.tolist()]
-    return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return Hyperedges(flat, offsets)
 
 
 def _positions(value, n: int, path: str) -> list[tuple[object, int]]:
@@ -270,8 +269,8 @@ def _dataset_dict(ds: DatasetFile) -> dict:
         "name": ds.name,
         "num_nodes": ds.num_nodes,
         "node_features": ds.node_features.tolist(),
-        "edges": [[int(u), int(v)] for u, v in ds.edges],
-        "hyperedges": [list(e) for e in ds.hyperedges],
+        "edges": ds.edges.tolist(),
+        "hyperedges": list(ds.hyperedges),  # tuples encode as JSON arrays
         "labels": ds.labels.tolist() if ds.labels is not None else [],
         "task": ds.task.kind,
     }
@@ -293,9 +292,25 @@ def _dataset_dict(ds: DatasetFile) -> dict:
 
 
 def save_file(ds: DatasetFile, path: str) -> None:
+    """Write ``json.dump``'s bytes (sorted keys, no spaces) and a newline.
+
+    Through ``json.dumps``, which runs the C encoder; it holds all its text
+    until it returns, so each call encodes at most ``_ROWS`` list items.
+    """
+    obj = _dataset_dict(ds)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_dataset_dict(ds), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        for i, key in enumerate(sorted(obj)):
+            value = obj[key]
+            fh.write(("," if i else "{") + json.dumps(key) + ":")
+            if not isinstance(value, list):
+                fh.write(json.dumps(value))
+                continue
+            fh.write("[")
+            for at in range(0, len(value), _ROWS):
+                rows = json.dumps(value[at:at + _ROWS], sort_keys=True, separators=(",", ":"))
+                fh.write(("," if at else "") + rows[1:-1])
+            fh.write("]")
+        fh.write("}\n")
 
 
 def save(g: HybridGraph, path: str, name: str = "") -> None:

@@ -36,9 +36,9 @@ class GraphTensors:
     Each pair list is stored once: a pattern's ``indices`` hold one end of
     its pairs and one int64 array holds the other.  Counts come from shapes.
 
-    * ``a_hat`` (gcn): ``D̃^-½ (A + I) D̃^-½``, on ``att_pattern``'s index arrays.
+    * ``a_hat`` (gcn): ``D̃^-½ (A + I) D̃^-½``, CSR (target, source), both edge
+      directions and loops; gat and gatv2 read its structure as their pairs.
     * ``mean_adj`` (sage): ``D⁻¹ A``, zero rows for isolated nodes.
-    * ``att_pattern`` (gat, gatv2): CSR (target, source), both edge directions and loops.
     * ``att_dst`` (gat, gatv2): each attention pair's target, the softmax segment.
     * ``inc_pattern`` (hyperatten): CSC (node, hyperedge), members in hyperedge order.
     * ``inc_edge`` (hyperatten): each incidence pair's hyperedge.
@@ -50,7 +50,6 @@ class GraphTensors:
 
     a_hat: sp.csr_matrix
     mean_adj: sp.csr_matrix
-    att_pattern: sp.csr_matrix
     att_dst: np.ndarray
     inc_pattern: sp.csc_matrix
     inc_edge: np.ndarray
@@ -106,7 +105,6 @@ def build_graph_tensors(g: HybridGraph) -> GraphTensors:
         a_hat=_with_data(att_pattern, inv_sqrt[att_dst] * inv_sqrt[att_pattern.indices]),
         # Kept a product: its rows are stored in descending column order, SAGE's sum order.
         mean_adj=sp.diags(np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)) @ adj,
-        att_pattern=att_pattern,
         att_dst=att_dst,
         inc_pattern=inc_pattern,
         inc_edge=inc_edge,
@@ -166,12 +164,12 @@ class GATLayer:
         h = ad.matmul(x, self.theta)
         s_src = ad.matmul(h, self.a_src)
         s_dst = ad.matmul(h, self.a_dst)
-        src, dst = gt.att_pattern.indices, gt.att_dst
+        src, dst = gt.a_hat.indices, gt.att_dst
         scores = ad.leaky_relu(
             ad.add(ad.take_rows(s_src, src), ad.take_rows(s_dst, dst)), LEAKY_SLOPE
         )
-        alpha = ad.segment_softmax(scores, dst, gt.att_pattern.shape[0])
-        return ad.edge_mix(alpha, h, gt.att_pattern)
+        alpha = ad.segment_softmax(scores, dst, gt.a_hat.shape[0])
+        return ad.edge_mix(alpha, h, gt.a_hat)
 
 
 class GATv2Layer:
@@ -188,11 +186,11 @@ class GATv2Layer:
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
         h_l = ad.matmul(x, self.theta_l)
         h_r = ad.matmul(x, self.theta_r)
-        src, dst = gt.att_pattern.indices, gt.att_dst
+        src, dst = gt.a_hat.indices, gt.att_dst
         pair = ad.add(ad.take_rows(h_l, src), ad.take_rows(h_r, dst))
         scores = ad.matmul(ad.leaky_relu(pair, LEAKY_SLOPE), self.a)
-        alpha = ad.segment_softmax(scores, dst, gt.att_pattern.shape[0])
-        return ad.edge_mix(alpha, h_l, gt.att_pattern)
+        alpha = ad.segment_softmax(scores, dst, gt.a_hat.shape[0])
+        return ad.edge_mix(alpha, h_l, gt.a_hat)
 
 
 class HyperConvLayer:

@@ -11,7 +11,7 @@ parent graph.  ``to_graph()`` without a task keeps the parent's task.
 
 Draws read the graph's cached arrays and rebuild no whole-graph structure:
 the walk sampler steps through ``HybridGraph.adjacency_csr`` and ``induce``
-masks ``HybridGraph.incidence_arrays``.
+masks ``HybridGraph.incidence_arrays`` into the sample's own flat arrays.
 
 The degree and edge samplers draw without replacement from non-uniform
 distributions using the exponential-race trick: each item gets key
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import HybridGraph
+from .graph import HybridGraph, Hyperedges, sort_unique
 
 __all__ = [
     "SampledSubgraph",
@@ -83,38 +83,30 @@ class SampledSubgraph(HybridGraph):
         return replace(self, task=task)
 
 
-def _hyperedge_of(offsets: np.ndarray) -> np.ndarray:
-    """The hyperedge index of every entry of the flattened member array."""
-    return np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-
-
 def _mask_hyperedges(g: HybridGraph, local: np.ndarray, size: int):
-    """Hyperedges restricted to the sample: (local member tuples, kept ids).
+    """Hyperedges restricted to the sample: (local members, kept ids).
 
     ``local`` maps global node ids to local ones (-1 outside the sample).
     A hyperedge is kept iff some member survives; its local members are
     sorted.
     """
-    if g.num_hyperedges == 0:
-        return (), np.zeros(0, dtype=np.int64)
-    members, offsets = g.incidence_arrays
+    if g.num_hyperedges == 0:  # skips a dozen numpy calls per draw on plain graphs
+        return g.hyperedges, np.zeros(0, dtype=np.int64)
+    members, _ = g.incidence_arrays
     mapped = local[members]
     inside = mapped >= 0
-    edge_of = _hyperedge_of(offsets)[inside]
+    edge_of = g.hyperedges.edge_of()[inside]
     # Members arrive grouped by hyperedge, so sorting (edge, member) keys
     # sorts the members within each hyperedge and keeps the groups in order.
     keys = np.sort(edge_of * size + mapped[inside])
-    flat = (keys % size).tolist()
     counts = np.bincount(edge_of, minlength=g.num_hyperedges)
     kept = np.flatnonzero(counts)
-    ends = np.cumsum(counts[kept]).tolist()
-    starts = [0, *ends[:-1]]
-    return tuple(tuple(flat[a:b]) for a, b in zip(starts, ends)), kept
+    return Hyperedges(keys % size, np.concatenate([[0], np.cumsum(counts[kept])])), kept
 
 
 def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
     """Extract the subgraph induced by ``node_ids`` (deduplicated, sorted)."""
-    ids = np.unique(np.asarray(node_ids, dtype=np.int64))
+    ids = sort_unique(np.asarray(node_ids, dtype=np.int64).ravel())
     if ids.size and (ids[0] < 0 or ids[-1] >= g.num_nodes):
         raise ValueError("node id out of range")
     local = np.full(g.num_nodes, -1, dtype=np.int64)
@@ -233,10 +225,10 @@ def sample_uniform_hyperedges(g: HybridGraph, budget: int, rng) -> SampledSubgra
     if budget < 1 or budget > m:
         raise ValueError(f"budget must be in [1, {m}], got {budget}")
     picked = rng.choice(m, size=budget, replace=False)
-    members, offsets = g.incidence_arrays
+    members, _ = g.incidence_arrays
     chosen = np.zeros(m, dtype=bool)
     chosen[picked] = True
-    return induce(g, members[chosen[_hyperedge_of(offsets)]])
+    return induce(g, members[chosen[g.hyperedges.edge_of()]])
 
 
 def run_sampler(g: HybridGraph, spec: SamplerSpec, rng) -> SampledSubgraph:

@@ -44,13 +44,12 @@ def compute_stats(g: HybridGraph) -> GraphStats:
     n = g.num_nodes
     m = g.num_edges
     h = g.num_hyperedges
-    total_members = sum(len(e) for e in g.hyperedges)
     return GraphStats(
         num_nodes=n,
         num_edges=m,
         num_hyperedges=h,
         avg_node_degree=2.0 * m / n if n else 0.0,
-        avg_hyperedge_degree=total_members / h if h else 0.0,
+        avg_hyperedge_degree=int(g.hyperedges.offsets[-1]) / h if h else 0.0,
         avg_clustering_coefficient=_clustering_mean(g),
         kind=classify(g).value,
     )

@@ -7,11 +7,15 @@ random and on crafted inputs, field for field, message for message and,
 for floats, bit for bit.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hygraph import HybridGraph, validate
+from hygraph import (GraphKind, HybridGraph, Task, classify, structurally_equal, to_simple,
+                     to_two_level_hierarchy, validate)
+from hygraph.graph import _ancestry, sort_unique
 from hygraph.nn import autodiff as ad
 from hygraph.nn.autodiff import _accumulate
 from hygraph.nn.layers import LAYER_TYPES, LEAKY_SLOPE, build_graph_tensors
@@ -59,6 +63,11 @@ def validate_loop(g):
     n = g.num_nodes
     if g.labels.shape[0] != n:
         out.append(f"labels length {g.labels.shape[0]} != num_nodes {n}")
+    if g.task.is_classification:
+        for v, c in enumerate(g.labels):
+            if not 0 <= c < g.task.num_classes:
+                out.append(f"class label out of range at node {v}")
+                break
     if g.parent.shape[0] != n:
         out.append(f"parent length {g.parent.shape[0]} != num_nodes {n}")
     if g.hyperedge_weights.shape[0] != g.num_hyperedges:
@@ -220,6 +229,7 @@ def test_induce_keeps_duplicate_members_sorted():
 # -- validate --------------------------------------------------------------
 
 
+TWO_CLASSES = Task("classification", num_classes=2)
 CRAFTED = {
     "valid": bare(4, edges=[[0, 1], [2, 3]], hyperedges=[(0, 1, 2)]),
     "edge out of range": bare(3, edges=[[0, 1], [0, 3], [-1, 2], [1, 2]]),
@@ -245,6 +255,10 @@ CRAFTED = {
     "wrong lengths": bare(3, hyperedges=[(0, 1)], labels=np.zeros(2),
                           hyperedge_weights=np.ones(2),
                           hyperedge_features=np.ones((3, 2))),
+    "class labels out of range": bare(3, labels=np.array([5, 5, -1]), task=TWO_CLASSES),
+    "class label -1": bare(3, labels=np.array([0, 1, -1]), task=TWO_CLASSES),
+    "class label at the bound": bare(4, labels=np.array([1, 0, 2, 3]), task=TWO_CLASSES),
+    "short labels out of range": bare(3, labels=np.array([0, -1]), task=TWO_CLASSES),
 }
 
 
@@ -331,7 +345,7 @@ def test_adjacency_tensors_match_edge_list_construction(seed):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
-    pairs = gt.att_pattern.tocoo()
+    pairs = gt.a_hat.tocoo()
     for got, want in ((pairs.col, att_src), (pairs.row, att_dst), (gt.att_dst, att_dst)):
         np.testing.assert_array_equal(got, want)
     assert gt.att_dst.dtype == att_dst.dtype
@@ -458,7 +472,7 @@ def segment_softmax_loop(scores, segments, num_segments):
 
 
 def gat_loop(layer, gt, x):
-    pairs = gt.att_pattern.tocoo()
+    pairs = gt.a_hat.tocoo()
     src, dst, n = pairs.col, pairs.row, pairs.shape[0]
     h = ad.matmul(x, layer.theta)
     s_src = ad.matmul(h, layer.a_src)
@@ -471,7 +485,7 @@ def gat_loop(layer, gt, x):
 
 
 def gatv2_loop(layer, gt, x):
-    pairs = gt.att_pattern.tocoo()
+    pairs = gt.a_hat.tocoo()
     src, dst, n = pairs.col, pairs.row, pairs.shape[0]
     h_l = ad.matmul(x, layer.theta_l)
     h_r = ad.matmul(x, layer.theta_r)
@@ -606,3 +620,212 @@ def test_attention_layer_matches_scatter_loop_layer(name, seed):
         results.append([out.value, x.grad] + [p.grad for p in layer.params()])
     for got, want in zip(*results):
         np.testing.assert_array_equal(got, want)
+
+
+# -- sort-and-mask unique ------------------------------------------------------
+
+
+def unique_cases():
+    rng = np.random.default_rng(700)
+    n = 50_000  # the directed pair keys of a 50k-node graph span n**2
+    pairs = rng.integers(n, size=(3000, 2))
+    return {
+        "wide-range pair keys": np.concatenate([pairs[:, 0] * n + pairs[:, 1]] * 2),
+        "wide-range with negatives": rng.integers(-2**62, 2**62, size=500),
+        "small-range": rng.integers(20, size=1000),
+        "walk ids": rng.integers(5000, size=2500),
+        "empty": np.zeros(0, dtype=np.int64),
+        "one": np.array([7]),
+        "all duplicates": np.full(64, 3),
+        "sorted distinct": np.arange(10),
+        "int32": rng.integers(100, size=300).astype(np.int32),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(unique_cases()))
+def test_sort_unique_matches_numpy(name):
+    keys = unique_cases()[name]
+    got, want = sort_unique(keys), np.unique(keys)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    (got, got_first), (want, want_first) = (sort_unique(keys, return_index=True),
+                                            np.unique(keys, return_index=True))
+    assert got.dtype == want.dtype and got_first.dtype == want_first.dtype
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_first, want_first)
+
+
+# -- graph transforms ----------------------------------------------------------
+#
+# ``classify``, ``to_simple`` and ``to_two_level_hierarchy`` as they were
+# when they walked the hyperedge tuples and per-node Python sets.
+
+
+def levels_loop(parent):
+    n = parent.shape[0]
+    depth = np.full(n, -1, dtype=np.int64)
+    for v in range(n):
+        chain = []
+        u = v
+        while depth[u] < 0 and parent[u] != u:
+            chain.append(u)
+            u = int(parent[u])
+        base = depth[u] if depth[u] >= 0 else 0
+        if depth[u] < 0:
+            depth[u] = 0
+        for node in reversed(chain):
+            base += 1
+            depth[node] = base
+    return depth
+
+
+def roots_loop(parent):
+    top = np.arange(parent.shape[0])
+    for v in range(parent.shape[0]):
+        while parent[top[v]] != top[v]:
+            top[v] = parent[top[v]]
+    return top
+
+
+def classify_loop(g):
+    g.require_valid()
+    if (g.parent == np.arange(g.num_nodes)).all():
+        if all(len(e) == 2 for e in g.hyperedges):
+            return GraphKind.SIMPLE
+        if any(len(e) >= 3 for e in g.hyperedges):
+            return GraphKind.HYPERGRAPH
+        return GraphKind.GENERAL_HYBRID
+    if not all(len(e) == 2 for e in g.hyperedges):
+        return GraphKind.GENERAL_HYBRID
+    depth = levels_loop(g.parent)
+    pair_nbrs = [set(s) for s in g.adjacency_sets]
+    for u, v in g.hyperedges:
+        pair_nbrs[u].add(v)
+        pair_nbrs[v].add(u)
+    for v in range(g.num_nodes):
+        if g.parent[v] != v and not any(depth[u] == depth[v] - 1 for u in pair_nbrs[v]):
+            return GraphKind.GENERAL_HYBRID
+    return GraphKind.HIERARCHICAL
+
+
+def canonical_pairs_loop(pairs):
+    uniq = sorted({(int(min(u, v)), int(max(u, v))) for u, v in pairs})
+    return np.array(uniq, dtype=np.int64) if uniq else np.zeros((0, 2), dtype=np.int64)
+
+
+def to_simple_loop(g):
+    g.require_valid()
+    pairs = [tuple(e) for e in g.simple_edges] + [e for e in g.hyperedges if len(e) == 2]
+    return HybridGraph(node_features=g.node_features, simple_edges=canonical_pairs_loop(pairs),
+                       labels=g.labels, task=g.task)
+
+
+def to_two_level_loop(g):
+    g.require_valid()
+    n, m = g.num_nodes, g.num_hyperedges
+    x = np.zeros((n + m, g.node_features.shape[1]))
+    x[:n] = g.node_features
+    parent = np.arange(n + m, dtype=np.int64)
+    parent[:n] = g.parent
+    labels = np.zeros(n + m, dtype=g.labels.dtype)
+    labels[:n] = g.labels
+    pairs = [tuple(e) for e in g.simple_edges]
+    for k, e in enumerate(g.hyperedges):
+        x[n + k] = g.node_features[list(e)].mean(axis=0)
+        if g.task.is_classification:
+            counts = Counter(int(g.labels[v]) for v in e)
+            top = max(counts.values())
+            labels[n + k] = min(c for c, cnt in counts.items() if cnt == top)
+        else:
+            labels[n + k] = g.labels[list(e)].mean()
+        pairs.extend((v, n + k) for v in e)
+    assigned = np.zeros(n, dtype=bool)
+    for k, e in enumerate(g.hyperedges):
+        for v in e:
+            if not assigned[v]:
+                parent[v] = n + k
+                assigned[v] = True
+    return HybridGraph(node_features=x, simple_edges=canonical_pairs_loop(pairs),
+                       parent=parent, labels=labels, task=g.task)
+
+
+def forest(rng, n):
+    """A parent forest whose first four nodes form a chain three levels deep."""
+    parent = np.where(rng.random(n) < 0.3, np.arange(n),
+                      (rng.random(n) * np.arange(n)).astype(np.int64))
+    parent[:4] = [0, 0, 1, 2]
+    return parent
+
+
+def transform_graph(seed):
+    """A valid graph for the transforms, its shape picked by the seed.
+
+    Seeds cycle through four shapes: a hierarchy whose edges are all pairs
+    (simple edges and size-2 hyperedges, repeated between the two and among
+    the hyperedges), that hierarchy with one level link missing, a flat
+    graph with hyperedges of 1 to 12 members, and a hierarchy with such
+    hyperedges.  Members are unsorted; labels are two classes (so majority
+    votes tie) or, for odd seeds, regression values.
+    """
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(6, 40))
+    shape = seed % 4
+    parent = np.arange(n) if shape == 2 else forest(rng, n)
+    depth = levels_loop(parent)
+    pairs = set()
+    for v in range(n):  # a link to some node one level up, not always the parent
+        up = np.flatnonzero(depth == depth[v] - 1)
+        if up.size and not (shape == 1 and v == n - 1):
+            u = int(rng.choice(up))
+            pairs.add((min(u, v), max(u, v)))
+    for u, v in rng.integers(n, size=(n // 2, 2)):
+        if u != v:
+            pairs.add((int(min(u, v)), int(max(u, v))))
+    pairs = [p[::-1] if rng.random() < 0.5 else p for p in sorted(pairs)]
+    as_edge = rng.random(len(pairs)) < 0.6
+    edges = [p for p, e in zip(pairs, as_edge) if e]
+    hyperedges = [p for p, e in zip(pairs, as_edge) if not e]
+    hyperedges += [edges[i] for i in rng.integers(len(edges), size=3)] if edges else []
+    hyperedges += hyperedges[:2]  # duplicate hyperedges
+    if shape >= 2:
+        hyperedges += [tuple(rng.choice(n, size=int(rng.integers(1, min(n, 12) + 1)),
+                                        replace=False).tolist()) for _ in range(8)]
+    rng.shuffle(hyperedges)
+    if seed % 2:
+        labels, task = rng.standard_normal(n), Task("regression")
+    else:
+        labels, task = rng.integers(2, size=n), TWO_CLASSES
+    return HybridGraph(node_features=rng.standard_normal((n, 3)), simple_edges=edges,
+                       hyperedges=hyperedges, parent=parent, labels=labels, task=task)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ancestry_matches_loops(seed):
+    rng = np.random.default_rng(800 + seed)
+    parent = forest(rng, int(rng.integers(4, 80)))
+    top, depth = _ancestry(parent)
+    np.testing.assert_array_equal(depth, levels_loop(parent))
+    np.testing.assert_array_equal(top, roots_loop(parent))
+    assert depth.max() >= 3
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_transforms_match_loops(seed):
+    g = transform_graph(seed)
+    assert g.violations == ()
+    assert classify(g) == classify_loop(g)
+    for got, want in ((to_simple(g), to_simple_loop(g)),
+                      (to_two_level_hierarchy(g), to_two_level_loop(g))):
+        assert structurally_equal(got, want)
+        assert got.simple_edges.dtype == want.simple_edges.dtype
+        assert got.labels.dtype == want.labels.dtype
+        assert classify(got) == classify_loop(got)
+
+
+def test_transform_graphs_cover_every_branch():
+    graphs = [transform_graph(seed) for seed in range(24)]
+    kinds = {classify(g) for g in graphs} | {classify(to_simple(g)) for g in graphs}
+    assert kinds == set(GraphKind)
+    sizes = {len(e) for g in graphs for e in g.hyperedges}
+    assert {1, 2} <= sizes and max(sizes) >= 8
+    assert any(list(e) != sorted(e) for g in graphs for e in g.hyperedges)

@@ -14,6 +14,7 @@ from hygraph import (
     to_two_level_hierarchy,
     validate,
 )
+from hygraph.graph import Hyperedges
 
 
 def graph(n, edges=(), hyperedges=(), **kwargs):
@@ -93,6 +94,63 @@ class TestConstruction:
             Task("ranking")
 
 
+class TestHyperedgesView:
+    EDGES = ((3, 1, 2), (0,), (4, 0))
+
+    def view(self):
+        return graph(5, hyperedges=self.EDGES).hyperedges
+
+    def test_stored_flat_and_read_only(self):
+        g = graph(5, hyperedges=self.EDGES)
+        assert isinstance(g.hyperedges, Hyperedges)
+        np.testing.assert_array_equal(g.hyperedges.members, [3, 1, 2, 0, 4, 0])
+        np.testing.assert_array_equal(g.hyperedges.offsets, [0, 3, 4, 6])
+        assert g.hyperedges.members.dtype == g.hyperedges.offsets.dtype == np.int64
+        members, offsets = g.incidence_arrays
+        assert members is g.hyperedges.members and offsets is g.hyperedges.offsets
+        with pytest.raises(ValueError):
+            members[0] = 2
+        with pytest.raises(ValueError):
+            offsets[1] = 2
+
+    def test_reads_like_the_tuple(self):
+        h = self.view()
+        assert len(h) == 3 and bool(h) and not graph(2).hyperedges
+        assert h[0] == (3, 1, 2) and h[-1] == (4, 0) and h[-3] == h[0]
+        assert h[np.int64(1)] == (0,)
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                h[k]
+        for part in (slice(None), slice(1, None), slice(None, None, -1), slice(0, 3, 2),
+                     slice(5, 9)):
+            assert h[part] == self.EDGES[part]
+            assert type(h[part]) is tuple
+        assert list(h) == list(self.EDGES)
+        assert all(type(e) is tuple and all(type(v) is int for v in e) for e in h)
+        assert all(type(v) is int for v in h[1])
+        assert repr(h) == repr(self.EDGES) and str(h) == str(self.EDGES)
+        assert (0,) in h and (0, 4) not in h and h.index((4, 0)) == 2
+
+    def test_equality(self):
+        h = self.view()
+        assert h == self.EDGES and self.EDGES == h and not h != self.EDGES
+        assert h == self.view() and h == Hyperedges.of(list(map(list, self.EDGES)))
+        assert h != self.EDGES[:2] and h != ((3, 2, 1), (0,), (4, 0))
+        assert h != ((3, 1), (2, 0), (4, 0))  # same members, other offsets
+        assert h != list(self.EDGES) and h != "abc" and h != Hyperedges.of(())
+        assert Hyperedges.of(()) == () and () == graph(2).hyperedges
+
+    def test_of_returns_a_view_as_is_and_normalizes_the_rest(self):
+        h = self.view()
+        assert Hyperedges.of(h) is h
+        assert HybridGraph(node_features=np.zeros((5, 1)), simple_edges=(),
+                           hyperedges=h).hyperedges is h
+        mixed = Hyperedges.of([np.array([3, 1]), [np.int32(2), 4.0], range(2), ()])
+        assert mixed == ((3, 1), (2, 4), (0, 1), ())
+        assert all(type(v) is int for e in mixed for v in e)
+        assert mixed.offsets.tolist() == [0, 2, 4, 6, 6]
+
+
 class TestValidate:
     def test_valid_triangle(self):
         g = graph(3, [[0, 1], [1, 2], [2, 0]])
@@ -144,6 +202,17 @@ class TestValidate:
     def test_non_finite_weight(self, w):
         g = graph(3, hyperedges=[(0, 1), (1, 2)], hyperedge_weights=np.array([1.0, w]))
         assert validate(g) == ["non-finite hyperedge weight at index 1"]
+
+    def test_class_label_out_of_range(self):
+        task = Task("classification", num_classes=2)
+        assert graph(3, labels=[5, 5, -1], task=task).violations == (
+            "class label out of range at node 0",)
+        assert graph(3, labels=[0, 1, -1], task=task).violations == (
+            "class label out of range at node 2",)
+        assert graph(3, labels=[1, 2, 0], task=task).violations == (
+            "class label out of range at node 1",)
+        assert graph(3, labels=[0, 1, 1], task=task).violations == ()
+        assert graph(3, labels=[5.0, -1.0, 0.5]).violations == ()  # regression
 
     def test_parent_out_of_range(self):
         g = graph(2, parent=np.array([0, 5]))

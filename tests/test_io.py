@@ -1,16 +1,21 @@
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hygraph import HybridGraph, Task, structurally_equal
+from hygraph import io as hygraph_io
 from hygraph.io import (
+    DatasetFile,
     ParseError,
     SchemaError,
     load,
     load_file,
     resolve_dataset,
     save,
+    save_file,
     split,
 )
 
@@ -177,6 +182,44 @@ class TestSaveRoundTrip:
         save(g, a)
         save(g, b)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("rows", [1, 2, 1000])
+    def test_saved_bytes_match_json_dump(self, tmp_path, monkeypatch, rows):
+        # The writer encodes a few list items per json.dumps call; the bytes
+        # are those of one json.dump over the per-pair edge lists it built.
+        monkeypatch.setattr(hygraph_io, "_ROWS", rows)
+        rng = np.random.default_rng(6)
+        g = HybridGraph(
+            node_features=np.array([[0.1, -0.0], [1e-300, 2.5e17], [np.pi, -7.0]]),
+            simple_edges=np.array([[0, 2], [1, 2]]),
+            hyperedges=((2, 0, 1), (1,)),
+            hyperedge_weights=np.array([0.3, 3.0]),
+            hyperedge_features=rng.standard_normal((2, 2)),
+            parent=np.array([0, 0, 1]),
+            labels=rng.standard_normal(3),
+        )
+        ds = DatasetFile(name="ümlaut \"q\"", num_nodes=3, node_features=g.node_features,
+                         edges=g.simple_edges, hyperedges=g.hyperedges,
+                         hyperedge_weights=g.hyperedge_weights,
+                         hyperedge_features=g.hyperedge_features, parent=g.parent,
+                         labels=g.labels, task=g.task, positions=[("chr1", 5), (2, 7), ("x", 0)],
+                         embeddings=rng.standard_normal((3, 2)))
+        bare = DatasetFile(name="", num_nodes=2, node_features=np.zeros((2, 1)),
+                           edges=np.zeros((0, 2), dtype=np.int64), hyperedges=((0, 1), (1,)),
+                           labels=np.array([0, 1]), task=Task("classification", num_classes=2))
+        files = [(ds, str(tmp_path / "ds.json")), (bare, str(tmp_path / "bare.json"))]
+        for name in ("synthetic_classification", "synthetic_regression"):
+            loaded = load_file(str(Path(__file__).parent.parent / "data" / f"{name}.json"))
+            files.append((loaded, str(tmp_path / f"{name}.json")))
+        for dataset, path in files:
+            save_file(dataset, path)
+            obj = json.loads(open(path, encoding="utf-8").read())
+            assert obj["edges"] == [[int(u), int(v)] for u, v in dataset.edges]
+            assert obj["hyperedges"] == [list(e) for e in dataset.hyperedges]
+            expected = io.StringIO()
+            json.dump(obj, expected, sort_keys=True, separators=(",", ":"))
+            expected.write("\n")
+            assert open(path, "rb").read() == expected.getvalue().encode("utf-8")
 
     def test_classification_roundtrip(self, tmp_path):
         g = HybridGraph(

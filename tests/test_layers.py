@@ -138,7 +138,7 @@ class TestGraphTensors:
     def test_attention_pairs_cover_both_directions_and_loops(self):
         g = graph(3, [[0, 1]])
         gt = build_graph_tensors(g)
-        pairs = set(zip(gt.att_pattern.indices.tolist(), gt.att_dst.tolist()))
+        pairs = set(zip(gt.a_hat.indices.tolist(), gt.att_dst.tolist()))
         assert pairs == {(0, 1), (1, 0), (0, 0), (1, 1), (2, 2)}
 
     def test_incidence_pairs(self):
@@ -161,7 +161,8 @@ class TestGraphTensors:
 
     def test_no_pair_array_is_stored_twice(self):
         # One end of each pair list is a pattern's indices; no array field
-        # repeats them, and the normalized matrices reuse their pattern's.
+        # repeats them, and hyper_gather reuses incidence_t's.  Attention
+        # reads a_hat's structure, so no 0/1 copy of it is stored.
         gt = build_graph_tensors(graph(
             6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]], [(4, 0, 2), (1, 5), (3,)]
         ))
@@ -170,10 +171,11 @@ class TestGraphTensors:
         indices = [v.indices for v in stored if sp.issparse(v)]
         assert arrays and indices
         assert not [a for a in arrays for i in indices if np.array_equal(a, i)]
-        for matrix, pattern in ((gt.a_hat, gt.att_pattern),
-                                (gt.hyper_gather, gt.incidence_t)):
-            assert np.shares_memory(matrix.indices, pattern.indices)
-            assert np.shares_memory(matrix.indptr, pattern.indptr)
+        assert np.shares_memory(gt.hyper_gather.indices, gt.incidence_t.indices)
+        assert np.shares_memory(gt.hyper_gather.indptr, gt.incidence_t.indptr)
+        structures = [(v.indices.tobytes(), v.indptr.tobytes()) for v in stored
+                      if sp.issparse(v) and v.format == "csr"]
+        assert len(structures) == len(set(structures)) + 1  # only hyper_gather's
 
 
 class TestGCN:
