@@ -44,6 +44,8 @@ CLI_RUNS = [
      "--save-model", "m.npz"],
     ["train", DATA, "--model", "gcn", "--saint", "edge", "--budget", "300", "--batches", "5"],
     ["eval", DATA, "--model-file", "m.npz", "--split", "test", "--seed", "0"],
+    ["train", DATA, "--model", "gatv2", "--epochs", "20", "--save-model", "gatv2.npz"],
+    ["eval", DATA, "--model-file", "gatv2.npz", "--split", "val", "--seed", "1"],
 ]
 SUITE_RUN = ["suite", "manifests/synthetic_suite.json", "--out", "report.json"]
 DEMOS = [["01_hybrid_graphs.py"], ["02_hyperedge_construction.py"],

@@ -8,16 +8,17 @@ walks the graph once in reverse topological order.
 
 The op set holds only what the layers and losses use: linear maps
 (``matmul``, ``add``, ``concat``, ``take_rows``, ``edge_mix``), pointwise
-nonlinearities (``relu``, ``leaky_relu``), normalizers (``log_softmax``,
-``segment_softmax``) and masked ``dropout``, plus ``mean``, the reduction
-every gradient check ends in.  Gathers and scatters are linear maps too:
-``take_rows`` scatters its gradient back through a 0/1 selection matrix,
-and ``edge_mix`` is a sparse matrix whose fixed pattern holds the pairs and
-whose data is the per-pair coefficients.  Both are applied as scipy sparse
-products.  Such a product adds each output row's terms in storage order,
-starting from zero, so its floats equal those of a loop that adds the pairs
-one by one in that order; and every gradient stays a hand-derivable
-expression checked by finite differences.
+nonlinearities (``relu``, ``leaky_relu``), GATv2's fused pair scores
+(``gatv2_scores``), normalizers (``log_softmax``, ``segment_softmax``) and
+masked ``dropout``, plus ``mean``, the reduction every gradient check ends
+in.  Gathers and scatters are linear maps too: ``take_rows`` (and
+``gatv2_scores``) scatters its gradient back through a 0/1 selection
+matrix, and ``edge_mix`` is a sparse matrix whose fixed pattern holds the
+pairs and whose data is the per-pair coefficients.  Both are applied as
+scipy sparse products.  Such a product adds each output row's terms in
+storage order, starting from zero, so its floats equal those of a loop
+that adds the pairs one by one in that order; and every gradient stays a
+hand-derivable expression checked by finite differences.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "concat",
     "dropout",
     "edge_mix",
+    "gatv2_scores",
     "leaky_relu",
     "log_softmax",
     "matmul",
@@ -153,21 +155,34 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.value > 0
+    """``max(a, 0)``; NaN stays NaN."""
+    av = a.value
 
     def backward(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * (av > 0))
 
-    return Tensor(np.where(mask, a.value, 0.0), (a,), backward)
+    return Tensor(np.maximum(av, 0.0), (a,), backward)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    pos = a.value > 0
+    """``a`` where positive, else ``slope * a``; needs ``0 < slope < 1``.
+
+    For such a slope that is ``max(a, slope * a)``, signed zeros and
+    infinities included, and the derivative is ``pos * (1 - slope) + slope``.
+    """
+    av = a.value
 
     def backward(g):
-        _accumulate(a, g * np.where(pos, 1.0, slope))
+        _accumulate(a, g * _leaky_slopes(av > 0, slope))
 
-    return Tensor(np.where(pos, a.value, slope * a.value), (a,), backward)
+    return Tensor(np.maximum(av, slope * av), (a,), backward)
+
+
+def _leaky_slopes(pos: np.ndarray, slope: float) -> np.ndarray:
+    """1.0 where ``pos``, else ``slope``, both exact for ``0 < slope < 1``."""
+    out = pos * (1.0 - slope)
+    out += slope
+    return out
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -210,26 +225,33 @@ def take_rows(a: Tensor, idx) -> Tensor:
     rows = np.asarray(idx)
 
     def backward(g):
-        k = rows.size
-        select = sp.csr_matrix(
-            (np.ones(k), (rows, np.arange(k))), shape=(a.value.shape[0], k)
-        )
-        _accumulate(a, select @ g)
+        _accumulate(a, _selection(rows, a.value.shape[0]) @ g)
 
     return Tensor(np.take(a.value, rows, axis=0), (a,), backward)
 
 
-def edge_mix(alpha: Tensor, h: Tensor, pattern) -> Tensor:
+def _selection(rows: np.ndarray, num_rows: int) -> sp.csr_matrix:
+    """The (num_rows, k) 0/1 matrix whose column j selects row ``rows[j]``.
+
+    Its product with a (k, d) gradient adds each row's entries in pair order.
+    """
+    k = rows.size
+    return sp.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(num_rows, k))
+
+
+def edge_mix(alpha: Tensor, h: Tensor, pattern, major) -> Tensor:
     """Weighted gather-scatter: ``out[i] = sum over pairs (i, j) of alpha * h[j]``.
 
     The workhorse of attention layers.  ``pattern`` is a CSR or CSC matrix of
     shape (output rows, rows of ``h``) whose stored entries are the pairs
     (edges, or node-hyperedge incidences); only its structure is read.
-    ``alpha`` holds one coefficient per pair, in the pattern's storage
-    order, and becomes the data of the mixing matrix ``A``: the forward pass
-    is ``A @ h``, the gradient of ``h`` is ``A.T @ g``, and the gradient of a
-    pair's coefficient is the dot product of its output row of ``g`` with
-    its row of ``h``.
+    ``major`` is each stored pair's row (CSR) or column (CSC), the expansion
+    of ``pattern.indptr`` that ``GraphTensors`` keeps.  ``alpha`` holds one
+    coefficient per pair, in the pattern's storage order, and becomes the
+    data of the mixing matrix ``A``: the forward pass is ``A @ h``, the
+    gradient of ``h`` is ``A.T @ g``, and the gradient of a pair's
+    coefficient is the dot product of its output row of ``g`` with its row
+    of ``h``.
     """
     av = alpha.value.reshape(-1)
     mixing = type(pattern)((av, pattern.indices, pattern.indptr), shape=pattern.shape)
@@ -241,8 +263,11 @@ def edge_mix(alpha: Tensor, h: Tensor, pattern) -> Tensor:
 
     def backward(g):
         _accumulate(source, mixing.T @ g)
-        pairs = pattern.tocoo()
-        dots = _pair_dots(g, h.value, pairs.row, pairs.col)
+        if pattern.format == "csr":
+            rows, cols = major, pattern.indices
+        else:
+            rows, cols = pattern.indices, major
+        dots = _pair_dots(g, h.value, rows, cols)
         _accumulate(alpha, dots.reshape(alpha.value.shape))
 
     return Tensor(mixing @ h.value, (alpha, source), backward)
@@ -264,6 +289,60 @@ def _pair_dots(a: np.ndarray, b: np.ndarray, rows, cols) -> np.ndarray:
         prod *= np.take(b, cols[start:stop], axis=0)
         prod.sum(axis=1, out=out[start:stop])
     return out
+
+
+def gatv2_scores(h_l: Tensor, h_r: Tensor, a: Tensor, src, dst, slope: float) -> Tensor:
+    """GATv2's pair scores ``LeakyReLU(h_l[src] + h_r[dst]) @ a``, shape (pairs, 1).
+
+    Bit for bit the chain ``matmul(leaky_relu(add(take_rows(h_l, src),
+    take_rows(h_r, dst)), slope), a)`` (Brody et al., arXiv:2105.14491), but
+    the forward works in blocks of ``_PAIR_BLOCK`` pairs and keeps no
+    (pairs, d) array.  The backward rebuilds the activations, block by
+    block, in one (pairs, d) buffer and gives ``a`` its gradient as the
+    chain's single product over that buffer (per-block products would add
+    in another order).  It then overwrites each block with ``(g aᵀ)`` times
+    LeakyReLU's slopes, in that order, and scatters the buffer to ``h_l``
+    and ``h_r`` in pair order, as ``take_rows`` does.
+
+    One caveat on the bits: where OpenBLAS threads the chain's full
+    matrix-vector product, the row at a thread boundary can be summed in
+    another order at widths of about 40 and more, so there the chain's
+    scores hang on the thread count and the blocks' can differ from them.
+    """
+    src, dst = np.asarray(src), np.asarray(dst)
+    k, d = src.size, h_l.value.shape[1]
+    hl, hr, av = h_l.value, h_r.value, a.value
+
+    # numpy takes a one-row matrix-vector product as a dot product, whose
+    # sums can differ from the full product's, so a last block of one pair
+    # joins the block before it.
+    starts = list(range(0, k, _PAIR_BLOCK))
+    if k > 1 and k % _PAIR_BLOCK == 1:
+        starts.pop()
+    blocks = list(zip(starts, starts[1:] + [k]))
+
+    def activations(start, stop):
+        z = np.take(hl, src[start:stop], axis=0)
+        z += np.take(hr, dst[start:stop], axis=0)
+        return np.maximum(z, slope * z, out=z)
+
+    def backward(g):
+        buf = np.empty((k, d))
+        for start, stop in blocks:
+            buf[start:stop] = activations(start, stop)
+        _accumulate(a, buf.T @ g)
+        for start, stop in blocks:
+            block = buf[start:stop]
+            slopes = _leaky_slopes(block > 0, slope)
+            np.multiply(g[start:stop], av.T, out=block)
+            block *= slopes
+        _accumulate(h_l, _selection(src, hl.shape[0]) @ buf)
+        _accumulate(h_r, _selection(dst, hr.shape[0]) @ buf)
+
+    scores = np.empty((k, 1))
+    for start, stop in blocks:
+        scores[start:stop] = activations(start, stop) @ av
+    return Tensor(scores, (h_l, h_r, a), backward)
 
 
 def dropout(a: Tensor, mask: np.ndarray, keep: float) -> Tensor:

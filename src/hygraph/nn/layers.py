@@ -169,11 +169,16 @@ class GATLayer:
             ad.add(ad.take_rows(s_src, src), ad.take_rows(s_dst, dst)), LEAKY_SLOPE
         )
         alpha = ad.segment_softmax(scores, dst, gt.a_hat.shape[0])
-        return ad.edge_mix(alpha, h, gt.a_hat)
+        return ad.edge_mix(alpha, h, gt.a_hat, dst)
 
 
 class GATv2Layer:
-    """Attention with the nonlinearity inside the score, fixing static ranking."""
+    """Attention with the nonlinearity inside the score, fixing static ranking.
+
+    The score ``aᵀ LeakyReLU(h_l[src] + h_r[dst])`` is one blocked op,
+    ``autodiff.gatv2_scores``: its forward keeps no (pairs, d) array and
+    its backward needs one.
+    """
 
     def __init__(self, d_in: int, d_out: int, rng):
         self.theta_l = ad.Tensor(glorot(rng, d_in, d_out))
@@ -187,10 +192,9 @@ class GATv2Layer:
         h_l = ad.matmul(x, self.theta_l)
         h_r = ad.matmul(x, self.theta_r)
         src, dst = gt.a_hat.indices, gt.att_dst
-        pair = ad.add(ad.take_rows(h_l, src), ad.take_rows(h_r, dst))
-        scores = ad.matmul(ad.leaky_relu(pair, LEAKY_SLOPE), self.a)
+        scores = ad.gatv2_scores(h_l, h_r, self.a, src, dst, LEAKY_SLOPE)
         alpha = ad.segment_softmax(scores, dst, gt.a_hat.shape[0])
-        return ad.edge_mix(alpha, h_l, gt.a_hat)
+        return ad.edge_mix(alpha, h_l, gt.a_hat, dst)
 
 
 class HyperConvLayer:
@@ -238,7 +242,7 @@ class HyperAttenLayer:
         )
         scores = ad.add(raw, gt.log_weights[edge].reshape(-1, 1))
         alpha = ad.segment_softmax(scores, node, gt.inc_pattern.shape[0])
-        return ad.edge_mix(alpha, z, gt.inc_pattern)
+        return ad.edge_mix(alpha, z, gt.inc_pattern, edge)
 
 
 LAYER_TYPES = {

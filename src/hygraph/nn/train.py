@@ -119,9 +119,20 @@ class TrialResult:
 
 
 def evaluate(model, gt, x: np.ndarray, labels: np.ndarray,
-             rows: np.ndarray, task: Task) -> float:
-    """Accuracy on ``rows`` for classification, mean squared error otherwise."""
+             rows: np.ndarray | tuple[np.ndarray, ...],
+             task: Task) -> float | tuple[float, ...]:
+    """Accuracy on ``rows`` for classification, mean squared error otherwise.
+
+    ``rows`` may be a tuple of row sets: the model then runs forward once and
+    the result is a tuple with one metric per set.
+    """
     out = model.forward(gt, ad.Tensor(x), training=False).value
+    if isinstance(rows, tuple):
+        return tuple(_metric(out, labels, r, task) for r in rows)
+    return _metric(out, labels, rows, task)
+
+
+def _metric(out: np.ndarray, labels: np.ndarray, rows: np.ndarray, task: Task) -> float:
     if task.is_classification:
         pred = out[rows].argmax(axis=1)
         return float((pred == labels[rows]).mean())
@@ -162,10 +173,11 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
             batch_losses.append(float(loss.value))
         losses.append(float(np.mean(batch_losses)) if batch_losses else np.nan)
 
+    test_metric, val_metric = evaluate(model, gt, x, g.labels, (masks.test, masks.val), task)
     result = TrialResult(
         seed=seed,
-        test_metric=evaluate(model, gt, x, g.labels, masks.test, task),
-        val_metric=evaluate(model, gt, x, g.labels, masks.val, task),
+        test_metric=test_metric,
+        val_metric=val_metric,
         train_losses=losses,
     )
     return model, masks, result

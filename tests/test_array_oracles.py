@@ -467,6 +467,26 @@ def segment_softmax_loop(scores, segments, num_segments):
     return ad.Tensor(flat.reshape(scores.value.shape), (scores,), backward)
 
 
+# The activations before ``np.maximum``, and GATv2's scores before ``gatv2_scores``.
+
+
+def relu_where(a):
+    mask = a.value > 0
+    return ad.Tensor(np.where(mask, a.value, 0.0), (a,), lambda g: _accumulate(a, g * mask))
+
+
+def leaky_relu_where(a, slope):
+    pos = a.value > 0
+    return ad.Tensor(np.where(pos, a.value, slope * a.value), (a,),
+                     lambda g: _accumulate(a, g * np.where(pos, 1.0, slope)))
+
+
+def gatv2_scores_chain(h_l, h_r, a, src, dst, slope):
+    """GATv2's scores as the layer composed them before ``gatv2_scores``."""
+    pair = ad.add(ad.take_rows(h_l, src), ad.take_rows(h_r, dst))
+    return ad.matmul(leaky_relu_where(pair, slope), a)
+
+
 # The loop layers read their pairs from the patterns' COO form, in storage
 # order, not from the arrays the layers use.
 
@@ -552,7 +572,8 @@ def test_edge_mix_matches_scatter_loop(k, d, layout):
     h_value = rng.standard_normal((num_in, d))
     upstream = rng.standard_normal((num_out, d))
     results = []
-    for mix in (lambda a, h: ad.edge_mix(a, h, pattern),
+    major = rows if layout == "csr" else cols
+    for mix in (lambda a, h: ad.edge_mix(a, h, pattern, major),
                 lambda a, h: edge_mix_loop(a, take_rows_loop(h, cols), rows, num_out)):
         alpha, h = ad.Tensor(alpha_value), ad.Tensor(h_value)
         out = mix(alpha, h)
@@ -563,6 +584,57 @@ def test_edge_mix_matches_scatter_loop(k, d, layout):
         np.testing.assert_array_equal(got, want)
     assert not results[0][0][-1].any()  # the empty output row
     assert not results[0][2][-1].any()  # the input row no pair reads
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 9, 32])
+@pytest.mark.parametrize("k", [1, 2047, 2048, 2049, 5000])
+def test_gatv2_scores_match_composed_ops(k, d):
+    # Blocks of 2048 pairs: one short, one full, one pair over, several.
+    rng = np.random.default_rng(740 + k + d)
+    n = 60
+    src = rng.integers(n - 1, size=k).astype(np.int32)  # repeats; node 59 no source
+    dst = np.sort(rng.integers(n, size=k))
+    values = (rng.standard_normal((n, d)), rng.standard_normal((n, d)),
+              rng.standard_normal((d, 1)))
+    upstream = rng.standard_normal((k, 1))
+    results = []
+    for scores in (ad.gatv2_scores, gatv2_scores_chain):
+        tensors = [ad.Tensor(v) for v in values]
+        out = scores(*tensors, src, dst, LEAKY_SLOPE)
+        backprop(out, upstream)
+        results.append([out.value] + [t.grad for t in tensors])
+    for got, want in zip(*results):
+        assert_same_bits(got, want)
+
+
+SIGNED_SPECIALS = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5, -2.5]
+
+
+@pytest.mark.parametrize("name", ["relu", "leaky_relu"])
+def test_activation_matches_where_form(name):
+    # Specials at many offsets, so vector lanes and loop tails both see them.
+    rng = np.random.default_rng(750)
+    flat = np.concatenate([np.tile(SIGNED_SPECIALS, 9), rng.standard_normal(69)])
+    value = rng.permutation(flat).reshape(-1, 3)
+    upstream = rng.standard_normal(value.shape)
+    if name == "relu":
+        pair = (ad.relu, relu_where)
+    else:
+        pair = (lambda a: ad.leaky_relu(a, LEAKY_SLOPE),
+                lambda a: leaky_relu_where(a, LEAKY_SLOPE))
+    results = []
+    for act in pair:
+        a = ad.Tensor(value)
+        out = act(a)
+        out._backward(upstream)  # a mean over the infinities would be NaN
+        results.append((out.value, a.grad))
+    for got, want in zip(*results):
+        assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("shape", [(50,), (50, 1), (50, 4)])

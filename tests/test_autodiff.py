@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from hygraph.nn import autodiff as ad
+from hygraph.nn.layers import _major_index
 from hygraph.nn.losses import bce_with_logits, mse, one_hot
 
 
@@ -112,8 +113,9 @@ class TestLinearOps:
         alpha = ad.Tensor(rng.standard_normal(6))
         h = ad.Tensor(rng.standard_normal((5, 3)))
         mix = rng.standard_normal((3, 1))
+        rows = _major_index(pattern)
         gradcheck(
-            lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, h, pattern), mix)),
+            lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, h, pattern, rows), mix)),
             [alpha, h],
         )
 
@@ -127,10 +129,11 @@ class TestLinearOps:
         alpha = ad.Tensor(rng.standard_normal((5, 1)))
         z = ad.Tensor(rng.standard_normal((2, 3)))
         mix = rng.standard_normal((3, 1))
-        out = ad.edge_mix(alpha, z, pattern)
+        edge = _major_index(pattern)
+        out = ad.edge_mix(alpha, z, pattern, edge)
         np.testing.assert_array_equal(out.value[2], np.zeros(3))
         gradcheck(
-            lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, z, pattern), mix)),
+            lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, z, pattern, edge), mix)),
             [alpha, z],
         )
 
@@ -140,7 +143,7 @@ class TestLinearOps:
         pattern = sp.csr_matrix(
             (np.ones(2), np.array([0, 1]), np.array([0, 0, 2, 2])), shape=(3, 2)
         )
-        out = ad.edge_mix(alpha, h, pattern)
+        out = ad.edge_mix(alpha, h, pattern, np.array([1, 1]))
         np.testing.assert_allclose(out.value, [[0, 0], [2, 3], [0, 0]])
 
 
@@ -160,6 +163,31 @@ class TestNonlinearities:
     def test_leaky_relu_value(self):
         x = ad.Tensor(np.array([-1.0, 0.5]))
         np.testing.assert_allclose(ad.leaky_relu(x, 0.2).value, [-0.2, 0.5])
+
+    def test_relu_keeps_nan(self):
+        # The one change from the np.where form, which mapped NaN to 0.
+        out = ad.relu(ad.Tensor(np.array([np.nan, -1.0, 2.0]))).value
+        assert np.isnan(out[0])
+        np.testing.assert_array_equal(out[1:], [0.0, 2.0])
+
+    def test_gatv2_scores(self):
+        # Sources repeat and node 3 is no pair's source; node 0 no target.
+        rng = np.random.default_rng(12)
+        h_l = ad.Tensor(rng.standard_normal((4, 3)))
+        h_r = ad.Tensor(rng.standard_normal((4, 3)))
+        a = ad.Tensor(rng.standard_normal((3, 1)))
+        src = np.array([0, 2, 2, 1, 0, 2])
+        dst = np.array([1, 1, 2, 2, 3, 3])
+        pre = h_l.value[src] + h_r.value[dst]
+        assert np.abs(pre).min() > 0.01  # away from LeakyReLU's kink
+        out = ad.gatv2_scores(h_l, h_r, a, src, dst, 0.2)
+        np.testing.assert_allclose(out.value, np.where(pre > 0, pre, 0.2 * pre) @ a.value)
+        weights = rng.standard_normal((6, 1))
+        gradcheck(
+            lambda: ad.mean(ad.dropout(ad.gatv2_scores(h_l, h_r, a, src, dst, 0.2),
+                                       weights, 1.0)),
+            [h_l, h_r, a],
+        )
 
     def test_log_softmax(self):
         rng = np.random.default_rng(13)
@@ -192,7 +220,7 @@ class TestNonlinearities:
 
         def build():
             alpha = ad.segment_softmax(scores, segments, 3)
-            return ad.mean(ad.matmul(ad.edge_mix(alpha, h, pattern), mix))
+            return ad.mean(ad.matmul(ad.edge_mix(alpha, h, pattern, np.arange(7)), mix))
 
         gradcheck(build, [scores, h])
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,34 @@ class TestGATv2:
         mix = rng.standard_normal((2, 1))
         gradcheck(lambda: ad.mean(ad.matmul(layer.forward(gt, x), mix)),
                   [x] + layer.params(), step=1e-6, rtol=5e-4)
+
+    def test_passes_hold_at_most_one_pair_array(self):
+        # Each (pairs, d) float64 array is 8 MB here: k = 32k attention pairs.
+        rng = np.random.default_rng(10)
+        n, d = 1000, 32
+        pairs = np.unique(np.sort(rng.integers(n, size=(16_000, 2)), axis=1), axis=0)
+        g = graph(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        gt = build_graph_tensors(g)
+        k = gt.att_dst.size
+        pair_array = k * d * 8
+        layer = GATv2Layer(d, d, rng)
+        x = ad.Tensor(rng.standard_normal((n, d)))
+        mix = rng.standard_normal((d, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = layer.forward(gt, x)
+            forward_peak = tracemalloc.get_traced_memory()[1] - before
+            root = ad.mean(ad.matmul(out, mix))
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            root.backward()
+            backward_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert k > 30_000
+        assert forward_peak < pair_array
+        assert backward_peak < 2 * pair_array
 
 
 class TestHyperConv:

@@ -200,6 +200,24 @@ class TestTrainSingle:
             train_single(g, ModelSpec("gcn", hidden=4),
                          TrainConfig(epochs=2), seed=0)
 
+    def test_one_evaluation_forward_per_trial(self, monkeypatch):
+        g = toy_graph()
+        forward = GNN.forward
+        modes = []
+
+        def counted(self, gt, x, rng=None, training=False):
+            modes.append(training)
+            return forward(self, gt, x, rng, training)
+
+        monkeypatch.setattr(GNN, "forward", counted)
+        model, masks, result = train_single(
+            g, ModelSpec("gatv2", hidden=8), TrainConfig(epochs=3, trials=1), seed=2)
+        assert modes == [True, True, True, False]
+        gt = build_graph_tensors(g)
+        x = np.asarray(g.node_features)
+        assert result.test_metric == evaluate(model, gt, x, g.labels, masks.test, g.task)
+        assert result.val_metric == evaluate(model, gt, x, g.labels, masks.val, g.task)
+
     def test_saint_mode_trains(self):
         g = make_classification_graph(num_nodes=120, num_hyperedges=30, seed=9)
         spec = ModelSpec("gcn", hidden=16, dropout=0.1)
