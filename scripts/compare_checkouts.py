@@ -5,7 +5,8 @@
 Each side runs with its own ``src`` on ``PYTHONPATH``, from a fresh work
 directory holding copies of its ``data/`` and ``manifests/`` and one shared
 point-cloud file, so every path a report records is the same string on both
-sides.  The commands are the README's CLI examples.  For every command the
+sides.  The commands are the README's CLI examples plus runs that train
+GATv2 and SAINT batches of other layers.  For every command the
 script compares the exit code, stdout and every file written byte for byte,
 and stderr with the ``{"command": ...}`` announce lines taken out; announce
 lines that differ are listed but do not fail the comparison.  Exit status is
@@ -46,6 +47,9 @@ CLI_RUNS = [
     ["eval", DATA, "--model-file", "m.npz", "--split", "test", "--seed", "0"],
     ["train", DATA, "--model", "gatv2", "--epochs", "20", "--save-model", "gatv2.npz"],
     ["eval", DATA, "--model-file", "gatv2.npz", "--split", "val", "--seed", "1"],
+    ["train", DATA, "--model", "sage", "--saint", "node", "--budget", "100", "--batches", "5"],
+    ["train", DATA, "--model", "hyperatten", "--saint", "rw", "--roots", "30",
+     "--walk-length", "3", "--batches", "5", "--save-model", "sat.npz"],
 ]
 SUITE_RUN = ["suite", "manifests/synthetic_suite.json", "--out", "report.json"]
 DEMOS = [["01_hybrid_graphs.py"], ["02_hyperedge_construction.py"],

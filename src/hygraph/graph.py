@@ -313,7 +313,11 @@ def validate(g: HybridGraph) -> list[str]:
         for i in np.flatnonzero(edges[:, 0] == edges[:, 1]):
             out.append(f"self-loop at edge {i}")
         canonical = np.sort(edges, axis=1)
-        order = np.lexsort((canonical[:, 1], canonical[:, 0]))  # stable: first copy first
+        lo, hi = canonical[:, 0], canonical[:, 1]
+        if ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] >= hi[:-1]))).all():
+            order = np.arange(edges.shape[0])  # already sorted, as saved and sampled edges are
+        else:
+            order = np.lexsort((hi, lo))  # stable: first copy first
         ranked = canonical[order]
         repeat = np.zeros(edges.shape[0], dtype=bool)
         repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)

@@ -225,6 +225,9 @@ def take_rows(a: Tensor, idx) -> Tensor:
     rows = np.asarray(idx)
 
     def backward(g):
+        if g.shape[1:] in ((), (1,)):  # adds as the selection product: in order, from zero
+            ga = np.bincount(rows, weights=g.ravel(), minlength=a.value.shape[0])
+            return _accumulate(a, ga.reshape(a.value.shape))
         _accumulate(a, _selection(rows, a.value.shape[0]) @ g)
 
     return Tensor(np.take(a.value, rows, axis=0), (a,), backward)
@@ -234,9 +237,14 @@ def _selection(rows: np.ndarray, num_rows: int) -> sp.csr_matrix:
     """The (num_rows, k) 0/1 matrix whose column j selects row ``rows[j]``.
 
     Its product with a (k, d) gradient adds each row's entries in pair order.
+    Non-decreasing ``rows`` (loss rows, GATv2's targets) give its CSR at once,
+    columns ``arange(k)``; others go through COO's stable counting sort.
     """
-    k = rows.size
-    return sp.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(num_rows, k))
+    k, cols = rows.size, np.arange(rows.size)
+    if (rows[1:] >= rows[:-1]).all():
+        indptr = np.searchsorted(rows, np.arange(num_rows + 1))
+        return sp.csr_matrix((np.ones(k), cols, indptr), shape=(num_rows, k))
+    return sp.csr_matrix((np.ones(k), (rows, cols)), shape=(num_rows, k))
 
 
 def edge_mix(alpha: Tensor, h: Tensor, pattern, major) -> Tensor:

@@ -67,50 +67,56 @@ class GraphTensors:
         return (self.hyper_scatter @ self.hyper_gather).tocsr()
 
 
-def _major_index(pattern) -> np.ndarray:
-    """The row (CSR) or column (CSC) of each stored entry, as int64."""
-    counts = np.diff(pattern.indptr)
+def _major_index(indptr: np.ndarray) -> np.ndarray:
+    """The row (CSR) or column (CSC) of each stored entry of a pattern, as int64."""
+    counts = np.diff(indptr)
     return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
 
 
-def _with_data(pattern, data):
-    """A matrix with ``pattern``'s index arrays, shared, holding ``data``."""
-    return type(pattern)((data, pattern.indices, pattern.indptr), shape=pattern.shape)
-
-
 def build_graph_tensors(g: HybridGraph) -> GraphTensors:
+    """Each pattern by index arithmetic on ``g.adjacency_csr`` and ``g.incidence_arrays``.
+
+    ``a_hat``'s row ``v`` holds entry ``p`` (neighbour ``j``) at ``p + v + (j > v)``
+    and its loop in the slot left, as a valid graph has no self-loop edge.
+    ``mean_adj`` reverses each row, as ``diags @ adj`` stores it.  ``incidence_t``
+    is ``(members, offsets)``, rows sorted, on ``inc_pattern``'s read-only ones.
+    """
     g.require_valid()
     n, m = g.num_nodes, g.num_hyperedges
     indptr, indices = g.adjacency_csr
-    adj = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-    deg = np.diff(indptr)
-
-    # Attention pairs with self-loops, ordered by target and then source.
-    att_pattern = adj + sp.eye(n, format="csr")
-    att_dst = _major_index(att_pattern)
+    deg, row, entry = np.diff(indptr), _major_index(indptr), np.arange(indices.size)
+    att_indptr = indptr + np.arange(n + 1)
+    att_src = np.empty(att_indptr[-1], dtype=np.int64)
+    att_src[entry + row + (indices > row)] = indices
+    att_src[att_indptr[:-1] + np.bincount(row[indices < row], minlength=n)] = np.arange(n)
+    att_dst = _major_index(att_indptr)
     inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
+    reversed_rows = indices[indptr[row] + indptr[row + 1] - 1 - entry]
 
-    # A valid graph has no empty hyperedge and repeats no member, so this is
-    # the plain 0/1 incidence matrix, its pairs in hyperedge order.
     members, offsets = g.incidence_arrays
-    inc_pattern = sp.csc_matrix((np.ones(members.size), members, offsets), shape=(n, m))
-    inc_edge = _major_index(inc_pattern)
-    incidence = inc_pattern.tocsr()  # hyperedges ascending in each row
-    incidence_t = incidence.T.tocsr()  # members ascending in each row
-
+    ones = np.ones(members.size)
+    ones.setflags(write=False)
+    inc_pattern = sp.csc_matrix((ones, members, offsets), shape=(n, m))
+    inc_edge = _major_index(offsets)
+    key = inc_edge * n + members
+    key = key if (key[1:] > key[:-1]).all() else np.sort(key)
+    incidence_t = sp.csr_matrix((ones, key - inc_edge * n, offsets), shape=(m, n))
     w = g.hyperedge_weights
-    node_mass = incidence @ w
+    hyper_scatter = inc_pattern.tocsr()  # hyperedges ascending in each row
+    node_mass = hyper_scatter @ w
     node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
+    hyper_scatter.data *= node_scale[_major_index(hyper_scatter.indptr)]
     return GraphTensors(
-        a_hat=_with_data(att_pattern, inv_sqrt[att_dst] * inv_sqrt[att_pattern.indices]),
-        # Kept a product: its rows are stored in descending column order, SAGE's sum order.
-        mean_adj=sp.diags(np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)) @ adj,
+        a_hat=sp.csr_matrix((inv_sqrt[att_dst] * inv_sqrt[att_src], att_src, att_indptr),
+                            shape=(n, n)),
+        mean_adj=sp.csr_matrix((1.0 / deg[row], reversed_rows, indptr), shape=(n, n)),
         att_dst=att_dst,
         inc_pattern=inc_pattern,
         inc_edge=inc_edge,
         incidence_t=incidence_t,
-        hyper_gather=_with_data(incidence_t, (w / np.diff(offsets))[inc_edge]),
-        hyper_scatter=_with_data(incidence, node_scale[_major_index(incidence)]),
+        hyper_gather=sp.csr_matrix(((w / np.diff(offsets))[inc_edge], incidence_t.indices,
+                                    incidence_t.indptr), shape=(m, n)),
+        hyper_scatter=hyper_scatter,
         log_weights=np.log(w),
     )
 

@@ -8,6 +8,7 @@ for floats, bit for bit.
 """
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ import scipy.sparse as sp
 from hygraph import (GraphKind, HybridGraph, Task, classify, structurally_equal, to_simple,
                      to_two_level_hierarchy, validate)
 from hygraph.graph import _ancestry, sort_unique
+from hygraph.io import load
 from hygraph.nn import autodiff as ad
 from hygraph.nn.autodiff import _accumulate
-from hygraph.nn.layers import LAYER_TYPES, LEAKY_SLOPE, build_graph_tensors
-from hygraph.sampling import induce, weighted_sample_without_replacement
+from hygraph.nn.layers import LAYER_TYPES, LEAKY_SLOPE, GraphTensors, build_graph_tensors
+from hygraph.sampling import SamplerSpec, induce, run_sampler, weighted_sample_without_replacement
 
 # -- reference loops -------------------------------------------------------
 
@@ -238,6 +240,15 @@ CRAFTED = {
         4, edges=[[0, 1], [1, 0], [2, 3], [0, 1], [3, 2], [1, 2]]),
     "loops, range and duplicates": bare(
         3, edges=[[2, 2], [0, 5], [5, 0], [2, 2], [1, 0], [0, 1]]),
+    "sorted with adjacent duplicates": bare(
+        5, edges=[[0, 1], [1, 0], [0, 2], [1, 3], [3, 1], [1, 3], [2, 2], [2, 4]]),
+    "unsorted with duplicates": bare(
+        5, edges=[[3, 4], [0, 1], [4, 3], [2, 1], [0, 1], [1, 2], [3, 4]]),
+    "unsorted within a row": bare(3, edges=[[0, 2], [1, 0], [2, 0]]),
+    "sorted out-of-range pairs": bare(
+        3, edges=[[-1, 0], [0, -1], [0, 1], [1, 3], [2, 3], [3, 2], [5, 5]]),
+    "unsorted out-of-range pairs": bare(
+        3, edges=[[5, 1], [0, 1], [1, 5], [-2, 0], [0, -2], [1, 2]]),
     "empty hyperedges": bare(3, hyperedges=[(), (0, 1), ()]),
     "duplicate members": bare(3, hyperedges=[(0, 0), (1, 2), (2, 1, 2)]),
     "members out of range": bare(3, hyperedges=[(0, 3), (-1, 1), (1, 2)]),
@@ -349,6 +360,103 @@ def test_adjacency_tensors_match_edge_list_construction(seed):
     for got, want in ((pairs.col, att_src), (pairs.row, att_dst), (gt.att_dst, att_dst)):
         np.testing.assert_array_equal(got, want)
     assert gt.att_dst.dtype == att_dst.dtype
+
+
+def build_graph_tensors_algebra(g):
+    """``build_graph_tensors`` as scipy sparse algebra: a loop matrix added,
+    a diagonal product, a transpose, and a major index per pattern."""
+    def major_index(pattern):
+        counts = np.diff(pattern.indptr)
+        return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+
+    def with_data(pattern, data):
+        return type(pattern)((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+    g.require_valid()
+    n, m = g.num_nodes, g.num_hyperedges
+    indptr, indices = g.adjacency_csr
+    adj = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    deg = np.diff(indptr)
+    att_pattern = adj + sp.eye(n, format="csr")
+    att_dst = major_index(att_pattern)
+    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
+    members, offsets = g.incidence_arrays
+    inc_pattern = sp.csc_matrix((np.ones(members.size), members, offsets), shape=(n, m))
+    inc_edge = major_index(inc_pattern)
+    incidence = inc_pattern.tocsr()
+    incidence_t = incidence.T.tocsr()
+    w = g.hyperedge_weights
+    node_mass = incidence @ w
+    node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
+    return GraphTensors(
+        a_hat=with_data(att_pattern, inv_sqrt[att_dst] * inv_sqrt[att_pattern.indices]),
+        mean_adj=sp.diags(np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)) @ adj,
+        att_dst=att_dst,
+        inc_pattern=inc_pattern,
+        inc_edge=inc_edge,
+        incidence_t=incidence_t,
+        hyper_gather=with_data(incidence_t, (w / np.diff(offsets))[inc_edge]),
+        hyper_scatter=with_data(incidence, node_scale[major_index(incidence)]),
+        log_weights=np.log(w),
+    )
+
+
+def assert_same_tensors(got, want):
+    for name in GraphTensors.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b), name
+        if sp.issparse(b):
+            assert (a.format, a.shape, a.has_sorted_indices) == \
+                (b.format, b.shape, b.has_sorted_indices), name
+            pairs = ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
+        else:
+            pairs = ((a, b),)
+        for x, y in pairs:
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+            assert x.tobytes() == y.tobytes(), name
+
+
+DATA = Path(__file__).parent.parent / "data"
+BUILD_CASES = {
+    "isolated nodes": lambda: bare(6, edges=[[0, 1], [1, 2]], hyperedges=[(0, 2)]),
+    "no edges": lambda: bare(4, hyperedges=[(3, 1), (0, 1, 2)]),
+    "no hyperedges": lambda: bare(5, edges=[[4, 0], [0, 2], [3, 1]]),
+    "no nodes": lambda: bare(0),
+    "unsorted and duplicate hyperedges": lambda: bare(
+        6, edges=[[0, 5]], hyperedges=[(4, 0, 2), (2, 0, 4), (5, 1), (4, 0, 2), (1, 5)]),
+    "singleton hyperedges": lambda: bare(4, edges=[[1, 2]], hyperedges=[(3,), (0, 1), (1,)]),
+    "weighted hyperedges": lambda: bare(
+        5, edges=[[0, 1], [3, 4]], hyperedges=[(1, 0), (2, 3, 1), (4, 2)],
+        hyperedge_weights=np.array([0.3, 2.5, 1e-3])),
+    "nodes in no hyperedge": lambda: bare(
+        7, edges=[[0, 6], [2, 3], [6, 5]], hyperedges=[(2, 1), (1, 2, 3)]),
+    "classification data": lambda: load(str(DATA / "synthetic_classification.json")),
+    "regression data": lambda: load(str(DATA / "synthetic_regression.json")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_CASES))
+def test_graph_tensors_match_sparse_algebra(name):
+    g = BUILD_CASES[name]()
+    assert_same_tensors(build_graph_tensors(g), build_graph_tensors_algebra(g))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graph_tensors_match_sparse_algebra_on_random_graphs(seed):
+    g = random_graph(np.random.default_rng(540 + seed), 5 + 15 * seed, 2 + 4 * seed)
+    assert_same_tensors(build_graph_tensors(g), build_graph_tensors_algebra(g))
+
+
+@pytest.mark.parametrize("method", ["node", "edge", "rw"])
+def test_graph_tensors_match_sparse_algebra_on_saint_batches(method):
+    # 20 batches per sampler, as SAINT draws them from the suite's graph.
+    g = load(str(DATA / "synthetic_classification.json"))
+    spec = {"node": SamplerSpec("node", budget=100), "edge": SamplerSpec("edge", budget=150),
+            "rw": SamplerSpec("rw", roots=30, walk_length=3)}[method]
+    rng = np.random.default_rng(560)
+    for _ in range(20):
+        sub = run_sampler(g, spec, rng).to_graph(g.task)
+        assert_same_tensors(build_graph_tensors(sub), build_graph_tensors_algebra(sub))
 
 
 # -- weighted draws ------------------------------------------------------------
@@ -651,6 +759,42 @@ def test_take_rows_matches_scatter_loop(shape):
         backprop(out, upstream)
         grads.append(a.grad)
     np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def selection_product(rows, g, num_rows):
+    """``take_rows``' scatter as a COO-built 0/1 selection matrix times ``g``."""
+    k = rows.size
+    return sp.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(num_rows, k)) @ g
+
+
+SCATTER_ROWS = {
+    "sorted": lambda rng: np.sort(rng.integers(37, size=300)),
+    "unsorted": lambda rng: rng.integers(37, size=300),
+    "unique sorted": lambda rng: np.sort(rng.choice(40, size=25, replace=False)),
+    "unique unsorted": lambda rng: rng.choice(40, size=25, replace=False),
+    "one row repeated": lambda rng: np.full(50, 7),
+    "single": lambda rng: np.array([39]),
+    "empty": lambda rng: np.zeros(0, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("width", [None, 1, 2, 32])
+@pytest.mark.parametrize("name", sorted(SCATTER_ROWS))
+def test_take_rows_backward_matches_selection_product(name, width):
+    # Specials (signed zeros, infinities, NaN) at many offsets, so sums hit
+    # -0.0 + -0.0, inf - inf and NaN propagation in both orders.
+    rng = np.random.default_rng(760 + len(name) + (width or 0))
+    rows = SCATTER_ROWS[name](rng)
+    shape = (rows.size,) if width is None else (rows.size, width)
+    flat = rng.standard_normal(rows.size * (width or 1))
+    special = rng.random(flat.size) < 0.1
+    flat[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=special.sum())
+    upstream = flat.reshape(shape)
+    a = ad.Tensor(np.zeros((40,) + shape[1:]))
+    for idx in (rows, rows.astype(np.int32)):
+        a.grad = None
+        ad.take_rows(a, idx)._backward(upstream)
+        assert_same_bits(a.grad, selection_product(rows, upstream, 40))
 
 
 @pytest.mark.parametrize("seed", range(4))

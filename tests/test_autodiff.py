@@ -102,6 +102,18 @@ class TestLinearOps:
         mix = rng.standard_normal((3, 1))
         gradcheck(lambda: ad.mean(ad.matmul(ad.take_rows(x, idx), mix)), [x])
 
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    @pytest.mark.parametrize("idx", [[0, 0, 1, 2, 2, 2], [3, 0, 3, 1], [2]])
+    def test_take_rows_sorted_unsorted_and_one_column(self, idx, width):
+        # Sorted rows build their selection matrix directly, unsorted ones
+        # through COO, and one column scatters through a bincount.
+        rng = np.random.default_rng(13)
+        shape = (4,) if width is None else (4, width)
+        x = ad.Tensor(rng.standard_normal(shape))
+        idx = np.array(idx, dtype=np.int64)
+        weights = rng.standard_normal((idx.size,) + shape[1:])
+        gradcheck(lambda: ad.mean(ad.dropout(ad.take_rows(x, idx), weights, 1.0)), [x])
+
     def test_edge_mix(self):
         # Rows 0..3 of the output; row 1 is empty, h row 0 is gathered twice
         # into row 2, h row 1 feeds rows 0 and 3, h row 4 is never gathered.
@@ -113,7 +125,7 @@ class TestLinearOps:
         alpha = ad.Tensor(rng.standard_normal(6))
         h = ad.Tensor(rng.standard_normal((5, 3)))
         mix = rng.standard_normal((3, 1))
-        rows = _major_index(pattern)
+        rows = _major_index(pattern.indptr)
         gradcheck(
             lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, h, pattern, rows), mix)),
             [alpha, h],
@@ -129,7 +141,7 @@ class TestLinearOps:
         alpha = ad.Tensor(rng.standard_normal((5, 1)))
         z = ad.Tensor(rng.standard_normal((2, 3)))
         mix = rng.standard_normal((3, 1))
-        edge = _major_index(pattern)
+        edge = _major_index(pattern.indptr)
         out = ad.edge_mix(alpha, z, pattern, edge)
         np.testing.assert_array_equal(out.value[2], np.zeros(3))
         gradcheck(

@@ -174,6 +174,9 @@ class TestGraphTensors:
         assert not [a for a in arrays for i in indices if np.array_equal(a, i)]
         assert np.shares_memory(gt.hyper_gather.indices, gt.incidence_t.indices)
         assert np.shares_memory(gt.hyper_gather.indptr, gt.incidence_t.indptr)
+        # The two 0/1 incidence patterns hold one read-only array of ones.
+        assert np.shares_memory(gt.inc_pattern.data, gt.incidence_t.data)
+        assert not gt.inc_pattern.data.flags.writeable
         structures = [(v.indices.tobytes(), v.indptr.tobytes()) for v in stored
                       if sp.issparse(v) and v.format == "csr"]
         assert len(structures) == len(set(structures)) + 1  # only hyper_gather's

@@ -326,6 +326,15 @@ class TestPinnedStreams:
         SamplerSpec("node", budget=50):
             "870e4802a16ea15e3a9d87ff7e12aaecd666158d43ea801f6ab1563f4b9e5dbf",
     }
+    # Every other layer on rw-SAINT batches, so each GraphTensors field is
+    # built from sampled subgraphs too (gcn's row above reads only a_hat).
+    SAINT_MODELS = {
+        "sage": "0cba8ace79a2757a9f3d1bb94868e840192887b329ab23cf3bc72f8c5541f675",
+        "gat": "ca2e4e6f058d32dd337de1de6b61abbc0dd5e17198d526b772a9df285f68bdaa",
+        "gatv2": "272f40313af7ef9aa1b8e50004af926b6b6723536ff595893e525392266eabde",
+        "hyperconv": "2404e5d7145ed45e786f2cd11887810020883ad34fc53205095474a9fae16895",
+        "hyperatten": "b653e8509fa138bc5798b35fd579fc037b17e5f6a399f2b3dc67bb77739a34f0",
+    }
     FULL_BATCH = {
         "gcn": "973504ffbf0f7b7ae8665d4c40d49f8f4b2da6ec1d1f16e4a72b478cf3d113a0",
         "sage": "5ebf31a90b8682b36cfa3448e1f7b91f98955721cd383cfe02e41e23dc73e61e",
@@ -375,6 +384,13 @@ class TestPinnedStreams:
         cfg = TrainConfig(epochs=3, lr=0.05, trials=2, saint=spec, batches_per_epoch=3)
         report = run_experiment(self.pinned_graph(), ModelSpec("gcn", hidden=8), cfg, 4)
         assert self.digest(report) == self.SAINT[spec]
+
+    @pytest.mark.parametrize("name", list(SAINT_MODELS))
+    def test_saint_rw_experiment_per_model(self, name):
+        spec = SamplerSpec("rw", roots=20, walk_length=3)
+        cfg = TrainConfig(epochs=3, lr=0.05, trials=2, saint=spec, batches_per_epoch=3)
+        report = run_experiment(self.pinned_graph(), ModelSpec(name, hidden=8), cfg, 4)
+        assert self.digest(report) == self.SAINT_MODELS[name]
 
     @pytest.mark.parametrize("name", list(FULL_BATCH))
     def test_full_batch_experiment(self, name):
