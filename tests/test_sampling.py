@@ -10,7 +10,7 @@ import pytest
 from hygraph import HybridGraph, Task
 from hygraph.nn.layers import build_graph_tensors
 from hygraph.nn.models import ModelSpec
-from hygraph.nn.train import TrainConfig, run_experiment
+from hygraph.nn.train import TrainConfig, run_experiment, train_single
 from hygraph.sampling import (
     SampledSubgraph,
     SamplerSpec,
@@ -344,6 +344,30 @@ class TestPinnedStreams:
         "hyperatten": "240da12608a97573e3109c0274910b78ea97a298f9140ab680e5e479dd65901e",
     }
 
+    # sha256 of the trained weights' bytes, which the rounded report can hide.
+    WEIGHTS = {
+        "full": {
+            "gcn": "bb63a34ac114c52e7fd755bb7d9b9b4bf94461fec97d0458e9726a6dbe9883d9",
+            "sage": "ba749d7c5a35a4904858cbc55219683418917c2de45be0ee8852346a42f4de2f",
+            "gat": "3486bf18bd192d6d5cda964afd5af2dbb4167e8235d554b7b0104caca1835717",
+            "gatv2": "008ee9019712e6d48bd63c23d16fc1d295bb90b033622ef5ab70fad957bfecf2",
+            "hyperconv": "797a03c5369ef9a065b1d5478a6acc2c6b88500109e96b30c7ecac737798b270",
+            "hyperatten": "813037cb2f27a72d3a6b32fabf6bc4f85e1021eecd46f29d146c5968b0c16492",
+            "lp:sage+hyperatten":
+                "4adf2fcb7c51203a21b2e68e8875734f9edd29fa9453a0fa72e502dc888c2eee",
+        },
+        "rw": {
+            "gcn": "063728d3869b6548e78f28620866e703ffb8dfbde4ba9bbbba24bcb3840e4332",
+            "sage": "2d6517f0c2d18423d349c161c1f98b467e9ec57bc839366bf69435ef39aa5f3e",
+            "gat": "6640de412d6f7b0b5c17dcb09ead60dab8becf2ebab9b6a47425992309219c4f",
+            "gatv2": "8a53e04d89bf23578b93459a179245abe0d570df0b300f13b36bef2485978619",
+            "hyperconv": "f438d0e7eaa253f24ca247879b1d13e5c12ed6bd932c334b1875318aef768502",
+            "hyperatten": "22e8c8fcd68f66737e68fd0c54e62142882b2655f40220aa5819bf228e257dc4",
+            "lp:sage+hyperatten":
+                "d2ddc4942ae20345ba4cecee7e0643dd9f855d7a79c631427173fc4e07ba6838",
+        },
+    }
+
     @staticmethod
     def pinned_graph():
         """Unsorted hyperedges with weights and features, a shallow hierarchy."""
@@ -397,3 +421,12 @@ class TestPinnedStreams:
         cfg = TrainConfig(epochs=3, lr=0.05, trials=2)
         report = run_experiment(self.pinned_graph(), ModelSpec(name, hidden=8), cfg, 4)
         assert self.digest(report) == self.FULL_BATCH[name]
+
+    @pytest.mark.parametrize("mode,name", [(mode, name) for mode, digests in WEIGHTS.items()
+                                           for name in digests])
+    def test_trained_weight_bytes(self, mode, name):
+        saint = SamplerSpec("rw", roots=20, walk_length=3) if mode == "rw" else None
+        cfg = TrainConfig(epochs=3, lr=0.05, trials=1, saint=saint, batches_per_epoch=3)
+        model, _, _ = train_single(self.pinned_graph(), ModelSpec(name, hidden=8), cfg, 4)
+        weights = b"".join(p.value.tobytes() for p in model.params())
+        assert hashlib.sha256(weights).hexdigest() == self.WEIGHTS[mode][name]
