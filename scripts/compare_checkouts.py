@@ -3,10 +3,12 @@
     python scripts/compare_checkouts.py OLD_CHECKOUT NEW_CHECKOUT [--skip-suite]
 
 Each side runs with its own ``src`` on ``PYTHONPATH``, from a fresh work
-directory holding copies of its ``data/`` and ``manifests/`` and one shared
-point-cloud file, so every path a report records is the same string on both
+directory holding copies of its ``data/`` and ``manifests/``, one shared
+point-cloud file and one shared copy of ``DATA`` with each hyperedge's
+members reversed, so every path a report records is the same string on both
 sides.  The commands are the README's CLI examples plus runs that train
-GATv2 and SAINT batches of other layers.  For every command the
+GATv2, SAINT batches of other layers, and hyperatten on the reversed copy;
+the training runs save their weights.  For every command the
 script compares the exit code, stdout and every file written byte for byte,
 and stderr with the ``{"command": ...}`` announce lines taken out; announce
 lines that differ are listed but do not fail the comparison.  Exit status is
@@ -14,6 +16,7 @@ lines that differ are listed but do not fail the comparison.  Exit status is
 """
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -22,6 +25,7 @@ import tempfile
 
 DATA = "data/synthetic_classification.json"
 POINTS = "points.json"
+REVERSED = "reversed.json"  # DATA, each hyperedge's members listed in reverse
 
 CLI_RUNS = [
     ["stats", DATA, "--format", "json"],
@@ -47,9 +51,11 @@ CLI_RUNS = [
     ["eval", DATA, "--model-file", "m.npz", "--split", "test", "--seed", "0"],
     ["train", DATA, "--model", "gatv2", "--epochs", "20", "--save-model", "gatv2.npz"],
     ["eval", DATA, "--model-file", "gatv2.npz", "--split", "val", "--seed", "1"],
-    ["train", DATA, "--model", "sage", "--saint", "node", "--budget", "100", "--batches", "5"],
+    ["train", DATA, "--model", "sage", "--saint", "node", "--budget", "100", "--batches", "5",
+     "--save-model", "sage_saint.npz"],
     ["train", DATA, "--model", "hyperatten", "--saint", "rw", "--roots", "30",
      "--walk-length", "3", "--batches", "5", "--save-model", "sat.npz"],
+    ["train", REVERSED, "--model", "hyperatten", "--epochs", "20", "--save-model", "rev.npz"],
 ]
 SUITE_RUN = ["suite", "manifests/synthetic_suite.json", "--out", "report.json"]
 DEMOS = [["01_hybrid_graphs.py"], ["02_hyperedge_construction.py"],
@@ -73,10 +79,20 @@ def _snapshot(workdir: str) -> dict[str, bytes]:
     return files
 
 
-def _run_side(checkout: str, workdir: str, points: str, runs: list[list[str]]) -> list[dict]:
+def _write_reversed(src: str, out: str) -> None:
+    with open(src, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["hyperedges"] = [members[::-1] for members in obj["hyperedges"]]
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+
+
+def _run_side(checkout: str, workdir: str, shared: list[str],
+              runs: list[list[str]]) -> list[dict]:
     for sub in ("data", "manifests"):
         shutil.copytree(os.path.join(checkout, sub), os.path.join(workdir, sub))
-    shutil.copy(points, os.path.join(workdir, POINTS))
+    for path in shared:
+        shutil.copy(path, workdir)
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     results = []
     for argv in runs:
@@ -103,7 +119,8 @@ def main() -> int:
     runs = [*CLI_RUNS, *([] if args.skip_suite else [SUITE_RUN]), *DEMOS]
 
     with tempfile.TemporaryDirectory() as tmp:
-        points = os.path.join(tmp, POINTS)
+        points, reversed_data = os.path.join(tmp, POINTS), os.path.join(tmp, REVERSED)
+        _write_reversed(os.path.join(args.old, DATA), reversed_data)
         subprocess.run(
             [sys.executable, "-c",
              "import sys; from perfbench.workloads import write_point_cloud; "
@@ -114,7 +131,8 @@ def main() -> int:
         for label, checkout in (("old", args.old), ("new", args.new)):
             workdir = os.path.join(tmp, label)
             os.mkdir(workdir)
-            sides.append(_run_side(os.path.abspath(checkout), workdir, points, runs))
+            sides.append(_run_side(os.path.abspath(checkout), workdir,
+                                   [points, reversed_data], runs))
 
     failures = 0
     for argv, old, new in zip(runs, *sides):

@@ -24,7 +24,7 @@ malformed field raises a ``SchemaError`` that names it.
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -265,49 +265,59 @@ def load(path: str) -> HybridGraph:
 
 
 def _dataset_dict(ds: DatasetFile) -> dict:
+    """The file's fields: JSON scalars, or arrays and iterables of list items."""
     out: dict = {
         "name": ds.name,
         "num_nodes": ds.num_nodes,
-        "node_features": ds.node_features.tolist(),
-        "edges": ds.edges.tolist(),
-        "hyperedges": list(ds.hyperedges),  # tuples encode as JSON arrays
-        "labels": ds.labels.tolist() if ds.labels is not None else [],
+        "node_features": ds.node_features,
+        "edges": ds.edges,
+        "hyperedges": ds.hyperedges,  # tuples encode as JSON arrays
+        "labels": ds.labels if ds.labels is not None else (),
         "task": ds.task.kind,
     }
     if ds.task.is_classification:
         out["num_classes"] = ds.task.num_classes
     if ds.hyperedge_weights is not None and not np.all(ds.hyperedge_weights == 1.0):
-        out["hyperedge_weights"] = ds.hyperedge_weights.tolist()
+        out["hyperedge_weights"] = ds.hyperedge_weights
     if ds.hyperedge_features is not None:
-        out["hyperedge_features"] = ds.hyperedge_features.tolist()
+        out["hyperedge_features"] = ds.hyperedge_features
     if ds.parent is not None and not np.array_equal(
         ds.parent, np.arange(ds.num_nodes)
     ):
-        out["parent"] = ds.parent.tolist()
+        out["parent"] = ds.parent
     if ds.positions is not None:
-        out["positions"] = [[c, int(o)] for c, o in ds.positions]
+        out["positions"] = ([c, int(o)] for c, o in ds.positions)
     if ds.embeddings is not None:
-        out["embeddings"] = ds.embeddings.tolist()
+        out["embeddings"] = ds.embeddings
     return out
+
+
+def _chunks(items):
+    """``items`` in lists of at most ``_ROWS``; an array is converted slice by slice."""
+    if isinstance(items, np.ndarray):
+        return (items[at:at + _ROWS].tolist() for at in range(0, len(items), _ROWS))
+    items = iter(items)
+    return iter(lambda: list(islice(items, _ROWS)), [])
 
 
 def save_file(ds: DatasetFile, path: str) -> None:
     """Write ``json.dump``'s bytes (sorted keys, no spaces) and a newline.
 
     Through ``json.dumps``, which runs the C encoder; it holds all its text
-    until it returns, so each call encodes at most ``_ROWS`` list items.
+    until it returns, so each call encodes at most ``_ROWS`` list items,
+    turned into Python objects only as they are written.
     """
     obj = _dataset_dict(ds)
     with open(path, "w", encoding="utf-8") as fh:
         for i, key in enumerate(sorted(obj)):
             value = obj[key]
             fh.write(("," if i else "{") + json.dumps(key) + ":")
-            if not isinstance(value, list):
+            if isinstance(value, (str, int)):
                 fh.write(json.dumps(value))
                 continue
             fh.write("[")
-            for at in range(0, len(value), _ROWS):
-                rows = json.dumps(value[at:at + _ROWS], sort_keys=True, separators=(",", ":"))
+            for at, chunk in enumerate(_chunks(value)):
+                rows = json.dumps(chunk, sort_keys=True, separators=(",", ":"))
                 fh.write(("," if at else "") + rows[1:-1])
             fh.write("]")
         fh.write("}\n")

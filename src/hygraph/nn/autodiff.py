@@ -13,12 +13,12 @@ nonlinearities (``relu``, ``leaky_relu``), GATv2's fused pair scores
 masked ``dropout``, plus ``mean``, the reduction every gradient check ends
 in.  Gathers and scatters are linear maps too: ``take_rows`` (and
 ``gatv2_scores``) scatters its gradient back through a 0/1 selection
-matrix, and ``edge_mix`` is a sparse matrix whose fixed pattern holds the
-pairs and whose data is the per-pair coefficients.  Both are applied as
-scipy sparse products.  Such a product adds each output row's terms in
-storage order, starting from zero, so its floats equal those of a loop
-that adds the pairs one by one in that order; and every gradient stays a
-hand-derivable expression checked by finite differences.
+matrix, and ``edge_mix`` is a CSR matrix whose fixed pattern holds the
+pairs, row by row, and whose data is the per-pair coefficients.  Both are
+applied as scipy sparse products.  Such a product adds each output row's
+terms in storage order, starting from zero, so its floats equal those of
+a loop that adds the pairs one by one in that order; and every gradient
+stays a hand-derivable expression checked by finite differences.
 """
 
 import numpy as np
@@ -247,22 +247,21 @@ def _selection(rows: np.ndarray, num_rows: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(k), (rows, cols)), shape=(num_rows, k))
 
 
-def edge_mix(alpha: Tensor, h: Tensor, pattern, major) -> Tensor:
+def edge_mix(alpha: Tensor, h: Tensor, pattern: sp.csr_matrix, rows) -> Tensor:
     """Weighted gather-scatter: ``out[i] = sum over pairs (i, j) of alpha * h[j]``.
 
-    The workhorse of attention layers.  ``pattern`` is a CSR or CSC matrix of
-    shape (output rows, rows of ``h``) whose stored entries are the pairs
-    (edges, or node-hyperedge incidences); only its structure is read.
-    ``major`` is each stored pair's row (CSR) or column (CSC), the expansion
-    of ``pattern.indptr`` that ``GraphTensors`` keeps.  ``alpha`` holds one
-    coefficient per pair, in the pattern's storage order, and becomes the
-    data of the mixing matrix ``A``: the forward pass is ``A @ h``, the
-    gradient of ``h`` is ``A.T @ g``, and the gradient of a pair's
-    coefficient is the dot product of its output row of ``g`` with its row
-    of ``h``.
+    The workhorse of attention layers.  ``pattern`` is a CSR matrix of shape
+    (output rows, rows of ``h``) whose stored entries are the pairs (edges,
+    or node-hyperedge incidences); only its structure is read.  ``rows`` is
+    each stored pair's row, the expansion of ``pattern.indptr`` that
+    ``GraphTensors`` keeps.  ``alpha`` holds one coefficient per pair, in
+    the pattern's storage order, and becomes the data of the mixing matrix
+    ``A``: the forward pass is ``A @ h``, the gradient of ``h`` is
+    ``A.T @ g``, and the gradient of a pair's coefficient is the dot product
+    of its output row of ``g`` with its row of ``h``.
     """
     av = alpha.value.reshape(-1)
-    mixing = type(pattern)((av, pattern.indices, pattern.indptr), shape=pattern.shape)
+    mixing = sp.csr_matrix((av, pattern.indices, pattern.indptr), shape=pattern.shape)
     # ``h`` usually feeds ``alpha`` too.  Its gradient from here passes
     # through ``source``, which the reverse walk reaches only after alpha's
     # ancestors, so it is added to h's other gradients last: the order a
@@ -271,11 +270,7 @@ def edge_mix(alpha: Tensor, h: Tensor, pattern, major) -> Tensor:
 
     def backward(g):
         _accumulate(source, mixing.T @ g)
-        if pattern.format == "csr":
-            rows, cols = major, pattern.indices
-        else:
-            rows, cols = pattern.indices, major
-        dots = _pair_dots(g, h.value, rows, cols)
+        dots = _pair_dots(g, h.value, rows, pattern.indices)
         _accumulate(alpha, dots.reshape(alpha.value.shape))
 
     return Tensor(mixing @ h.value, (alpha, source), backward)

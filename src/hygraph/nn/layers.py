@@ -5,10 +5,13 @@ structure precomputed once per graph in :class:`GraphTensors`.  Hypergraph
 convolution keeps its two incidence factors, so nothing grows with Σ|e|².
 
 Attention never materializes dense score matrices; scores live on the edge
-or incidence pair lists and are normalized with a segment softmax.  The
-pair lists are the storage order of their pattern, so the attention
-coefficients become the data of a sparse mixing matrix with that pattern
-(``autodiff.edge_mix``): aggregation and its gradients are sparse products.
+or incidence pair lists and are normalized with a segment softmax over the
+pairs' output rows.  Each pair list is a row-major CSR pattern in storage
+order, so the attention coefficients become the data of a sparse mixing
+matrix with that pattern (``autodiff.edge_mix``): aggregation and its
+gradients are sparse products.  The attention patterns, like the incidence
+factors, keep their columns ascending in each row, so the order in which a
+hyperedge's members are listed changes no output bit.
 """
 
 from dataclasses import dataclass
@@ -33,29 +36,30 @@ LEAKY_SLOPE = 0.2
 class GraphTensors:
     """The structure every layer reads, built once per graph.
 
-    Each pair list is stored once: a pattern's ``indices`` hold one end of
-    its pairs and one int64 array holds the other.  Counts come from shapes.
+    Every matrix is CSR.  Each pair list attention reads is a CSR pattern,
+    columns ascending in each row, plus an int64 array that holds each
+    stored pair's row, the softmax segment; the pattern's ``indices`` hold
+    the other end.  Each array is stored once, and counts come from shapes.
 
     * ``a_hat`` (gcn): ``D̃^-½ (A + I) D̃^-½``, CSR (target, source), both edge
       directions and loops; gat and gatv2 read its structure as their pairs.
     * ``mean_adj`` (sage): ``D⁻¹ A``, zero rows for isolated nodes.
     * ``att_dst`` (gat, gatv2): each attention pair's target, the softmax segment.
-    * ``inc_pattern`` (hyperatten): CSC (node, hyperedge), members in hyperedge order.
-    * ``inc_edge`` (hyperatten): each incidence pair's hyperedge.
     * ``incidence_t`` (hyperatten): CSR ``Hᵀ``, members ascending.
     * ``hyper_gather`` (hyperconv): ``W D_e⁻¹ Hᵀ``, on ``incidence_t``'s index arrays.
-    * ``hyper_scatter`` (hyperconv): ``D_v⁻¹ H``, CSR, hyperedges ascending.
+    * ``hyper_scatter`` (hyperconv): ``D_v⁻¹ H``, CSR, hyperedges ascending;
+      hyperatten reads its structure as its (node, hyperedge) pairs.
+    * ``inc_node`` (hyperatten): each incidence pair's node, the softmax segment.
     * ``log_weights`` (hyperatten): ``log w`` per hyperedge.
     """
 
     a_hat: sp.csr_matrix
     mean_adj: sp.csr_matrix
     att_dst: np.ndarray
-    inc_pattern: sp.csc_matrix
-    inc_edge: np.ndarray
     incidence_t: sp.csr_matrix
     hyper_gather: sp.csr_matrix
     hyper_scatter: sp.csr_matrix
+    inc_node: np.ndarray
     log_weights: np.ndarray
 
     @property
@@ -67,8 +71,8 @@ class GraphTensors:
         return (self.hyper_scatter @ self.hyper_gather).tocsr()
 
 
-def _major_index(indptr: np.ndarray) -> np.ndarray:
-    """The row (CSR) or column (CSC) of each stored entry of a pattern, as int64."""
+def _row_index(indptr: np.ndarray) -> np.ndarray:
+    """The row of each stored entry of a CSR pattern, as int64."""
     counts = np.diff(indptr)
     return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
 
@@ -79,44 +83,44 @@ def build_graph_tensors(g: HybridGraph) -> GraphTensors:
     ``a_hat``'s row ``v`` holds entry ``p`` (neighbour ``j``) at ``p + v + (j > v)``
     and its loop in the slot left, as a valid graph has no self-loop edge.
     ``mean_adj`` reverses each row, as ``diags @ adj`` stores it.  ``incidence_t``
-    is ``(members, offsets)``, rows sorted, on ``inc_pattern``'s read-only ones.
+    is ``(members, offsets)`` with rows sorted, on a read-only array of ones, and
+    ``hyper_scatter`` is its transpose.
     """
     g.require_valid()
     n, m = g.num_nodes, g.num_hyperedges
     indptr, indices = g.adjacency_csr
-    deg, row, entry = np.diff(indptr), _major_index(indptr), np.arange(indices.size)
+    deg, row, entry = np.diff(indptr), _row_index(indptr), np.arange(indices.size)
     att_indptr = indptr + np.arange(n + 1)
     att_src = np.empty(att_indptr[-1], dtype=np.int64)
     att_src[entry + row + (indices > row)] = indices
     att_src[att_indptr[:-1] + np.bincount(row[indices < row], minlength=n)] = np.arange(n)
-    att_dst = _major_index(att_indptr)
+    att_dst = _row_index(att_indptr)
     inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
     reversed_rows = indices[indptr[row] + indptr[row + 1] - 1 - entry]
 
     members, offsets = g.incidence_arrays
     ones = np.ones(members.size)
     ones.setflags(write=False)
-    inc_pattern = sp.csc_matrix((ones, members, offsets), shape=(n, m))
-    inc_edge = _major_index(offsets)
+    inc_edge = _row_index(offsets)
     key = inc_edge * n + members
     key = key if (key[1:] > key[:-1]).all() else np.sort(key)
     incidence_t = sp.csr_matrix((ones, key - inc_edge * n, offsets), shape=(m, n))
     w = g.hyperedge_weights
-    hyper_scatter = inc_pattern.tocsr()  # hyperedges ascending in each row
+    hyper_scatter = incidence_t.T.tocsr()  # hyperedges ascending in each row
+    inc_node = _row_index(hyper_scatter.indptr)
     node_mass = hyper_scatter @ w
     node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
-    hyper_scatter.data *= node_scale[_major_index(hyper_scatter.indptr)]
+    hyper_scatter.data *= node_scale[inc_node]
     return GraphTensors(
         a_hat=sp.csr_matrix((inv_sqrt[att_dst] * inv_sqrt[att_src], att_src, att_indptr),
                             shape=(n, n)),
         mean_adj=sp.csr_matrix((1.0 / deg[row], reversed_rows, indptr), shape=(n, n)),
         att_dst=att_dst,
-        inc_pattern=inc_pattern,
-        inc_edge=inc_edge,
         incidence_t=incidence_t,
         hyper_gather=sp.csr_matrix(((w / np.diff(offsets))[inc_edge], incidence_t.indices,
                                     incidence_t.indptr), shape=(m, n)),
         hyper_scatter=hyper_scatter,
+        inc_node=inc_node,
         log_weights=np.log(w),
     )
 
@@ -124,6 +128,19 @@ def build_graph_tensors(g: HybridGraph) -> GraphTensors:
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
+
+
+def _additive_scores(s_a: ad.Tensor, a: np.ndarray, s_b: ad.Tensor,
+                     b: np.ndarray) -> ad.Tensor:
+    """The pair scores ``LeakyReLU(s_a[a] + s_b[b])`` of GAT and hyperatten."""
+    return ad.leaky_relu(ad.add(ad.take_rows(s_a, a), ad.take_rows(s_b, b)), LEAKY_SLOPE)
+
+
+def _attend(scores: ad.Tensor, h: ad.Tensor, pattern: sp.csr_matrix,
+            rows: np.ndarray) -> ad.Tensor:
+    """Softmax ``scores`` within each of ``pattern``'s rows, then mix ``h``'s rows by them."""
+    alpha = ad.segment_softmax(scores, rows, pattern.shape[0])
+    return ad.edge_mix(alpha, h, pattern, rows)
 
 
 class GCNLayer:
@@ -171,11 +188,7 @@ class GATLayer:
         s_src = ad.matmul(h, self.a_src)
         s_dst = ad.matmul(h, self.a_dst)
         src, dst = gt.a_hat.indices, gt.att_dst
-        scores = ad.leaky_relu(
-            ad.add(ad.take_rows(s_src, src), ad.take_rows(s_dst, dst)), LEAKY_SLOPE
-        )
-        alpha = ad.segment_softmax(scores, dst, gt.a_hat.shape[0])
-        return ad.edge_mix(alpha, h, gt.a_hat, dst)
+        return _attend(_additive_scores(s_src, src, s_dst, dst), h, gt.a_hat, dst)
 
 
 class GATv2Layer:
@@ -199,8 +212,7 @@ class GATv2Layer:
         h_r = ad.matmul(x, self.theta_r)
         src, dst = gt.a_hat.indices, gt.att_dst
         scores = ad.gatv2_scores(h_l, h_r, self.a, src, dst, LEAKY_SLOPE)
-        alpha = ad.segment_softmax(scores, dst, gt.a_hat.shape[0])
-        return ad.edge_mix(alpha, h_l, gt.a_hat, dst)
+        return _attend(scores, h_l, gt.a_hat, dst)
 
 
 class HyperConvLayer:
@@ -226,7 +238,9 @@ class HyperAttenLayer:
 
     Hyperedge messages are sums of transformed member rows; per-incidence
     scores add the log hyperedge weight before the segment softmax, which
-    reproduces weighted normalized mixing exactly.
+    reproduces weighted normalized mixing exactly.  The (node, hyperedge)
+    pairs are ``hyper_scatter``'s structure, node by node with hyperedges
+    ascending, so the order in which members are listed changes no bit.
     """
 
     def __init__(self, d_in: int, d_out: int, rng):
@@ -242,13 +256,10 @@ class HyperAttenLayer:
         z = ad.matmul(gt.incidence_t, h)
         s_node = ad.matmul(h, self.a_node)
         s_edge = ad.matmul(z, self.a_edge)
-        node, edge = gt.inc_pattern.indices, gt.inc_edge
-        raw = ad.leaky_relu(
-            ad.add(ad.take_rows(s_node, node), ad.take_rows(s_edge, edge)), LEAKY_SLOPE
-        )
+        node, edge = gt.inc_node, gt.hyper_scatter.indices
+        raw = _additive_scores(s_node, node, s_edge, edge)
         scores = ad.add(raw, gt.log_weights[edge].reshape(-1, 1))
-        alpha = ad.segment_softmax(scores, node, gt.inc_pattern.shape[0])
-        return ad.edge_mix(alpha, z, gt.inc_pattern, edge)
+        return _attend(scores, z, gt.hyper_scatter, node)
 
 
 LAYER_TYPES = {

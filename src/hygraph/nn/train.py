@@ -115,7 +115,7 @@ class TrialResult:
     seed: int
     test_metric: float
     val_metric: float
-    train_losses: list[float] = field(repr=False, default_factory=list)
+    train_losses: list[float | None] = field(repr=False, default_factory=list)
 
 
 def evaluate(model, gt, x: np.ndarray, labels: np.ndarray,
@@ -157,7 +157,7 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
     x = np.asarray(g.node_features)
     targets = _targets(g.labels, task)
     optimizer = Adam(model.params())
-    losses: list[float] = []
+    losses: list[float | None] = []  # None for an epoch that trained no batch
 
     for epoch in range(cfg.epochs):
         lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
@@ -171,7 +171,7 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
             loss.backward()
             optimizer.step(lr)
             batch_losses.append(float(loss.value))
-        losses.append(float(np.mean(batch_losses)) if batch_losses else np.nan)
+        losses.append(float(np.mean(batch_losses)) if batch_losses else None)
 
     test_metric, val_metric = evaluate(model, gt, x, g.labels, (masks.test, masks.val), task)
     result = TrialResult(

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from hygraph.nn import autodiff as ad
-from hygraph.nn.layers import _major_index
+from hygraph.nn.layers import _row_index
 from hygraph.nn.losses import bce_with_logits, mse, one_hot
 
 
@@ -125,27 +125,29 @@ class TestLinearOps:
         alpha = ad.Tensor(rng.standard_normal(6))
         h = ad.Tensor(rng.standard_normal((5, 3)))
         mix = rng.standard_normal((3, 1))
-        rows = _major_index(pattern.indptr)
+        rows = _row_index(pattern.indptr)
         gradcheck(
             lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, h, pattern, rows), mix)),
             [alpha, h],
         )
 
     def test_edge_mix_column_major_pattern(self):
-        # Incidence-style: pairs stored hyperedge by hyperedge (CSC), members
-        # unsorted, node 2 in no hyperedge (an empty output row).
+        # Incidence-style: pairs listed hyperedge by hyperedge, members
+        # unsorted, node 2 in no hyperedge (an empty output row).  edge_mix
+        # takes them as the node-major CSR pattern, hyperedges ascending.
         rng = np.random.default_rng(8)
         pattern = sp.csc_matrix(
             (np.ones(5), np.array([3, 0, 1, 4, 0]), np.array([0, 3, 5])), shape=(5, 2)
-        )
+        ).tocsr()
+        np.testing.assert_array_equal(pattern.indptr, [0, 2, 3, 3, 4, 5])
         alpha = ad.Tensor(rng.standard_normal((5, 1)))
         z = ad.Tensor(rng.standard_normal((2, 3)))
         mix = rng.standard_normal((3, 1))
-        edge = _major_index(pattern.indptr)
-        out = ad.edge_mix(alpha, z, pattern, edge)
+        node = _row_index(pattern.indptr)
+        out = ad.edge_mix(alpha, z, pattern, node)
         np.testing.assert_array_equal(out.value[2], np.zeros(3))
         gradcheck(
-            lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, z, pattern, edge), mix)),
+            lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, z, pattern, node), mix)),
             [alpha, z],
         )
 
@@ -227,12 +229,17 @@ class TestNonlinearities:
         h = ad.Tensor(rng.standard_normal((7, 3)))
         mix = rng.standard_normal((3, 1))
 
-        # Pair e mixes row e of h into output row segments[e].
-        pattern = sp.csc_matrix((np.ones(7), segments, np.arange(8)), shape=(3, 7))
+        # Pair e mixes row e of h into output row segments[e]; the CSR mix
+        # stores the pairs by segment, so alpha is gathered into that order.
+        order = np.argsort(segments, kind="stable")
+        rows = segments[order]
+        pattern = sp.csr_matrix((np.ones(7), order, np.searchsorted(rows, np.arange(4))),
+                                shape=(3, 7))
 
         def build():
             alpha = ad.segment_softmax(scores, segments, 3)
-            return ad.mean(ad.matmul(ad.edge_mix(alpha, h, pattern, np.arange(7)), mix))
+            mixed = ad.edge_mix(ad.take_rows(alpha, order), h, pattern, rows)
+            return ad.mean(ad.matmul(mixed, mix))
 
         gradcheck(build, [scores, h])
 

@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -9,6 +11,10 @@ from hygraph.io import load, save
 from hygraph.nn import train
 from hygraph.nn.models import ModelSpec
 from hygraph.synthetic import make_classification_graph
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "data"
+SCHEMA = ROOT / "docs" / "report_schema.json"
 
 
 @pytest.fixture
@@ -185,6 +191,26 @@ class TestSamplerReport:
 
 
 class TestTrainEval:
+    def test_epoch_without_a_trained_batch_reports_null(self, capsys):
+        # One node per batch: a batch holds no training node now and then,
+        # and this seed's only batch holds none.
+        code, out, _ = run(capsys, "train", str(DATA / "synthetic_classification.json"),
+                           "--model", "gcn", "--saint", "rand-node", "--budget", "1",
+                           "--batches", "1", "--epochs", "1", "--trials", "1", "--seed", "1")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["per_seed"][0]["final_train_loss"] is None
+        # The schema holds train reports as the runs of a suite report.
+        suite = {"toolkit_version": report.pop("toolkit_version"), "master_seed": 1,
+                 "num_runs": 1, "num_incomplete": 0,
+                 "runs": [{"index": 0, "dataset": report["dataset"], "model": "gcn",
+                           "base_seed": 1, "status": "ok", "report": report}]}
+        jsonschema.validate(suite, json.loads(SCHEMA.read_text()))
+
     def test_train_report_and_eval_round_trip(self, capsys, class_dataset,
                                               tmp_path):
         report_path = str(tmp_path / "report.json")

@@ -145,8 +145,8 @@ class TestGraphTensors:
     def test_incidence_pairs(self):
         g = graph(4, hyperedges=[(0, 1, 2), (2, 3)])
         gt = build_graph_tensors(g)
-        pairs = set(zip(gt.inc_pattern.indices.tolist(), gt.inc_edge.tolist()))
-        assert pairs == {(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)}
+        pairs = list(zip(gt.inc_node.tolist(), gt.hyper_scatter.indices.tolist()))
+        assert pairs == [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]
 
     def test_no_stored_matrix_grows_with_squared_hyperedge_sizes(self):
         # One hyperedge of 300 members: its clique expansion has 90,000 entries.
@@ -171,12 +171,12 @@ class TestGraphTensors:
         arrays = [v for v in stored if isinstance(v, np.ndarray)]
         indices = [v.indices for v in stored if sp.issparse(v)]
         assert arrays and indices
+        assert {v.format for v in stored if sp.issparse(v)} == {"csr"}
         assert not [a for a in arrays for i in indices if np.array_equal(a, i)]
         assert np.shares_memory(gt.hyper_gather.indices, gt.incidence_t.indices)
         assert np.shares_memory(gt.hyper_gather.indptr, gt.incidence_t.indptr)
-        # The two 0/1 incidence patterns hold one read-only array of ones.
-        assert np.shares_memory(gt.inc_pattern.data, gt.incidence_t.data)
-        assert not gt.inc_pattern.data.flags.writeable
+        # incidence_t is a 0/1 pattern on a read-only array of ones.
+        assert not gt.incidence_t.data.flags.writeable
         structures = [(v.indices.tobytes(), v.indptr.tobytes()) for v in stored
                       if sp.issparse(v) and v.format == "csr"]
         assert len(structures) == len(set(structures)) + 1  # only hyper_gather's
@@ -505,3 +505,41 @@ class TestPermutationEquivariance:
         same_params = layer_type(3, 2, np.random.default_rng(99))
         out = forward(same_params, gp, xp)
         np.testing.assert_allclose(out[perm], base, rtol=1e-9, atol=1e-12)
+
+
+class TestMemberOrder:
+    @staticmethod
+    def random_graph(rng):
+        n = int(rng.integers(12, 60))
+        edges = rng.integers(n, size=(2 * n, 2))
+        edges = np.unique(np.sort(edges[edges[:, 0] != edges[:, 1]], axis=1), axis=0)
+        hyperedges = [rng.choice(n, size=int(rng.integers(1, 11)), replace=False).tolist()
+                      for _ in range(int(rng.integers(3, 25)))]
+        return graph(n, edges, hyperedges, weights=rng.uniform(0.5, 2.0, len(hyperedges)),
+                     x=rng.standard_normal((n, 3)))
+
+    @staticmethod
+    def outputs_and_grads(layer, g, upstream):
+        for p in layer.params():
+            p.grad = None
+        x = ad.Tensor(g.node_features)
+        out = layer.forward(build_graph_tensors(g), x)
+        ad.mean(ad.dropout(out, upstream, 1.0)).backward()
+        return [out.value, x.grad] + [p.grad for p in layer.params()]
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("layer_type", [
+        GCNLayer, SAGELayer, GATLayer, GATv2Layer, HyperConvLayer, HyperAttenLayer,
+    ])
+    def test_member_order_changes_no_bit(self, layer_type, seed):
+        rng = np.random.default_rng(880 + seed)
+        g = self.random_graph(rng)
+        shuffled = dataclasses.replace(g, hyperedges=tuple(
+            tuple(rng.permutation(e).tolist()) for e in g.hyperedges))
+        assert shuffled.hyperedges != g.hyperedges
+        layer = layer_type(3, 4, np.random.default_rng(seed))
+        upstream = rng.standard_normal((g.num_nodes, 4))
+        got = self.outputs_and_grads(layer, shuffled, upstream)
+        want = self.outputs_and_grads(layer, g, upstream)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()

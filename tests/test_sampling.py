@@ -352,9 +352,9 @@ class TestPinnedStreams:
             "gat": "3486bf18bd192d6d5cda964afd5af2dbb4167e8235d554b7b0104caca1835717",
             "gatv2": "008ee9019712e6d48bd63c23d16fc1d295bb90b033622ef5ab70fad957bfecf2",
             "hyperconv": "797a03c5369ef9a065b1d5478a6acc2c6b88500109e96b30c7ecac737798b270",
-            "hyperatten": "813037cb2f27a72d3a6b32fabf6bc4f85e1021eecd46f29d146c5968b0c16492",
+            "hyperatten": "b40d38c2c9ab1b2e3804538c69bee211e98f8858d13f641511cb07d80778e174",
             "lp:sage+hyperatten":
-                "4adf2fcb7c51203a21b2e68e8875734f9edd29fa9453a0fa72e502dc888c2eee",
+                "92335ef15a93c3366ffd8ea277e6d46fe71fa1753eb9195d11f0b9362d63c6a5",
         },
         "rw": {
             "gcn": "063728d3869b6548e78f28620866e703ffb8dfbde4ba9bbbba24bcb3840e4332",
