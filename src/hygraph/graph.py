@@ -118,6 +118,9 @@ def neighbour_sets(indptr: np.ndarray, indices: np.ndarray) -> tuple[frozenset, 
     return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
+_ITER_BLOCK = 4096  # hyperedges converted to Python ints at once
+
+
 class Hyperedges(Sequence):
     """Hyperedges stored flat, read like a tuple of tuples of Python ints.
 
@@ -153,8 +156,13 @@ class Hyperedges(Sequence):
         return tuple(self.members[self.offsets[k]:self.offsets[k + 1]].tolist())
 
     def __iter__(self):
-        flat, bounds = self.members.tolist(), self.offsets.tolist()
-        return (tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        """Each hyperedge as a tuple, members converted one block of hyperedges
+        at a time, so no list of every member is ever held."""
+        for start in range(0, len(self), _ITER_BLOCK):
+            bounds = self.offsets[start:start + _ITER_BLOCK + 1]
+            flat = self.members[bounds[0]:bounds[-1]].tolist()
+            bounds = (bounds - bounds[0]).tolist()
+            yield from (tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def __eq__(self, other):
         if isinstance(other, Hyperedges):

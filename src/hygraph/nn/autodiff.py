@@ -19,6 +19,13 @@ applied as scipy sparse products.  Such a product adds each output row's
 terms in storage order, starting from zero, so its floats equal those of
 a loop that adds the pairs one by one in that order; and every gradient
 stays a hand-derivable expression checked by finite differences.
+
+Graph operators are built once per graph, not once per step.  ``matmul``'s
+backward reads the stored adjoint of a sparse left operand, a CSR of ``aᵀ``
+with sorted indices, which adds each output row's terms in the order the
+CSC product of ``a.T`` does; and GATv2's selection matrices come built
+with the graph.  Loss rows, unique and sorted, scatter their gradient
+without a selection matrix.
 """
 
 import numpy as np
@@ -100,8 +107,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with a dense ``b``; ``a`` may be a constant sparse matrix."""
+def matmul(a, b, adjoint=None) -> Tensor:
+    """Matrix product with a dense ``b``; ``a`` may be a constant sparse matrix.
+
+    ``adjoint``, for such an ``a``, returns ``a``'s adjoint as a CSR with
+    sorted indices, built once and kept by its owner; the backward then
+    takes no ``a.T``, whose product adds in the same order.
+    """
     a_is_t = isinstance(a, Tensor)
     b_is_t = isinstance(b, Tensor)
     av = a.value if a_is_t else a
@@ -112,7 +124,7 @@ def matmul(a, b) -> Tensor:
         if a_is_t:
             _accumulate(a, g @ bv.T)
         if b_is_t:
-            _accumulate(b, av.T @ g)
+            _accumulate(b, (av.T if adjoint is None else adjoint()) @ g)
 
     return Tensor(av @ bv, parents, backward)
 
@@ -221,13 +233,23 @@ def segment_softmax(scores: Tensor, segments, num_segments: int) -> Tensor:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows; the transpose scatter-adds, so repeats accumulate."""
+    """Gather rows; the transpose scatter-adds, so repeats accumulate.
+
+    Each backward equals the selection product bit for bit.  Unique sorted
+    rows (the loss rows) are placed, then ``+ 0.0`` turns -0.0 into +0.0
+    as the product's ``0.0 + 1.0·x`` does.
+    """
     rows = np.asarray(idx)
 
     def backward(g):
         if g.shape[1:] in ((), (1,)):  # adds as the selection product: in order, from zero
             ga = np.bincount(rows, weights=g.ravel(), minlength=a.value.shape[0])
             return _accumulate(a, ga.reshape(a.value.shape))
+        if (rows[1:] > rows[:-1]).all():
+            ga = np.zeros(a.value.shape)
+            ga[rows] = g
+            ga += 0.0
+            return _accumulate(a, ga)
         _accumulate(a, _selection(rows, a.value.shape[0]) @ g)
 
     return Tensor(np.take(a.value, rows, axis=0), (a,), backward)
@@ -236,15 +258,11 @@ def take_rows(a: Tensor, idx) -> Tensor:
 def _selection(rows: np.ndarray, num_rows: int) -> sp.csr_matrix:
     """The (num_rows, k) 0/1 matrix whose column j selects row ``rows[j]``.
 
-    Its product with a (k, d) gradient adds each row's entries in pair order.
-    Non-decreasing ``rows`` (loss rows, GATv2's targets) give its CSR at once,
-    columns ``arange(k)``; others go through COO's stable counting sort.
+    Its product with a (k, d) gradient adds each row's entries in pair order,
+    as COO's stable counting sort keeps them.
     """
-    k, cols = rows.size, np.arange(rows.size)
-    if (rows[1:] >= rows[:-1]).all():
-        indptr = np.searchsorted(rows, np.arange(num_rows + 1))
-        return sp.csr_matrix((np.ones(k), cols, indptr), shape=(num_rows, k))
-    return sp.csr_matrix((np.ones(k), (rows, cols)), shape=(num_rows, k))
+    k = rows.size
+    return sp.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(num_rows, k))
 
 
 def edge_mix(alpha: Tensor, h: Tensor, pattern: sp.csr_matrix, rows) -> Tensor:
@@ -294,7 +312,8 @@ def _pair_dots(a: np.ndarray, b: np.ndarray, rows, cols) -> np.ndarray:
     return out
 
 
-def gatv2_scores(h_l: Tensor, h_r: Tensor, a: Tensor, src, dst, slope: float) -> Tensor:
+def gatv2_scores(h_l: Tensor, h_r: Tensor, a: Tensor, src, dst, slope: float,
+                 selections) -> Tensor:
     """GATv2's pair scores ``LeakyReLU(h_l[src] + h_r[dst]) @ a``, shape (pairs, 1).
 
     Bit for bit the chain ``matmul(leaky_relu(add(take_rows(h_l, src),
@@ -305,7 +324,9 @@ def gatv2_scores(h_l: Tensor, h_r: Tensor, a: Tensor, src, dst, slope: float) ->
     chain's single product over that buffer (per-block products would add
     in another order).  It then overwrites each block with ``(g aᵀ)`` times
     LeakyReLU's slopes, in that order, and scatters the buffer to ``h_l``
-    and ``h_r`` in pair order, as ``take_rows`` does.
+    and ``h_r`` in pair order, as ``take_rows`` does, through the selection
+    matrices of ``src`` and ``dst`` (``_selection``'s) that ``selections()``
+    returns, built once per graph by their owner.
 
     One caveat on the bits: where OpenBLAS threads the chain's full
     matrix-vector product, the row at a thread boundary can be summed in
@@ -339,8 +360,9 @@ def gatv2_scores(h_l: Tensor, h_r: Tensor, a: Tensor, src, dst, slope: float) ->
             slopes = _leaky_slopes(block > 0, slope)
             np.multiply(g[start:stop], av.T, out=block)
             block *= slopes
-        _accumulate(h_l, _selection(src, hl.shape[0]) @ buf)
-        _accumulate(h_r, _selection(dst, hr.shape[0]) @ buf)
+        by_src, by_dst = selections()
+        _accumulate(h_l, by_src @ buf)
+        _accumulate(h_r, by_dst @ buf)
 
     scores = np.empty((k, 1))
     for start, stop in blocks:

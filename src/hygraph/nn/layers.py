@@ -1,8 +1,12 @@
 """Message-passing layers over hybrid graphs.
 
 Every layer maps a node feature matrix (n, d_in) to (n, d_out) using
-structure precomputed once per graph in :class:`GraphTensors`.  Hypergraph
-convolution keeps its two incidence factors, so nothing grows with Σ|e|².
+structure held in :class:`GraphTensors`, which builds each group of
+structures the first time a layer reads it and then keeps it: a gcn batch
+builds ``a_hat`` and nothing else.  Hypergraph convolution keeps its two
+incidence factors, so nothing grows with Σ|e|².  Each sparse operator has a
+stored adjoint, built on its first backward, that ``autodiff.matmul`` reads
+in place of ``.T``.
 
 Attention never materializes dense score matrices; scores live on the edge
 or incidence pair lists and are normalized with a segment softmax over the
@@ -13,8 +17,6 @@ gradients are sparse products.  The attention patterns, like the incidence
 factors, keep their columns ascending in each row, so the order in which a
 hyperedge's members are listed changes no output bit.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,35 +34,155 @@ __all__ = [
 LEAKY_SLOPE = 0.2
 
 
-@dataclass(frozen=True)
+def _row_index(indptr: np.ndarray) -> np.ndarray:
+    """The row of each stored entry of a CSR pattern, as int64."""
+    counts = np.diff(indptr)
+    return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+
+
+def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
+    """A CSR matrix, its index arrays cast to int32 where its sizes say they
+    fit, as scipy stores them, so that scipy neither scans nor copies them."""
+    idx = np.int32 if max(*shape, data.size) <= np.iinfo(np.int32).max else np.int64
+    return sp.csr_matrix((data, indices.astype(idx, copy=False), indptr.astype(idx, copy=False)),
+                         shape=shape)
+
+
+def _attention(gt) -> dict:
+    """``a_hat`` and ``att_dst``.  ``a_hat``'s row ``v`` holds entry ``p``
+    (neighbour ``j``) at ``p + v + (j > v)`` and its loop in the slot left,
+    as a valid graph has no self-loop edge."""
+    n = gt.graph.num_nodes
+    indptr, indices = gt.graph.adjacency_csr
+    row, entry = _row_index(indptr), np.arange(indices.size)
+    att_indptr = indptr + np.arange(n + 1)
+    att_src = np.empty(att_indptr[-1], dtype=np.int64)
+    att_src[entry + row + (indices > row)] = indices
+    att_src[att_indptr[:-1] + np.bincount(row[indices < row], minlength=n)] = np.arange(n)
+    att_dst = _row_index(att_indptr)
+    inv_sqrt = 1.0 / np.sqrt(np.diff(indptr) + 1.0)
+    return {"a_hat": _csr(inv_sqrt[att_dst] * inv_sqrt[att_src], att_src, att_indptr, (n, n)),
+            "att_dst": att_dst}
+
+
+def _att_selections(gt) -> dict:
+    """The 0/1 selection matrices of GATv2's gathers ``a_hat.indices`` and
+    ``att_dst``, on ``a_hat.indptr``: row ``i`` selects, in pair order, the
+    pairs whose source (its pattern is symmetric) or target is ``i``."""
+    a = gt.a_hat
+    ones, shape = np.ones(a.nnz), (a.shape[0], a.nnz)
+    ones.setflags(write=False)
+    return {"src_selection": _csr(ones, np.argsort(a.indices, kind="stable"), a.indptr, shape),
+            "dst_selection": _csr(ones, np.arange(a.nnz), a.indptr, shape)}
+
+
+def _mean_adj(gt) -> dict:
+    """``mean_adj``, each row reversed, as ``diags @ adj`` stores it."""
+    indptr, indices = gt.graph.adjacency_csr
+    row, entry, n = _row_index(indptr), np.arange(indices.size), gt.graph.num_nodes
+    reversed_rows = indices[indptr[row] + indptr[row + 1] - 1 - entry]
+    return {"mean_adj": _csr(1.0 / np.diff(indptr)[row], reversed_rows, indptr, (n, n))}
+
+
+def _mean_adj_t(gt) -> dict:
+    """``mean_adj``'s adjoint ``A D⁻¹``: the adjacency, on ``mean_adj``'s
+    ``indptr``, with data ``1 / deg[j]``."""
+    a, indices = gt.mean_adj, gt.graph.adjacency_csr[1]
+    return {"mean_adj_t": _csr(1.0 / np.diff(a.indptr)[indices], indices, a.indptr, a.shape)}
+
+
+def _incidence(gt) -> dict:
+    """The incidence group.  ``incidence_t`` is ``(members, offsets)`` with
+    rows sorted, on a read-only array of ones, and ``hyper_scatter`` is its
+    transpose, hyperedges ascending in each row."""
+    g = gt.graph
+    n, m = g.num_nodes, g.num_hyperedges
+    members, offsets = g.incidence_arrays
+    ones = np.ones(members.size)
+    ones.setflags(write=False)
+    inc_edge = _row_index(offsets)
+    key = inc_edge * n + members
+    key = key if (key[1:] > key[:-1]).all() else np.sort(key)
+    incidence_t = _csr(ones, key - inc_edge * n, offsets, (m, n))
+    w = g.hyperedge_weights
+    hyper_scatter = incidence_t.T.tocsr()
+    inc_node = _row_index(hyper_scatter.indptr)
+    node_mass = hyper_scatter @ w
+    node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
+    hyper_scatter.data *= node_scale[inc_node]
+    return {"incidence_t": incidence_t,
+            "hyper_gather": _csr((w / np.diff(offsets))[inc_edge], incidence_t.indices,
+                                 incidence_t.indptr, (m, n)),
+            "hyper_scatter": hyper_scatter, "inc_node": inc_node, "log_weights": np.log(w)}
+
+
+def _incidence_adjoint(gt) -> dict:
+    """``incidence_t``'s adjoint ``H``: its ones on ``hyper_scatter``'s structure."""
+    t, s = gt.incidence_t, gt.hyper_scatter
+    return {"incidence": _csr(t.data, s.indices, s.indptr, s.shape)}
+
+
+def _hyperconv_adjoints(gt) -> dict:
+    """The adjoints of ``hyper_gather`` and ``hyper_scatter``, each on the
+    other's structure; ``hyper_scatter``'s data gives each node's scale."""
+    t, s, n = gt.incidence_t, gt.hyper_scatter, gt.graph.num_nodes
+    edge_scale = gt.graph.hyperedge_weights / np.diff(t.indptr)
+    node_scale = np.zeros(n)
+    node_scale[gt.inc_node] = s.data
+    return {"hyper_gather_t": _csr(edge_scale[s.indices], s.indices, s.indptr, s.shape),
+            "hyper_scatter_t": _csr(node_scale[t.indices], t.indices, t.indptr, t.shape)}
+
+
+_BUILDERS = {"a_hat": _attention, "att_dst": _attention, "mean_adj": _mean_adj,
+             "src_selection": _att_selections, "dst_selection": _att_selections,
+             "mean_adj_t": _mean_adj_t, "incidence": _incidence_adjoint,
+             "hyper_gather_t": _hyperconv_adjoints, "hyper_scatter_t": _hyperconv_adjoints,
+             **dict.fromkeys(("incidence_t", "hyper_gather", "hyper_scatter", "inc_node",
+                              "log_weights"), _incidence)}
+
+
 class GraphTensors:
-    """The structure every layer reads, built once per graph.
+    """The structure every layer reads, each group built on its first read.
 
     Every matrix is CSR.  Each pair list attention reads is a CSR pattern,
     columns ascending in each row, plus an int64 array that holds each
     stored pair's row, the softmax segment; the pattern's ``indices`` hold
     the other end.  Each array is stored once, and counts come from shapes.
 
-    * ``a_hat`` (gcn): ``D̃^-½ (A + I) D̃^-½``, CSR (target, source), both edge
-      directions and loops; gat and gatv2 read its structure as their pairs.
+    Groups, each built whole the first time one of its names is read:
+
+    * attention: ``a_hat`` (gcn), ``D̃^-½ (A + I) D̃^-½``, CSR (target,
+      source), both edge directions and loops; gat and gatv2 read its
+      structure as their pairs.  ``att_dst`` (gat, gatv2): each attention
+      pair's target, the softmax segment.
     * ``mean_adj`` (sage): ``D⁻¹ A``, zero rows for isolated nodes.
-    * ``att_dst`` (gat, gatv2): each attention pair's target, the softmax segment.
-    * ``incidence_t`` (hyperatten): CSR ``Hᵀ``, members ascending.
-    * ``hyper_gather`` (hyperconv): ``W D_e⁻¹ Hᵀ``, on ``incidence_t``'s index arrays.
-    * ``hyper_scatter`` (hyperconv): ``D_v⁻¹ H``, CSR, hyperedges ascending;
-      hyperatten reads its structure as its (node, hyperedge) pairs.
-    * ``inc_node`` (hyperatten): each incidence pair's node, the softmax segment.
-    * ``log_weights`` (hyperatten): ``log w`` per hyperedge.
+    * incidence: ``incidence_t`` (hyperatten), CSR ``Hᵀ``, members
+      ascending; ``hyper_gather`` (hyperconv), ``W D_e⁻¹ Hᵀ``, on
+      ``incidence_t``'s index arrays; ``hyper_scatter`` (hyperconv),
+      ``D_v⁻¹ H``, CSR, hyperedges ascending, whose structure hyperatten
+      reads as its (node, hyperedge) pairs; ``inc_node`` (hyperatten), each
+      incidence pair's node, the softmax segment; ``log_weights``
+      (hyperatten), ``log w`` per hyperedge.
+
+    Each sparse operator has a stored adjoint, a CSR with sorted indices
+    that the layers hand ``autodiff.matmul`` for its backward: ``a_hat`` is
+    its own (a symmetric pattern whose values are ``inv_sqrt[i] *
+    inv_sqrt[j]``), and ``mean_adj_t``, ``incidence``, ``hyper_gather_t``
+    and ``hyper_scatter_t`` are built on first read, the last three on the
+    index arrays of ``hyper_scatter`` or ``incidence_t``.  So are GATv2's
+    ``src_selection`` and ``dst_selection``, the selection matrices of
+    ``a_hat.indices`` and ``att_dst``.
     """
 
-    a_hat: sp.csr_matrix
-    mean_adj: sp.csr_matrix
-    att_dst: np.ndarray
-    incidence_t: sp.csr_matrix
-    hyper_gather: sp.csr_matrix
-    hyper_scatter: sp.csr_matrix
-    inc_node: np.ndarray
-    log_weights: np.ndarray
+    def __init__(self, g: HybridGraph):
+        self.graph = g
+
+    def __getattr__(self, name):
+        """Build the group that holds ``name``; later reads find it in ``__dict__``."""
+        if name not in _BUILDERS:
+            raise AttributeError(f"'GraphTensors' object has no attribute {name!r}")
+        vars(self).update(_BUILDERS[name](self))
+        return vars(self)[name]
 
     @property
     def hyper_prop(self) -> sp.csr_matrix:
@@ -71,58 +193,10 @@ class GraphTensors:
         return (self.hyper_scatter @ self.hyper_gather).tocsr()
 
 
-def _row_index(indptr: np.ndarray) -> np.ndarray:
-    """The row of each stored entry of a CSR pattern, as int64."""
-    counts = np.diff(indptr)
-    return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-
-
 def build_graph_tensors(g: HybridGraph) -> GraphTensors:
-    """Each pattern by index arithmetic on ``g.adjacency_csr`` and ``g.incidence_arrays``.
-
-    ``a_hat``'s row ``v`` holds entry ``p`` (neighbour ``j``) at ``p + v + (j > v)``
-    and its loop in the slot left, as a valid graph has no self-loop edge.
-    ``mean_adj`` reverses each row, as ``diags @ adj`` stores it.  ``incidence_t``
-    is ``(members, offsets)`` with rows sorted, on a read-only array of ones, and
-    ``hyper_scatter`` is its transpose.
-    """
+    """Check ``g`` and return its ``GraphTensors``, which build their structures on demand."""
     g.require_valid()
-    n, m = g.num_nodes, g.num_hyperedges
-    indptr, indices = g.adjacency_csr
-    deg, row, entry = np.diff(indptr), _row_index(indptr), np.arange(indices.size)
-    att_indptr = indptr + np.arange(n + 1)
-    att_src = np.empty(att_indptr[-1], dtype=np.int64)
-    att_src[entry + row + (indices > row)] = indices
-    att_src[att_indptr[:-1] + np.bincount(row[indices < row], minlength=n)] = np.arange(n)
-    att_dst = _row_index(att_indptr)
-    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-    reversed_rows = indices[indptr[row] + indptr[row + 1] - 1 - entry]
-
-    members, offsets = g.incidence_arrays
-    ones = np.ones(members.size)
-    ones.setflags(write=False)
-    inc_edge = _row_index(offsets)
-    key = inc_edge * n + members
-    key = key if (key[1:] > key[:-1]).all() else np.sort(key)
-    incidence_t = sp.csr_matrix((ones, key - inc_edge * n, offsets), shape=(m, n))
-    w = g.hyperedge_weights
-    hyper_scatter = incidence_t.T.tocsr()  # hyperedges ascending in each row
-    inc_node = _row_index(hyper_scatter.indptr)
-    node_mass = hyper_scatter @ w
-    node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
-    hyper_scatter.data *= node_scale[inc_node]
-    return GraphTensors(
-        a_hat=sp.csr_matrix((inv_sqrt[att_dst] * inv_sqrt[att_src], att_src, att_indptr),
-                            shape=(n, n)),
-        mean_adj=sp.csr_matrix((1.0 / deg[row], reversed_rows, indptr), shape=(n, n)),
-        att_dst=att_dst,
-        incidence_t=incidence_t,
-        hyper_gather=sp.csr_matrix(((w / np.diff(offsets))[inc_edge], incidence_t.indices,
-                                    incidence_t.indptr), shape=(m, n)),
-        hyper_scatter=hyper_scatter,
-        inc_node=inc_node,
-        log_weights=np.log(w),
-    )
+    return GraphTensors(g)
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -153,7 +227,7 @@ class GCNLayer:
         return [self.theta]
 
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
-        return ad.matmul(gt.a_hat, ad.matmul(x, self.theta))
+        return ad.matmul(gt.a_hat, ad.matmul(x, self.theta), lambda: gt.a_hat)
 
 
 class SAGELayer:
@@ -168,7 +242,7 @@ class SAGELayer:
 
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
         own = ad.matmul(x, self.theta_self)
-        nbr = ad.matmul(gt.mean_adj, ad.matmul(x, self.theta_nbr))
+        nbr = ad.matmul(gt.mean_adj, ad.matmul(x, self.theta_nbr), lambda: gt.mean_adj_t)
         return ad.add(own, nbr)
 
 
@@ -211,7 +285,8 @@ class GATv2Layer:
         h_l = ad.matmul(x, self.theta_l)
         h_r = ad.matmul(x, self.theta_r)
         src, dst = gt.a_hat.indices, gt.att_dst
-        scores = ad.gatv2_scores(h_l, h_r, self.a, src, dst, LEAKY_SLOPE)
+        scores = ad.gatv2_scores(h_l, h_r, self.a, src, dst, LEAKY_SLOPE,
+                                 lambda: (gt.src_selection, gt.dst_selection))
         return _attend(scores, h_l, gt.a_hat, dst)
 
 
@@ -230,7 +305,8 @@ class HyperConvLayer:
 
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
         h = ad.matmul(x, self.theta)
-        return ad.matmul(gt.hyper_scatter, ad.matmul(gt.hyper_gather, h))
+        z = ad.matmul(gt.hyper_gather, h, lambda: gt.hyper_gather_t)
+        return ad.matmul(gt.hyper_scatter, z, lambda: gt.hyper_scatter_t)
 
 
 class HyperAttenLayer:
@@ -253,7 +329,7 @@ class HyperAttenLayer:
 
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
         h = ad.matmul(x, self.theta)
-        z = ad.matmul(gt.incidence_t, h)
+        z = ad.matmul(gt.incidence_t, h, lambda: gt.incidence)
         s_node = ad.matmul(h, self.a_node)
         s_edge = ad.matmul(z, self.a_edge)
         node, edge = gt.inc_node, gt.hyper_scatter.indices

@@ -9,6 +9,7 @@ for floats, bit for bit.
 
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hygraph.graph import _ancestry, sort_unique
 from hygraph.io import load
 from hygraph.nn import autodiff as ad
 from hygraph.nn.autodiff import _accumulate
-from hygraph.nn.layers import LAYER_TYPES, LEAKY_SLOPE, GraphTensors, build_graph_tensors
+from hygraph.nn.layers import LAYER_TYPES, LEAKY_SLOPE, build_graph_tensors
 from hygraph.sampling import SamplerSpec, induce, run_sampler, weighted_sample_without_replacement
 
 # -- reference loops -------------------------------------------------------
@@ -386,7 +387,7 @@ def build_graph_tensors_algebra(g):
     w = g.hyperedge_weights
     node_mass = incidence @ w
     node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
-    return GraphTensors(
+    return SimpleNamespace(
         a_hat=with_data(att_pattern, inv_sqrt[att_dst] * inv_sqrt[att_pattern.indices]),
         mean_adj=sp.diags(np.divide(1.0, deg, out=np.zeros(n), where=deg > 0)) @ adj,
         att_dst=att_dst,
@@ -398,8 +399,18 @@ def build_graph_tensors_algebra(g):
     )
 
 
+# The eight structures ``GraphTensors`` builds for the layers' forwards,
+# then the adjoint of each sparse operator and GATv2's selection matrices.
+TENSOR_NAMES = ("a_hat", "mean_adj", "att_dst", "incidence_t", "hyper_gather",
+                "hyper_scatter", "inc_node", "log_weights")
+ADJOINTS = {"a_hat": "a_hat", "mean_adj": "mean_adj_t", "incidence_t": "incidence",
+            "hyper_gather": "hyper_gather_t", "hyper_scatter": "hyper_scatter_t"}
+SELECTIONS = ("src_selection", "dst_selection")
+STORED_NAMES = TENSOR_NAMES + tuple(sorted(set(ADJOINTS.values()) - {"a_hat"})) + SELECTIONS
+
+
 def assert_same_tensors(got, want):
-    for name in GraphTensors.__dataclass_fields__:
+    for name in TENSOR_NAMES:
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b), name
         if sp.issparse(b):
@@ -444,16 +455,68 @@ def test_graph_tensors_match_sparse_algebra_on_random_graphs(seed):
     assert_same_tensors(build_graph_tensors(g), build_graph_tensors_algebra(g))
 
 
-@pytest.mark.parametrize("method", ["node", "edge", "rw"])
+SAINT_SPECS = {"node": SamplerSpec("node", budget=100), "edge": SamplerSpec("edge", budget=150),
+               "rw": SamplerSpec("rw", roots=30, walk_length=3)}
+
+
+def saint_batches(method):
+    """20 batches of one sampler, as SAINT draws them from the suite's graph."""
+    g, rng = load(str(DATA / "synthetic_classification.json")), np.random.default_rng(560)
+    return [run_sampler(g, SAINT_SPECS[method], rng).to_graph(g.task) for _ in range(20)]
+
+
+@pytest.mark.parametrize("method", sorted(SAINT_SPECS))
 def test_graph_tensors_match_sparse_algebra_on_saint_batches(method):
-    # 20 batches per sampler, as SAINT draws them from the suite's graph.
-    g = load(str(DATA / "synthetic_classification.json"))
-    spec = {"node": SamplerSpec("node", budget=100), "edge": SamplerSpec("edge", budget=150),
-            "rw": SamplerSpec("rw", roots=30, walk_length=3)}[method]
-    rng = np.random.default_rng(560)
-    for _ in range(20):
-        sub = run_sampler(g, spec, rng).to_graph(g.task)
+    for sub in saint_batches(method):
         assert_same_tensors(build_graph_tensors(sub), build_graph_tensors_algebra(sub))
+
+
+def specials(rng, shape):
+    """Normal floats with signed zeros, infinities and NaN at one entry in ten."""
+    flat = rng.standard_normal(int(np.prod(shape)))
+    special = rng.random(flat.size) < 0.1
+    flat[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=special.sum())
+    return flat.reshape(shape)
+
+
+def assert_same_matrix(got, want):
+    assert (got.format, got.shape) == (want.format, want.shape)
+    for field in ("indptr", "indices", "data"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+ADJOINT_CASES = {
+    **{name: lambda build=build: [build()] for name, build in BUILD_CASES.items()},
+    **{f"random {seed}": lambda seed=seed: [random_graph(
+        np.random.default_rng(540 + seed), 5 + 15 * seed, 2 + 4 * seed)] for seed in range(6)},
+    **{f"saint {method}": lambda method=method: saint_batches(method) for method in SAINT_SPECS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADJOINT_CASES))
+def test_stored_adjoints_match_transposes(name):
+    # Each stored adjoint is a sorted CSR of the operator's transpose, and
+    # its product adds each output row in the order the CSC product of
+    # ``M.T`` does, so the two agree to the bit, signed zeros and infinities
+    # included.  Where two different NaNs meet, the CSR and CSC kernels may
+    # keep either one (IEEE 754 leaves it open), so NaNs compare as NaNs.
+    rng = np.random.default_rng(580 + len(name))
+    for g in ADJOINT_CASES[name]():
+        gt = build_graph_tensors(g)
+        for op_name, adjoint_name in ADJOINTS.items():
+            op, adjoint = getattr(gt, op_name), getattr(gt, adjoint_name)
+            assert adjoint.format == "csr" and adjoint.has_sorted_indices, adjoint_name
+            assert adjoint.shape == op.T.shape, adjoint_name
+            np.testing.assert_array_equal(adjoint.toarray(), op.T.toarray())
+            for width in (1, 3):
+                upstream = specials(rng, (op.shape[0], width))
+                assert_same_bits(*(np.where(np.isnan(p), np.nan, p)
+                                   for p in (adjoint @ upstream, op.T @ upstream)))
+        num_nodes = gt.a_hat.shape[0]
+        for selection, rows in ((gt.src_selection, gt.a_hat.indices),
+                                (gt.dst_selection, gt.att_dst)):
+            assert_same_matrix(selection, ad._selection(rows, num_nodes))
 
 
 # -- weighted draws ------------------------------------------------------------
@@ -700,8 +763,9 @@ def test_gatv2_scores_match_composed_ops(k, d):
     values = (rng.standard_normal((n, d)), rng.standard_normal((n, d)),
               rng.standard_normal((d, 1)))
     upstream = rng.standard_normal((k, 1))
+    selections = (ad._selection(src, n), ad._selection(dst, n))
     results = []
-    for scores in (ad.gatv2_scores, gatv2_scores_chain):
+    for scores in (lambda *args: ad.gatv2_scores(*args, lambda: selections), gatv2_scores_chain):
         tensors = [ad.Tensor(v) for v in values]
         out = scores(*tensors, src, dst, LEAKY_SLOPE)
         backprop(out, upstream)
@@ -762,6 +826,9 @@ SCATTER_ROWS = {
     "unsorted": lambda rng: rng.integers(37, size=300),
     "unique sorted": lambda rng: np.sort(rng.choice(40, size=25, replace=False)),
     "unique unsorted": lambda rng: rng.choice(40, size=25, replace=False),
+    "every row": lambda rng: np.arange(40),
+    "loss rows": lambda rng: np.sort(rng.permutation(40)[:24]),  # a 6:2:2 split's train rows
+    "first and last": lambda rng: np.array([0, 39]),
     "one row repeated": lambda rng: np.full(50, 7),
     "single": lambda rng: np.array([39]),
     "empty": lambda rng: np.zeros(0, dtype=np.int64),
@@ -773,13 +840,12 @@ SCATTER_ROWS = {
 def test_take_rows_backward_matches_selection_product(name, width):
     # Specials (signed zeros, infinities, NaN) at many offsets, so sums hit
     # -0.0 + -0.0, inf - inf and NaN propagation in both orders.
+    # Unique sorted rows (the loss rows) are placed, not multiplied, when
+    # wider than one column.
     rng = np.random.default_rng(760 + len(name) + (width or 0))
     rows = SCATTER_ROWS[name](rng)
     shape = (rows.size,) if width is None else (rows.size, width)
-    flat = rng.standard_normal(rows.size * (width or 1))
-    special = rng.random(flat.size) < 0.1
-    flat[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=special.sum())
-    upstream = flat.reshape(shape)
+    upstream = specials(rng, shape)
     a = ad.Tensor(np.zeros((40,) + shape[1:]))
     for idx in (rows, rows.astype(np.int32)):
         a.grad = None

@@ -4,10 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._compressed import _cs_matrix
 
 from hygraph import HybridGraph
+from hygraph.io import load, split
 from hygraph.nn import autodiff as ad
 from hygraph.nn.layers import (
+    LAYER_TYPES,
     GATLayer,
     GATv2Layer,
     GCNLayer,
@@ -16,6 +19,11 @@ from hygraph.nn.layers import (
     SAGELayer,
     build_graph_tensors,
 )
+from hygraph.nn.losses import one_hot
+from hygraph.nn.models import ModelSpec, build_model
+from hygraph.nn.train import Adam, _loss_on
+from hygraph.sampling import SamplerSpec, run_sampler
+from tests.test_array_oracles import DATA, STORED_NAMES
 from tests.test_autodiff import gradcheck
 
 
@@ -155,31 +163,122 @@ class TestGraphTensors:
         hyperedges = [tuple(range(n))]
         gt = build_graph_tensors(graph(n, edges, hyperedges))
         bound = n + 2 * len(edges) + 2 * sum(len(e) for e in hyperedges)
-        stored = {f.name: getattr(gt, f.name) for f in dataclasses.fields(gt)}
+        stored = {name: getattr(gt, name) for name in STORED_NAMES}
         sizes = {name: v.nnz for name, v in stored.items() if sp.issparse(v)}
-        assert "a_hat" in sizes and "incidence_t" in sizes
+        assert set(sizes) == set(STORED_NAMES) - {"att_dst", "inc_node", "log_weights"}
         assert {name: k for name, k in sizes.items() if k > bound} == {}
+
+    def test_every_stored_name_is_listed(self):
+        # The tests read the stored structures by name; reading all of them
+        # leaves nothing else in the instance beside the graph.
+        gt = build_graph_tensors(graph(4, [[0, 1], [1, 2]], [(0, 3), (1, 2, 3)]))
+        assert set(vars(gt)) == {"graph"}
+        for name in STORED_NAMES:
+            getattr(gt, name)
+        assert set(vars(gt)) == {"graph", *STORED_NAMES}
 
     def test_no_pair_array_is_stored_twice(self):
         # One end of each pair list is a pattern's indices; no array field
         # repeats them, and hyper_gather reuses incidence_t's.  Attention
-        # reads a_hat's structure, so no 0/1 copy of it is stored.
+        # reads a_hat's structure, so no 0/1 copy of it is stored.  Each
+        # adjoint or selection stores new index arrays only where no stored
+        # matrix holds them: every index array equal to another is shared.
         gt = build_graph_tensors(graph(
             6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]], [(4, 0, 2), (1, 5), (3,)]
         ))
-        stored = [getattr(gt, f.name) for f in dataclasses.fields(gt)]
+        stored = [getattr(gt, name) for name in STORED_NAMES]
         arrays = [v for v in stored if isinstance(v, np.ndarray)]
-        indices = [v.indices for v in stored if sp.issparse(v)]
+        matrices = [v for v in stored if sp.issparse(v)]
+        indices = [v.indices for v in matrices]
         assert arrays and indices
-        assert {v.format for v in stored if sp.issparse(v)} == {"csr"}
+        assert {v.format for v in matrices} == {"csr"}
         assert not [a for a in arrays for i in indices if np.array_equal(a, i)]
         assert np.shares_memory(gt.hyper_gather.indices, gt.incidence_t.indices)
         assert np.shares_memory(gt.hyper_gather.indptr, gt.incidence_t.indptr)
         # incidence_t is a 0/1 pattern on a read-only array of ones.
         assert not gt.incidence_t.data.flags.writeable
-        structures = [(v.indices.tobytes(), v.indptr.tobytes()) for v in stored
-                      if sp.issparse(v)]
-        assert len(structures) == len(set(structures)) + 1  # only hyper_gather's
+        for adjoint in (gt.incidence, gt.hyper_gather_t):
+            assert np.shares_memory(adjoint.indices, gt.hyper_scatter.indices)
+            assert np.shares_memory(adjoint.indptr, gt.hyper_scatter.indptr)
+        assert np.shares_memory(gt.incidence.data, gt.incidence_t.data)
+        assert np.shares_memory(gt.hyper_scatter_t.indices, gt.incidence_t.indices)
+        assert np.shares_memory(gt.hyper_scatter_t.indptr, gt.incidence_t.indptr)
+        assert np.shares_memory(gt.mean_adj_t.indptr, gt.mean_adj.indptr)
+        for selection in (gt.src_selection, gt.dst_selection):
+            assert np.shares_memory(selection.indptr, gt.a_hat.indptr)
+        index_arrays = [a for v in matrices for a in (v.indices, v.indptr)]
+        for a in index_arrays:
+            for b in index_arrays:
+                if a.dtype == b.dtype and a.tobytes() == b.tobytes():
+                    assert np.shares_memory(a, b)
+
+
+# The structure groups ``GraphTensors`` builds on first read.
+ATTENTION = {"a_hat", "att_dst"}
+INCIDENCE = {"incidence_t", "hyper_gather", "hyper_scatter", "inc_node", "log_weights"}
+
+
+def saint_batch():
+    g = load(str(DATA / "synthetic_classification.json"))
+    rw = SamplerSpec("rw", roots=30, walk_length=3)
+    return run_sampler(g, rw, np.random.default_rng(3)).to_graph(g.task)
+
+
+class TestLazyGroups:
+    @pytest.mark.parametrize("name, built", [
+        ("gcn", ATTENTION),
+        ("hyperconv", INCIDENCE | {"hyper_gather_t", "hyper_scatter_t"}),
+        ("sage", {"mean_adj", "mean_adj_t"}),
+        ("gatv2", ATTENTION | {"src_selection", "dst_selection"}),
+        ("hyperatten", INCIDENCE | {"incidence"}),
+    ])
+    def test_a_layer_builds_only_what_it_reads(self, name, built):
+        # A gcn batch builds a_hat and nothing of the incidence group, and
+        # a hyperconv batch nothing of the attention group.
+        sub = saint_batch()
+        gt = build_graph_tensors(sub)
+        assert set(vars(gt)) == {"graph"}
+        layer = LAYER_TYPES[name](sub.node_features.shape[1], 4, np.random.default_rng(0))
+        ad.mean(layer.forward(gt, ad.Tensor(sub.node_features))).backward()
+        assert set(vars(gt)) == {"graph"} | built
+
+    def test_build_checks_the_graph_at_once(self):
+        g = graph(3, [[1, 1]])
+        with pytest.raises(ValueError, match="self-loop"):
+            build_graph_tensors(g)
+
+
+class TestConstructorCount:
+    # scipy constructor calls in one full-batch training step after the
+    # first: every operator and adjoint is built by then.  Only edge_mix
+    # still builds a mixing matrix per forward and takes its transpose per
+    # backward, two per attention layer.
+    @pytest.mark.parametrize("name, per_step", [
+        ("gcn", 0), ("sage", 0), ("hyperconv", 0), ("lp:gcn+hyperconv", 0),
+        ("gat", 4), ("gatv2", 4), ("hyperatten", 4),
+    ])
+    def test_constructors_per_training_step(self, name, per_step, monkeypatch):
+        g = load(str(DATA / "synthetic_classification.json"))
+        rng = np.random.default_rng(0)
+        model = build_model(ModelSpec(name), g.node_features.shape[1], 2, rng, True)
+        gt, rows = build_graph_tensors(g), split(g, 0).train
+        targets = one_hot(g.labels, 2)
+        optimizer = Adam(model.params())
+
+        def step():
+            optimizer.zero_grad()
+            out = model.forward(gt, ad.Tensor(g.node_features), rng, training=True)
+            _loss_on(out, rows, targets, g.task).backward()
+            optimizer.step(0.01)
+
+        step()
+        calls = []
+        init = _cs_matrix.__init__
+        monkeypatch.setattr(_cs_matrix, "__init__",
+                            lambda self, *args, **kwargs: (calls.append(self.format),
+                                                           init(self, *args, **kwargs))[1])
+        step()
+        assert len(calls) == per_step, calls
 
 
 class TestGCN:
