@@ -325,6 +325,12 @@ class TestPinnedStreams:
             "189b8f2c791eabffa68589b231823f051d589e3b4c33d37ee5f4d7fb12095639",
         SamplerSpec("node", budget=50):
             "870e4802a16ea15e3a9d87ff7e12aaecd666158d43ea801f6ab1563f4b9e5dbf",
+        SamplerSpec("edge", budget=40):
+            "21400176ef113ad14fe00e867ff5f05ba43d57ef3ddf4801d2bc4bfc110ca723",
+        SamplerSpec("rand-node", budget=50):
+            "9a395f8e3f44ea342bbaaf89b79c500af7fc400caf9535c6112d1a3aa23d78dc",
+        SamplerSpec("rand-hyperedge", budget=10):
+            "16e2ebefa34ca4161c756761dc0f116ff8c488b61a3f5f6b55cfd9f968870bed",
     }
     # Every other layer on rw-SAINT batches, so each GraphTensors field is
     # built from sampled subgraphs too (gcn's row above reads only a_hat).
