@@ -8,7 +8,8 @@ point-cloud file and one shared copy of ``DATA`` with each hyperedge's
 members reversed, so every path a report records is the same string on both
 sides.  The commands are the README's CLI examples plus runs that train
 GATv2, SAINT batches of other layers, and hyperatten on the reversed copy;
-the training runs save their weights.  For every command the
+the training runs save their weights, and between them the SAINT runs draw
+batches from all five samplers.  For every command the
 script compares the exit code, stdout and every file written byte for byte,
 and stderr with the ``{"command": ...}`` announce lines taken out; announce
 lines that differ are listed but do not fail the comparison.  Exit status is
@@ -55,6 +56,10 @@ CLI_RUNS = [
      "--save-model", "sage_saint.npz"],
     ["train", DATA, "--model", "hyperatten", "--saint", "rw", "--roots", "30",
      "--walk-length", "3", "--batches", "5", "--save-model", "sat.npz"],
+    ["train", DATA, "--model", "gcn", "--saint", "rand-node", "--budget", "100",
+     "--batches", "5", "--save-model", "gcn_rand_node.npz"],
+    ["train", DATA, "--model", "hyperconv", "--saint", "rand-hyperedge", "--budget", "20",
+     "--batches", "5", "--save-model", "hyperconv_rand_hyperedge.npz"],
     ["train", REVERSED, "--model", "hyperatten", "--epochs", "20", "--save-model", "rev.npz"],
 ]
 SUITE_RUN = ["suite", "manifests/synthetic_suite.json", "--out", "report.json"]

@@ -323,7 +323,10 @@ def validate(g: HybridGraph) -> list[str]:
         canonical = np.sort(edges, axis=1)
         lo, hi = canonical[:, 0], canonical[:, 1]
         if ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] >= hi[:-1]))).all():
-            order = np.arange(edges.shape[0])  # already sorted, as saved and sampled edges are
+            # Already sorted, as the synthetic generators' edges are.  Sampled
+            # edges keep their parent's order, so they are sorted only when
+            # the parent's are.
+            order = np.arange(edges.shape[0])
         else:
             order = np.lexsort((hi, lo))  # stable: first copy first
         ranked = canonical[order]

@@ -8,7 +8,10 @@ is Adam under a half-cosine learning-rate decay.
 
 Training can run full-batch or on sampled subgraphs: a sampler spec draws a
 few subgraphs per epoch, the loss is taken on the sampled training nodes,
-and evaluation always runs on the full graph.
+and evaluation always runs on the full graph.  The parent graph is
+validated once per trial; sampled batches are not checked again, because a
+subgraph that ``induce`` cuts from a valid graph is valid by construction
+(see ``_batches``).
 """
 
 import json
@@ -20,7 +23,7 @@ from ..graph import HybridGraph, Task
 from ..io import SplitMasks, split
 from ..sampling import SamplerSpec, run_sampler
 from . import autodiff as ad
-from .layers import build_graph_tensors
+from .layers import GraphTensors, build_graph_tensors
 from .losses import bce_with_logits, mse, one_hot
 from .models import ModelSpec, build_model
 
@@ -156,6 +159,8 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
     gt = build_graph_tensors(g)
     x = np.asarray(g.node_features)
     targets = _targets(g.labels, task)
+    is_train = np.zeros(g.num_nodes, dtype=bool)
+    is_train[masks.train] = True
     optimizer = Adam(model.params())
     losses: list[float | None] = []  # None for an epoch that trained no batch
 
@@ -163,7 +168,7 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
         lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
         batch_losses = []
         for batch_gt, batch_x, batch_targets, rows in _batches(
-                g, cfg, masks, rng, (gt, x, targets, masks.train)):
+                g, cfg, is_train, rng, (gt, x, targets, masks.train)):
             optimizer.zero_grad()
             out = model.forward(batch_gt, ad.Tensor(batch_x), rng, training=True)
             loss = _loss_on(out, rows, batch_targets, task)
@@ -183,24 +188,36 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
     return model, masks, result
 
 
-def _batches(g: HybridGraph, cfg: TrainConfig, masks: SplitMasks,
+def _batches(g: HybridGraph, cfg: TrainConfig, is_train: np.ndarray,
              rng: np.random.Generator, full: tuple):
     """One epoch's ``(graph tensors, features, targets, training rows)`` batches.
 
     Full-batch training is the single batch ``full``, the whole graph.  SAINT
     draws each subgraph only when the previous batch has been trained on, so
     sampler draws and dropout masks take turns on ``rng`` in a fixed order;
-    a subgraph that holds no training node is skipped.
+    a subgraph that holds no training node is skipped.  ``is_train`` marks
+    the trial's training nodes; a batch's training rows are the sampled
+    nodes it marks, and its targets are gathered from ``full``'s.
+
+    A batch's structure skips ``build_graph_tensors``'s check: ``g`` was
+    validated by the caller, and the subgraph ``induce`` cuts from a valid
+    graph is valid by construction.  The relabelling of sampled ids is
+    injective and monotone, so kept edges gain no self-loop or duplicate;
+    masked hyperedge members stay unique and hyperedges left empty are
+    dropped; weights, features and labels are subsets of the parent's; and
+    the parent map restricted to the sample, with outside parents replaced
+    by self, is still a forest.
     """
     if cfg.saint is None:
         yield full
         return
+    targets = full[2]
     for _ in range(cfg.batches_per_epoch):
         sub = run_sampler(g, cfg.saint, rng)
-        local_train = np.flatnonzero(np.isin(sub.node_ids, masks.train))
+        local_train = np.flatnonzero(is_train[sub.node_ids])
         if local_train.size:
-            yield (build_graph_tensors(sub.to_graph(g.task)), sub.node_features,
-                   _targets(sub.labels, g.task), local_train)
+            yield (GraphTensors(sub.to_graph(g.task)), sub.node_features,
+                   targets[sub.node_ids], local_train)
 
 
 def _check_finite(value, model_name: str, epoch: int) -> None:

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hygraph import HybridGraph, Task
+import hygraph.graph
+from hygraph import HybridGraph, InvalidGraphError, Task
 from hygraph.io import split
 from hygraph.nn import autodiff as ad
 from hygraph.nn.layers import build_graph_tensors
@@ -19,6 +22,7 @@ from hygraph.nn.train import (
 )
 from hygraph.sampling import SamplerSpec
 from hygraph.synthetic import make_classification_graph, make_regression_graph
+from tests.test_sampling import TestPinnedStreams as Pinned  # a name pytest does not collect twice
 
 
 class TestModelSpec:
@@ -235,6 +239,29 @@ class TestTrainSingle:
         _, _, result = train_single(g, ModelSpec("gcn", hidden=16, dropout=0.1),
                                     cfg, seed=1)
         assert result.test_metric > 0.6
+
+
+class TestValidateCount:
+    # A SAINT trial validates its parent once.  Batches are induced from the
+    # validated parent, so none is checked again.
+    @pytest.mark.parametrize("spec", list(Pinned.SAINT), ids=lambda s: s.method)
+    def test_saint_trial_validates_only_the_parent(self, spec, monkeypatch):
+        g = Pinned.pinned_graph()  # built by replace: not yet validated
+        checked = []
+        validate = hygraph.graph.validate
+        monkeypatch.setattr(hygraph.graph, "validate",
+                            lambda h: (checked.append(h), validate(h))[1])
+        cfg = TrainConfig(epochs=3, trials=1, saint=spec, batches_per_epoch=3)
+        _, _, result = train_single(g, ModelSpec("gcn", hidden=8), cfg, seed=4)
+        assert None not in result.train_losses  # every epoch trained on batches
+        assert len(checked) == 1 and checked[0] is g
+
+    def test_saint_trial_on_invalid_parent_raises(self):
+        g = toy_graph()
+        bad = replace(g, simple_edges=np.vstack([g.simple_edges, [[3, 3]]]))
+        cfg = TrainConfig(epochs=2, trials=1, saint=SamplerSpec("node", budget=20))
+        with pytest.raises(InvalidGraphError, match="self-loop"):
+            train_single(bad, ModelSpec("gcn", hidden=8), cfg, seed=0)
 
 
 class TestRunExperiment:

@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from hygraph import HybridGraph, Task
+from hygraph import HybridGraph, Task, validate
 from hygraph.nn.layers import build_graph_tensors
 from hygraph.nn.models import ModelSpec
 from hygraph.nn.train import TrainConfig, run_experiment, train_single
@@ -132,6 +132,36 @@ class TestInduce:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             induce(self.fixture(), [0, 9])
+
+
+def random_valid_graph(rng: np.random.Generator) -> HybridGraph:
+    """A small valid graph: edges and hyperedge members in random order, duplicate
+    hyperedges, weights, optional features, a random forest and either task."""
+    n = int(rng.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u < v]
+    picked = rng.permutation(len(pairs))[:int(rng.integers(0, len(pairs) + 1))]
+    edges = [pairs[i][::-1] if rng.random() < 0.5 else pairs[i] for i in picked]
+    hyperedges = [tuple(rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist())
+                  for _ in range(int(rng.integers(0, 6)))]
+    if hyperedges and rng.random() < 0.3:
+        hyperedges.append(hyperedges[0])
+    m = len(hyperedges)
+    order = rng.permutation(n)  # a node's parent comes earlier in this order
+    parent = np.arange(n)
+    for i in range(1, n):
+        if rng.random() < 0.6:
+            parent[order[i]] = order[rng.integers(0, i)]
+    if rng.random() < 0.5:
+        k = int(rng.integers(2, 5))
+        task, labels = Task("classification", num_classes=k), rng.integers(0, k, size=n)
+    else:
+        task, labels = Task("regression"), rng.standard_normal(n)
+    return graph(
+        n, edges, hyperedges,
+        hyperedge_weights=rng.uniform(0.1, 3.0, size=m),
+        hyperedge_features=rng.standard_normal((m, 2)) if rng.random() < 0.5 else None,
+        parent=parent, labels=labels, task=task,
+    )
 
 
 class TestDegreeSampler:
@@ -436,3 +466,26 @@ class TestPinnedStreams:
         model, _, _ = train_single(self.pinned_graph(), ModelSpec(name, hidden=8), cfg, 4)
         weights = b"".join(p.value.tobytes() for p in model.params())
         assert hashlib.sha256(weights).hexdigest() == self.WEIGHTS[mode][name]
+
+
+class TestInducedSubgraphsAreValid:
+    """SAINT training builds batch tensors without re-checking the batch, so
+    every subgraph induced from a valid graph must pass ``validate``."""
+
+    def test_random_graphs_and_id_sets(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            g = random_valid_graph(rng)
+            assert validate(g) == []
+            n = g.num_nodes
+            random_ids = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+            for ids in (random_ids, [], np.arange(n)):
+                assert validate(induce(g, ids)) == []
+
+    @pytest.mark.parametrize("spec", list(TestPinnedStreams.SAMPLERS), ids=lambda s: s.method)
+    def test_every_sampler_on_the_pinned_graph(self, spec):
+        g = TestPinnedStreams.pinned_graph()
+        assert validate(g) == []
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            assert validate(run_sampler(g, spec, rng)) == []
