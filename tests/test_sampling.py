@@ -419,6 +419,25 @@ class TestPinnedStreams:
             parent=parent,
         )
 
+    # Walks on sparse_graph, where many halt at once or step without a draw.
+    SPARSE_RW = SamplerSpec("rw", roots=30, walk_length=8)
+    SPARSE = {
+        "report": "019b3a995f2103ebcae344921a2c6cd26c942122c5c14c829afaf8063fb0c646",
+        "draws": "b7d53667873afe0cfb6c1bbe1599ba436f3b0bd9e577fc359db869c6339c6c9c",
+        "saint gcn": "fb7038a9e5098d4ab937ed222e0bf110f6463ad85ee5556e57b1ba034925f179",
+    }
+
+    @staticmethod
+    def sparse_graph():
+        """The pinned graph on sparse edges: nodes 80-149 are isolated, so a
+        walk from one halts at once, and a star's leaves, disjoint pairs and
+        a path's ends have degree one, so a step from one draws nothing."""
+        star = [[0, v] for v in range(1, 20)]
+        pairs = [[v, v + 1] for v in range(20, 50, 2)]
+        path = [[v, v + 1] for v in range(50, 80)]
+        return replace(TestPinnedStreams.pinned_graph(),
+                       simple_edges=np.array(star + pairs + path))
+
     @staticmethod
     def digest(obj) -> str:
         return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
@@ -438,6 +457,26 @@ class TestPinnedStreams:
                 sub.hyperedge_features.tolist(),
             ])
         assert self.digest(draws) == draws_digest
+
+    def test_sparse_walk_report_and_draws(self):
+        g, spec = self.sparse_graph(), self.SPARSE_RW
+        assert self.digest(sampler_report(g, spec, 4, 21)) == self.SPARSE["report"]
+        draws = []
+        for i in range(4):
+            rng = np.random.default_rng(30 + i)
+            sub = run_sampler(g, spec, rng)
+            draws.append([
+                sub.node_ids.tolist(), sub.simple_edges.tolist(),
+                [list(e) for e in sub.hyperedges], sub.hyperedge_ids.tolist(),
+                sub.parent.tolist(), rng.random(),  # where the draw left the stream
+            ])
+        assert self.digest(draws) == self.SPARSE["draws"]
+
+    def test_sparse_walk_saint_experiment(self):
+        cfg = TrainConfig(epochs=3, lr=0.05, trials=2, saint=self.SPARSE_RW,
+                          batches_per_epoch=3)
+        report = run_experiment(self.sparse_graph(), ModelSpec("gcn", hidden=8), cfg, 4)
+        assert self.digest(report) == self.SPARSE["saint gcn"]
 
     @pytest.mark.parametrize("spec", list(SAINT), ids=lambda s: s.method)
     def test_saint_experiment(self, spec):
