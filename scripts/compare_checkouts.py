@@ -9,7 +9,8 @@ members reversed, so every path a report records is the same string on both
 sides.  The commands are the README's CLI examples plus runs that train
 GATv2, SAINT batches of other layers, and hyperatten on the reversed copy;
 the training runs save their weights, and between them the SAINT runs draw
-batches from all five samplers.  For every command the
+batches from all five samplers.  Sampler reports of long walks and of
+hyperedge draws run on ``DATA`` and on the ball graph a run builds.  For every command the
 script compares the exit code, stdout and every file written byte for byte,
 and stderr with the ``{"command": ...}`` announce lines taken out; announce
 lines that differ are listed but do not fail the comparison.  Exit status is
@@ -46,6 +47,13 @@ CLI_RUNS = [
     ["sample", DATA, "--method", "rw", "--roots", "50", "--walk-length", "3", "--seed", "1",
      "--out", "sub.json"],
     ["sampler-report", DATA, "--method", "node", "--budget", "200", "--trials", "20"],
+    ["sampler-report", DATA, "--method", "rw", "--roots", "50", "--walk-length", "8",
+     "--trials", "10"],
+    ["sampler-report", DATA, "--method", "rand-hyperedge", "--budget", "20", "--trials", "10"],
+    ["sampler-report", "ball.json", "--method", "rw", "--roots", "40", "--walk-length", "8",
+     "--trials", "10"],
+    ["sampler-report", "ball.json", "--method", "rand-hyperedge", "--budget", "20",
+     "--trials", "10"],
     ["train", DATA, "--model", "hyperconv", "--epochs", "50", "--trials", "5",
      "--save-model", "m.npz"],
     ["train", DATA, "--model", "gcn", "--saint", "edge", "--budget", "300", "--batches", "5"],

@@ -130,6 +130,7 @@ class Hyperedges(Sequence):
 
     def __init__(self, members: np.ndarray, offsets: np.ndarray):
         self.members, self.offsets = members, offsets
+        self._edge_of = None
         members.setflags(write=False)
         offsets.setflags(write=False)
 
@@ -146,8 +147,12 @@ class Hyperedges(Sequence):
         return self.offsets.size - 1
 
     def edge_of(self) -> np.ndarray:
-        """The hyperedge index of every member, in member order."""
-        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+        """The hyperedge index of every member, in member order (read-only,
+        computed on the first call)."""
+        if self._edge_of is None:
+            self._edge_of = np.repeat(np.arange(len(self)), np.diff(self.offsets))
+            self._edge_of.setflags(write=False)
+        return self._edge_of
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -281,6 +286,24 @@ class HybridGraph:
         return neighbour_sets(*self.adjacency_csr)
 
     @cached_property
+    def edges_by_first_endpoint(self) -> tuple[np.ndarray, np.ndarray]:
+        """Simple edge ids grouped by first endpoint, as CSR ``(indptr, order)``.
+
+        The edges whose first endpoint is ``v`` are
+        ``order[indptr[v]:indptr[v + 1]]``, in ascending id order.  Both
+        arrays are read-only.
+        """
+        n, edges = self.num_nodes, self.simple_edges
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise InvalidGraphError(["edge index out of range"])
+        order = np.argsort(edges[:, 0], kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edges[:, 0], minlength=n), out=indptr[1:])
+        indptr.setflags(write=False)
+        order.setflags(write=False)
+        return indptr, order
+
+    @cached_property
     def incidence_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Flattened hyperedge membership: (member node ids, offsets per edge)."""
         return self.hyperedges.members, self.hyperedges.offsets
@@ -339,7 +362,12 @@ def validate(g: HybridGraph) -> list[str]:
     members, offsets = g.incidence_arrays
     sizes = np.diff(offsets)
     edge_of = g.hyperedges.edge_of()  # non-decreasing
-    ranked = members[np.lexsort((members, edge_of))]  # sorted within each hyperedge
+    if ((members[1:] >= members[:-1]) | (edge_of[1:] != edge_of[:-1])).all():
+        # Already ascending within each hyperedge, as every induced
+        # subgraph's members are: the stable lexsort would not move them.
+        ranked = members
+    else:
+        ranked = members[np.lexsort((members, edge_of))]  # sorted within each hyperedge
     twice = (ranked[1:] == ranked[:-1]) & (edge_of[1:] == edge_of[:-1])
     has_twice = np.bincount(edge_of[1:][twice], minlength=m) > 0
     outside = np.bincount(edge_of[(members < 0) | (members >= n)], minlength=m) > 0

@@ -9,35 +9,70 @@ for floats, bit for bit.
 
 from collections import Counter
 from pathlib import Path
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hygraph import (GraphKind, HybridGraph, Task, classify, structurally_equal, to_simple,
-                     to_two_level_hierarchy, validate)
+from hygraph import (GraphKind, HybridGraph, InvalidGraphError, Task, classify,
+                     structurally_equal, to_simple, to_two_level_hierarchy, validate)
 from hygraph.graph import _ancestry, sort_unique
 from hygraph.io import load
 from hygraph.nn import autodiff as ad
 from hygraph.nn.autodiff import _accumulate
 from hygraph.nn.layers import LAYER_TYPES, LEAKY_SLOPE, build_graph_tensors
-from hygraph.sampling import SamplerSpec, induce, run_sampler, weighted_sample_without_replacement
+from hygraph import sampling
+from hygraph.sampling import (SamplerSpec, _bounded, induce, run_sampler, sample_random_walk,
+                             weighted_sample_without_replacement)
 
 # -- reference loops -------------------------------------------------------
 
 
 def induce_loop(g, node_ids):
+    """Every field of the induced subgraph, one edge, member and node at a time."""
     ids = np.unique(np.asarray(node_ids, dtype=np.int64))
-    local = np.full(g.num_nodes, -1, dtype=np.int64)
-    local[ids] = np.arange(ids.size)
+    local = {int(v): i for i, v in enumerate(ids)}
+    edges = [[local[u], local[v]] for u, v in g.simple_edges.tolist()
+             if u in local and v in local]
     kept_he, kept_idx = [], []
     for k, e in enumerate(g.hyperedges):
-        members = [int(local[v]) for v in e if local[v] >= 0]
+        members = [local[v] for v in e if v in local]
         if members:
             kept_he.append(tuple(sorted(members)))
             kept_idx.append(k)
-    return tuple(kept_he), np.asarray(kept_idx, dtype=np.int64)
+    kept_idx = np.asarray(kept_idx, dtype=np.int64)
+    return SimpleNamespace(
+        node_ids=ids,
+        simple_edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        hyperedges=tuple(kept_he),
+        hyperedge_ids=kept_idx,
+        hyperedge_weights=g.hyperedge_weights[kept_idx],
+        hyperedge_features=None if g.hyperedge_features is None
+        else g.hyperedge_features[kept_idx],
+        parent=np.asarray([local.get(int(g.parent[v]), i) for i, v in enumerate(ids)],
+                          dtype=np.int64),
+        labels=g.labels[ids],
+        node_features=g.node_features[ids],
+    )
+
+
+def walk_loop(g, roots, walk_length, rng):
+    """The sequential walk that ``sample_random_walk`` replays in lockstep."""
+    indptr, indices = g.adjacency_csr
+    visited = []
+    for _ in range(roots):
+        v = int(rng.integers(g.num_nodes))
+        visited.append(v)
+        for _ in range(walk_length):
+            start = int(indptr[v])
+            degree = int(indptr[v + 1]) - start
+            if degree == 0:
+                break
+            v = int(indices[start + rng.integers(degree)])
+            visited.append(v)
+    return visited
 
 
 def parent_cycle_loop(parent):
@@ -191,6 +226,31 @@ def bare(n, edges=(), hyperedges=(), **kwargs):
 # -- induce ----------------------------------------------------------------
 
 
+INDUCED_FIELDS = ("node_ids", "simple_edges", "hyperedge_ids", "hyperedge_weights",
+                  "hyperedge_features", "parent", "labels", "node_features")
+
+
+def assert_same_induced(sub, want):
+    assert sub.hyperedges == want.hyperedges
+    assert all(type(v) is int for e in sub.hyperedges for v in e)
+    for name in INDUCED_FIELDS:
+        got, expected = getattr(sub, name), getattr(want, name)
+        if expected is None:
+            assert got is None, name
+        else:
+            assert got.dtype == expected.dtype, name
+            assert got.shape == expected.shape, name
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+def scrambled(g, rng):
+    """``g`` with its edges shuffled and about half of them flipped to u > v."""
+    edges = g.simple_edges[rng.permutation(g.num_edges)]
+    flip = rng.random(g.num_edges) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return replace(g, simple_edges=edges)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_induce_matches_loop(seed):
     rng = np.random.default_rng(seed)
@@ -198,20 +258,44 @@ def test_induce_matches_loop(seed):
     g = random_graph(rng, n, int(rng.integers(0, 15)),
                      edge_features=seed % 2 == 0, hierarchy=seed % 3 == 0)
     assert g.violations == ()
-    for size in (0, 1, n // 3, n):
-        ids = rng.choice(n, size=size, replace=True)
-        sub = induce(g, ids)
-        hyperedges, kept = induce_loop(g, ids)
-        assert sub.hyperedges == hyperedges
-        assert all(type(v) is int for e in sub.hyperedges for v in e)
-        np.testing.assert_array_equal(sub.hyperedge_ids, kept)
-        assert sub.hyperedge_ids.dtype == np.int64
-        np.testing.assert_array_equal(sub.hyperedge_weights, g.hyperedge_weights[kept])
-        if g.hyperedge_features is None:
-            assert sub.hyperedge_features is None
-        else:
-            np.testing.assert_array_equal(sub.hyperedge_features, g.hyperedge_features[kept])
-        assert sub.to_graph().violations == ()
+    for graph in (g, scrambled(g, rng)):
+        for size in (0, 1, n // 3, n):
+            ids = rng.choice(n, size=size, replace=True)
+            sub = induce(graph, ids)
+            assert_same_induced(sub, induce_loop(graph, ids))
+            assert sub.to_graph().violations == ()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_induce_keeps_duplicate_edges_and_self_loops(seed):
+    # Invalid input masks like the loop: every copy of an edge and every
+    # self-loop between sampled nodes is kept, in the parent's order.
+    rng = np.random.default_rng(40 + seed)
+    g = scrambled(random_graph(rng, 20, 5), rng)
+    extra = np.concatenate([g.simple_edges[rng.integers(g.num_edges, size=8)],
+                            np.repeat(rng.integers(20, size=(4, 1)), 2, axis=1)])
+    edges = np.insert(g.simple_edges, rng.integers(g.num_edges, size=extra.shape[0]),
+                      extra, axis=0)
+    bad = replace(g, simple_edges=edges)
+    assert any("duplicate edge" in v for v in bad.violations)
+    assert any("self-loop" in v for v in bad.violations)
+    for size in (1, 7, 20):
+        ids = rng.choice(20, size=size, replace=False)
+        assert_same_induced(induce(bad, ids), induce_loop(bad, ids))
+
+
+def test_edges_by_first_endpoint_match_loop():
+    rng = np.random.default_rng(9)
+    g = scrambled(random_graph(rng, 30, 0), rng)
+    indptr, order = g.edges_by_first_endpoint
+    for v in range(g.num_nodes):
+        expected = [i for i, (u, _) in enumerate(g.simple_edges.tolist()) if u == v]
+        assert order[indptr[v]:indptr[v + 1]].tolist() == expected
+    assert not indptr.flags.writeable and not order.flags.writeable
+    assert bare(3).edges_by_first_endpoint[0].tolist() == [0, 0, 0, 0]
+    for edge in ([0, 3], [-1, 0]):
+        with pytest.raises(InvalidGraphError, match="edge index out of range"):
+            bare(3, edges=[[0, 1], edge]).edges_by_first_endpoint
 
 
 def test_induce_without_hyperedges():
@@ -220,13 +304,133 @@ def test_induce_without_hyperedges():
     assert sub.hyperedges == ()
     assert sub.hyperedge_ids.dtype == np.int64 and sub.hyperedge_ids.size == 0
     assert sub.hyperedge_weights.size == 0
+    assert_same_induced(sub, induce_loop(g, [1, 2, 3]))
 
 
 def test_induce_keeps_duplicate_members_sorted():
     # Invalid input still masks like the loop: duplicates kept, order sorted.
     g = bare(5, hyperedges=[(4, 1, 4, 0), (3,), (2, 0)])
     for ids in ([0, 1, 4], [3], [2, 4]):
-        assert induce(g, ids).hyperedges == induce_loop(g, ids)[0]
+        assert_same_induced(induce(g, ids), induce_loop(g, ids))
+
+
+# -- the walk sampler's stream replay --------------------------------------
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+HIGHS = (1, 2, 7, 50_000, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1, 2**32)
+
+
+def same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def advanced(bit_generator, seed, words):
+    """A generator that has read one odd word (so PCG64 and SFC64 hold a
+    buffered half) and then ``words`` words of its 32-bit stream."""
+    rng = np.random.Generator(bit_generator(seed))
+    rng.integers(7)
+    rng.integers(0, 2**32, size=words, dtype=np.uint32)
+    return rng
+
+
+@pytest.mark.parametrize("high", HIGHS)
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_bounded_replay_matches_sequential_integers(bit_generator, high):
+    sequential, block = advanced(bit_generator, 3, 0), advanced(bit_generator, 3, 0)
+    expected = [int(sequential.integers(high)) for _ in range(60)]
+    state = block.bit_generator.state
+    words = block.integers(0, 2**32, size=300, dtype=np.uint32)
+    got, at = [], np.zeros(1, dtype=np.int64)
+    for _ in range(60):
+        value, at = _bounded(words, at, np.array([high]))
+        got.append(int(value[0]))
+    assert got == expected
+    block.bit_generator.state = state
+    block.integers(0, 2**32, size=int(at[0]), dtype=np.uint32)
+    assert same_state(block.bit_generator.state, sequential.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_bounded_replay_lanes_match_generators_at_each_position(bit_generator):
+    # One lane per start position and bound, rejections and all: each equals
+    # a generator advanced to that position and stops where that one does.
+    # On a shorter block, exactly the lanes that read past its end say so.
+    words = advanced(bit_generator, 8, 0).integers(0, 2**32, size=200, dtype=np.uint32)
+    keep = np.random.default_rng(5).random(80 * len(HIGHS)) < 0.5
+    at = np.repeat(np.arange(80), len(HIGHS))[keep]
+    high = np.tile(np.array(HIGHS), 80)[keep]
+    value, after = _bounded(words, at, high)
+    for p, h, v, a in zip(at, high, value, after):
+        sequential = advanced(bit_generator, 8, int(p))
+        assert int(v) == int(sequential.integers(int(h)))
+        assert same_state(sequential.bit_generator.state,
+                          advanced(bit_generator, 8, int(a)).bit_generator.state)
+    short_value, short_after = _bounded(words[:80], at, high)
+    inside = after <= 80
+    np.testing.assert_array_equal(short_after > 80, ~inside)
+    np.testing.assert_array_equal(short_after[inside], after[inside])
+    np.testing.assert_array_equal(short_value[inside], value[inside])
+
+
+def walk_graphs():
+    rng = np.random.default_rng(77)
+    sparse = bare(40, edges=[[0, v] for v in range(1, 9)]  # a star: leaves of degree 1
+                  + [[v, v + 1] for v in range(10, 20, 2)]  # disjoint pairs
+                  + [[v, v + 1] for v in range(20, 30)])  # a path; 30-39 isolated
+    return {
+        "random": random_graph(rng, 60, 10),
+        "scrambled": scrambled(random_graph(rng, 300, 20), rng),
+        "sparse": sparse,
+        "one node": bare(1),
+        "one node with a self-loop": bare(1, edges=[[0, 0]]),
+        "no edges": bare(5),
+    }
+
+
+WALK_GRAPHS = walk_graphs()
+
+
+def assert_walks_match_loop(g, roots, walk_length, make_rng):
+    a, b = make_rng(), make_rng()
+    sub = sample_random_walk(g, roots, walk_length, a)
+    np.testing.assert_array_equal(sub.node_ids, np.unique(walk_loop(g, roots, walk_length, b)))
+    assert a.random() == b.random()  # the stream is left where the loop leaves it
+
+
+@pytest.mark.parametrize("roots,walk_length", [(1, 0), (1, 50), (5000, 0), (5000, 3), (40, 50)])
+@pytest.mark.parametrize("name", sorted(WALK_GRAPHS))
+def test_lockstep_walk_matches_loop(name, roots, walk_length):
+    g = WALK_GRAPHS[name]
+    for seed in range(3):
+        assert_walks_match_loop(g, roots, walk_length, lambda: np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS[1:], ids=lambda b: b.__name__)
+def test_lockstep_walk_matches_loop_on_other_bit_generators(bit_generator):
+    for name in ("scrambled", "sparse"):
+        assert_walks_match_loop(WALK_GRAPHS[name], 300, 6,
+                                lambda: advanced(bit_generator, 2, 0))
+
+
+@pytest.mark.parametrize("block", ["too small", "one word", "one root per chunk"])
+def test_lockstep_walk_when_the_chain_outruns_its_block(block, monkeypatch):
+    calls = []
+    walks = sampling._walks
+    monkeypatch.setattr(sampling, "_walks", lambda *a: calls.append(a[1].size) or walks(*a))
+    if block == "too small":  # most chains stop short of their roots
+        monkeypatch.setattr(sampling, "_block_size", lambda k, length: k // 2 + 1)
+    elif block == "one word":  # no walk of a step fits: the block must grow
+        monkeypatch.setattr(sampling, "_block_size", lambda k, length: 1)
+    else:
+        monkeypatch.setattr(sampling, "_WALK_VISITS", 1)
+    for name in ("random", "sparse"):
+        calls.clear()
+        assert_walks_match_loop(WALK_GRAPHS[name], 60, 5, lambda: np.random.default_rng(4))
+        assert len(calls) > 1
+        assert block != "one word" or max(calls) > 1  # the block grew
 
 
 # -- validate --------------------------------------------------------------
@@ -253,6 +457,9 @@ CRAFTED = {
     "empty hyperedges": bare(3, hyperedges=[(), (0, 1), ()]),
     "duplicate members": bare(3, hyperedges=[(0, 0), (1, 2), (2, 1, 2)]),
     "members out of range": bare(3, hyperedges=[(0, 3), (-1, 1), (1, 2)]),
+    # Members ascending within each hyperedge: validate skips its member sort.
+    "sorted duplicate members": bare(4, hyperedges=[(0, 1, 1, 3), (2, 2), (0, 3), (3, 3, 3)]),
+    "sorted members out of range": bare(4, hyperedges=[(-1, 0, 2), (1, 2, 4), (3,), (4, 4)]),
     "mixed hyperedges": bare(3, hyperedges=[(5, 5), (), (0, 1), (1, -2, 1)]),
     "non-positive weights": bare(3, hyperedges=[(0, 1), (1, 2), (0, 2)],
                                  hyperedge_weights=np.array([1.0, 0.0, -2.0])),

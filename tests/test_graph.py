@@ -152,6 +152,15 @@ class TestHyperedgesView:
         assert all(type(v) is int for e in mixed for v in e)
         assert mixed.offsets.tolist() == [0, 2, 4, 6, 6]
 
+    def test_edge_of_is_computed_once_and_read_only(self):
+        h = self.view()
+        edge_of = h.edge_of()
+        np.testing.assert_array_equal(edge_of, [0, 0, 0, 1, 2, 2])
+        assert h.edge_of() is edge_of
+        with pytest.raises(ValueError):
+            edge_of[0] = 1
+        assert Hyperedges.of(()).edge_of().size == 0
+
     @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 9000])
     def test_iteration_across_blocks(self, count):
         # Sizes 0 to 6 (empty hyperedges at block ends too), members that
