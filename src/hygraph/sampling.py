@@ -121,11 +121,12 @@ def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
     # The edges whose first endpoint is sampled, kept if the second one is
     # too; sorting their ids keeps the parent's edge order.
     indptr, order = g.edges_by_first_endpoint
-    first, counts = indptr[ids], indptr[ids + 1] - indptr[ids]
-    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    first = indptr[ids]
+    counts = indptr[ids + 1] - first
+    shift = np.repeat(first - np.cumsum(counts) + counts, counts)
     candidates = order[shift + np.arange(shift.size)]
     edges = g.simple_edges
-    edge_ids = np.sort(candidates[local[edges[candidates, 1]] >= 0])
+    edge_ids = np.sort(candidates[local[edges[:, 1][candidates]] >= 0])
     hyperedges, kept = _mask_hyperedges(g, local, ids.size)
     mapped = local[g.parent[ids]]
 
