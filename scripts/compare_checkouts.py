@@ -10,11 +10,11 @@ sides.  The commands are the README's CLI examples plus runs that train
 GATv2, SAINT batches of other layers, and hyperatten on the reversed copy;
 the training runs save their weights, and between them the SAINT runs draw
 batches from all five samplers.  Sampler reports of long walks and of
-hyperedge draws run on ``DATA`` and on the ball graph a run builds.  For every command the
-script compares the exit code, stdout and every file written byte for byte,
-and stderr with the ``{"command": ...}`` announce lines taken out; announce
-lines that differ are listed but do not fail the comparison.  Exit status is
-0 when everything else matches, 1 otherwise.
+hyperedge draws run on ``DATA`` and on the ball graph a run builds.  For
+every command the script compares the exit code, stdout and every file
+written byte for byte, and stderr with the ``{"command": ...}`` announce
+lines taken out; announce lines that differ are listed but do not fail the
+comparison.  Exit status is 0 when everything else matches, 1 otherwise.
 """
 
 import argparse
