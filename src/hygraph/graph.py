@@ -130,7 +130,7 @@ class Hyperedges(Sequence):
 
     def __init__(self, members: np.ndarray, offsets: np.ndarray):
         self.members, self.offsets = members, offsets
-        self._edge_of = None
+        self._edge_of = self._sorted_members = None
         members.setflags(write=False)
         offsets.setflags(write=False)
 
@@ -153,6 +153,19 @@ class Hyperedges(Sequence):
             self._edge_of = np.repeat(np.arange(len(self)), np.diff(self.offsets))
             self._edge_of.setflags(write=False)
         return self._edge_of
+
+    def sorted_members(self) -> np.ndarray:
+        """The members sorted within each hyperedge (read-only, computed on
+        the first call); ``members`` itself when they are already ascending,
+        as every induced subgraph's are."""
+        if self._sorted_members is None:
+            members, edge_of = self.members, self.edge_of()  # edge_of is non-decreasing
+            if ((members[1:] >= members[:-1]) | (edge_of[1:] != edge_of[:-1])).all():
+                self._sorted_members = members
+            else:
+                self._sorted_members = members[np.lexsort((members, edge_of))]
+                self._sorted_members.setflags(write=False)
+        return self._sorted_members
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -361,13 +374,8 @@ def validate(g: HybridGraph) -> list[str]:
     m = g.num_hyperedges
     members, offsets = g.incidence_arrays
     sizes = np.diff(offsets)
-    edge_of = g.hyperedges.edge_of()  # non-decreasing
-    if ((members[1:] >= members[:-1]) | (edge_of[1:] != edge_of[:-1])).all():
-        # Already ascending within each hyperedge, as every induced
-        # subgraph's members are: the stable lexsort would not move them.
-        ranked = members
-    else:
-        ranked = members[np.lexsort((members, edge_of))]  # sorted within each hyperedge
+    edge_of = g.hyperedges.edge_of()
+    ranked = g.hyperedges.sorted_members()
     twice = (ranked[1:] == ranked[:-1]) & (edge_of[1:] == edge_of[:-1])
     has_twice = np.bincount(edge_of[1:][twice], minlength=m) > 0
     outside = np.bincount(edge_of[(members < 0) | (members >= n)], minlength=m) > 0

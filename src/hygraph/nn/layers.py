@@ -97,13 +97,11 @@ def _incidence(gt) -> dict:
     transpose, hyperedges ascending in each row."""
     g = gt.graph
     n, m = g.num_nodes, g.num_hyperedges
-    members, offsets = g.incidence_arrays
-    ones = np.ones(members.size)
+    offsets = g.hyperedges.offsets
+    ones = np.ones(offsets[-1])
     ones.setflags(write=False)
     inc_edge = _row_index(offsets)
-    key = inc_edge * n + members
-    key = key if (key[1:] > key[:-1]).all() else np.sort(key)
-    incidence_t = _csr(ones, key - inc_edge * n, offsets, (m, n))
+    incidence_t = _csr(ones, g.hyperedges.sorted_members(), offsets, (m, n))
     w = g.hyperedge_weights
     hyper_scatter = incidence_t.T.tocsr()
     inc_node = _row_index(hyper_scatter.indptr)

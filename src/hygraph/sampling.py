@@ -12,12 +12,11 @@ parent graph.  ``to_graph()`` without a task keeps the parent's task.
 Draws read the graph's cached arrays and rebuild no whole-graph structure:
 the walk sampler steps through ``HybridGraph.adjacency_csr``, and ``induce``
 reads the sampled nodes' edges through ``HybridGraph.edges_by_first_endpoint``
-and masks ``HybridGraph.incidence_arrays`` into the sample's own flat arrays.
+and masks the members sorted within each hyperedge
+(``Hyperedges.sorted_members``) into the sample's own flat arrays.
 
-Every sampler makes the same RNG calls in the same order as its sequential
-form.  The walk sampler replays numpy's ``Generator.integers`` algorithm on
-words pre-drawn from the generator's own stream and leaves the generator
-where a sequential walk would; see :func:`sample_random_walk`.
+The walk sampler moves all its walks one step per round, with one array
+draw per round; see :func:`sample_random_walk`.
 
 The degree and edge samplers draw without replacement from non-uniform
 distributions using the exponential-race trick: each item gets key
@@ -89,7 +88,7 @@ class SampledSubgraph(HybridGraph):
         return replace(self, task=task)
 
 
-def _mask_hyperedges(g: HybridGraph, local: np.ndarray, size: int):
+def _mask_hyperedges(g: HybridGraph, local: np.ndarray):
     """Hyperedges restricted to the sample: (local members, kept ids).
 
     ``local`` maps global node ids to local ones (-1 outside the sample).
@@ -98,16 +97,13 @@ def _mask_hyperedges(g: HybridGraph, local: np.ndarray, size: int):
     """
     if g.num_hyperedges == 0:  # skips a dozen numpy calls per draw on plain graphs
         return g.hyperedges, np.zeros(0, dtype=np.int64)
-    members, _ = g.incidence_arrays
-    mapped = local[members]
+    # ``local`` is increasing on the sample, so members sorted within each
+    # hyperedge stay sorted once mapped.
+    mapped = local[g.hyperedges.sorted_members()]
     inside = mapped >= 0
-    edge_of = g.hyperedges.edge_of()[inside]
-    # Members arrive grouped by hyperedge, so sorting (edge, member) keys
-    # sorts the members within each hyperedge and keeps the groups in order.
-    keys = np.sort(edge_of * size + mapped[inside])
-    counts = np.bincount(edge_of, minlength=g.num_hyperedges)
+    counts = np.bincount(g.hyperedges.edge_of()[inside], minlength=g.num_hyperedges)
     kept = np.flatnonzero(counts)
-    return Hyperedges(keys % size, np.concatenate([[0], np.cumsum(counts[kept])])), kept
+    return Hyperedges(mapped[inside], np.concatenate([[0], np.cumsum(counts[kept])])), kept
 
 
 def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
@@ -127,7 +123,7 @@ def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
     candidates = order[shift + np.arange(shift.size)]
     edges = g.simple_edges
     edge_ids = np.sort(candidates[local[edges[:, 1][candidates]] >= 0])
-    hyperedges, kept = _mask_hyperedges(g, local, ids.size)
+    hyperedges, kept = _mask_hyperedges(g, local)
     mapped = local[g.parent[ids]]
 
     return SampledSubgraph(
@@ -195,74 +191,6 @@ def sample_edges(g: HybridGraph, budget: int, rng) -> SampledSubgraph:
     return induce(g, g.simple_edges[picked].ravel())
 
 
-_WORD = 2**32  # words of the generator's 32-bit stream lie in [0, 2**32)
-_WALK_VISITS = 1 << 20  # most walk positions (lanes times rounds) held at once
-
-
-def _bounded(words: np.ndarray, at: np.ndarray,
-             high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Replay ``Generator.integers(high)`` for each lane on pre-drawn words.
-
-    Lane ``i`` reads ``words`` from position ``at[i]`` on, as numpy's
-    bounded draw does (Lemire, arXiv:1805.10941): ``m = word * high`` is
-    accepted unless its low 32 bits fall below ``2**32 % high``, and a
-    rejected word is followed by the next one.  ``high`` is an int64 array
-    of bounds in [0, 2**32]; a lane with ``high <= 1`` reads no word and
-    gets 0, as numpy's ``integers(1)`` does.  Returns the values ``m >> 32``
-    and each lane's position after its draw, beyond ``words.size`` for a
-    lane that needed a word past the block (its value is then meaningless).
-    """
-    high = high.view(np.uint64)
-    m = words[np.minimum(at, words.size - 1)] * high
-    value = (m >> 32).view(np.int64)
-    at = at + (high > 1)
-    low = m & (_WORD - 1)
-    suspect = low < high  # a rejection needs low < 2**32 % high, which is below high
-    if not suspect.any():
-        return value, at
-    lanes = np.flatnonzero(suspect)
-    lanes = lanes[(high[lanes] > 1) & (low[lanes] < _WORD % high[lanes])]
-    while lanes.size:  # redraw the rejected lanes from their next word
-        past = at[lanes] >= words.size
-        at[lanes[past]] = words.size + 1
-        lanes = lanes[~past]
-        m = words[at[lanes]] * high[lanes]
-        value[lanes] = (m >> 32).view(np.int64)
-        at[lanes] += 1
-        lanes = lanes[(m & (_WORD - 1)) < _WORD % high[lanes]]
-    return value, at
-
-
-def _walks(g: HybridGraph, words: np.ndarray,
-           walk_length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The walk that starts at each position of ``words``, all in lockstep.
-
-    Each lane makes the RNG calls of one sequential walk: a root draw, then
-    one draw per step from a node of degree 2 or more; a degree-1 step and a
-    1-node graph's root draw read no word, and a walk halts at a node with
-    no neighbours.  Returns each lane's position after its walk (beyond
-    ``words.size`` if it ran past the block) and its nodes, one row per
-    round: ``path[:, p]`` is the walk from position ``p``, its last node
-    repeated after a halt.
-    """
-    indptr, indices = g.adjacency_csr
-    v, pos = _bounded(words, np.arange(words.size), np.full(words.size, g.num_nodes))
-    path = [v]
-    for _ in range(walk_length if indices.size else 0):
-        first = indptr[v]
-        degree = indptr[v + 1] - first
-        step, pos = _bounded(words, pos, degree)
-        v = np.where(degree > 0, indices[np.minimum(first + step, indices.size - 1)], v)
-        path.append(v)
-    return pos, np.stack(path)
-
-
-def _block_size(walks: int, walk_length: int) -> int:
-    """Words to pre-draw for ``walks`` walks: one per root and step, plus
-    room for rejections."""
-    return walks * (walk_length + 1) + walks // 16 + 8
-
-
 def sample_random_walk(
     g: HybridGraph, roots: int, walk_length: int, rng
 ) -> SampledSubgraph:
@@ -271,17 +199,12 @@ def sample_random_walk(
     Roots are drawn with replacement; each walk takes up to ``walk_length``
     uniform neighbor steps and halts early at a node with no neighbors.
 
-    The walks make the RNG calls of a sequential walk, in the same order:
-    ``rng.integers(num_nodes)`` for each root, then ``rng.integers(degree)``
-    for each step.  They run in lockstep on a block of words pre-drawn from
-    ``rng``'s own 32-bit stream, the stream those calls read for bounds up
-    to 2**32, replaying numpy's ``Generator.integers`` algorithm (pinned by
-    numpy 2.4.6 in CI and by the stream-replay oracle in the tests).  The
-    walk from every position of the block is computed; the real walks are
-    chained from position 0, each starting where the one before stopped
-    reading.  ``rng`` is then reset and advances by exactly the words the
-    walks read, so it ends where a sequential walk leaves it.  Roots are
-    taken in chunks, so a block holds at most about ``_WALK_VISITS`` visits.
+    The walks advance round by round: ``rng.integers(num_nodes, size=roots)``
+    draws the roots, then each round makes one ``rng.integers(degree)`` for
+    the walks still moving, in root order, and steps them through
+    ``HybridGraph.adjacency_csr``.  An array of bounds draws element by
+    element from the stream scalar calls read, so this equals a loop that
+    draws each round's steps one walk at a time.
     """
     if roots < 1:
         raise ValueError(f"roots must be >= 1, got {roots}")
@@ -289,27 +212,15 @@ def sample_random_walk(
         raise ValueError(f"walk_length must be >= 0, got {walk_length}")
     if g.num_nodes == 0:
         raise ValueError("cannot walk an empty graph")
-    chunk = max(1, _WALK_VISITS // (walk_length + 1) ** 2)
-    visited, left, grow = [], roots, 1
-    while left:
-        want = min(left, chunk)
-        size = grow * _block_size(want, walk_length)
-        state = rng.bit_generator.state
-        words = rng.integers(0, _WORD, size=size, dtype=np.uint32)
-        ends, path = _walks(g, words, walk_length)
-        ends = ends.tolist()
-        starts, at = [], 0
-        while len(starts) < want and at < size and ends[at] <= size:
-            starts.append(at)
-            at = ends[at]
-        rng.bit_generator.state = state
-        rng.integers(0, _WORD, size=at, dtype=np.uint32)  # the words the walks read
-        if not starts:  # one walk read past the block: draw a larger one
-            grow *= 2
-            continue
-        visited.append(path[:, starts].ravel())
-        left -= len(starts)
-        grow = 1
+    indptr, indices = g.adjacency_csr
+    v = rng.integers(g.num_nodes, size=roots)
+    visited = [v]
+    for _ in range(walk_length):
+        first = indptr[v]
+        degree = indptr[v + 1] - first
+        moving = degree > 0  # a walk at a node with no neighbours halts and drops out
+        v = indices[first[moving] + rng.integers(degree[moving])]
+        visited.append(v)
     return induce(g, np.concatenate(visited))
 
 

@@ -18,13 +18,12 @@ import scipy.sparse as sp
 
 from hygraph import (GraphKind, HybridGraph, InvalidGraphError, Task, classify,
                      structurally_equal, to_simple, to_two_level_hierarchy, validate)
-from hygraph.graph import _ancestry, sort_unique
+from hygraph.graph import Hyperedges, _ancestry, sort_unique
 from hygraph.io import load
 from hygraph.nn import autodiff as ad
 from hygraph.nn.autodiff import _accumulate
 from hygraph.nn.layers import LAYER_TYPES, LEAKY_SLOPE, build_graph_tensors
-from hygraph import sampling
-from hygraph.sampling import (SamplerSpec, _bounded, induce, run_sampler, sample_random_walk,
+from hygraph.sampling import (SamplerSpec, induce, run_sampler, sample_random_walk,
                              weighted_sample_without_replacement)
 
 # -- reference loops -------------------------------------------------------
@@ -59,19 +58,22 @@ def induce_loop(g, node_ids):
 
 
 def walk_loop(g, roots, walk_length, rng):
-    """The sequential walk that ``sample_random_walk`` replays in lockstep."""
+    """The walks round by round, one RNG call per root and then per step of
+    each walk still moving, in root order."""
     indptr, indices = g.adjacency_csr
-    visited = []
-    for _ in range(roots):
-        v = int(rng.integers(g.num_nodes))
-        visited.append(v)
-        for _ in range(walk_length):
+    walks = [int(rng.integers(g.num_nodes)) for _ in range(roots)]
+    visited = list(walks)
+    for _ in range(walk_length):
+        for w, v in enumerate(walks):
+            if v is None:
+                continue
             start = int(indptr[v])
             degree = int(indptr[v + 1]) - start
-            if degree == 0:
-                break
-            v = int(indices[start + rng.integers(degree)])
-            visited.append(v)
+            if degree == 0:  # halted for good: a node with no neighbours
+                walks[w] = None
+                continue
+            walks[w] = int(indices[start + rng.integers(degree)])
+            visited.append(walks[w])
     return visited
 
 
@@ -314,65 +316,18 @@ def test_induce_keeps_duplicate_members_sorted():
         assert_same_induced(induce(g, ids), induce_loop(g, ids))
 
 
-# -- the walk sampler's stream replay --------------------------------------
+# -- the walk sampler ------------------------------------------------------
 
 
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
-HIGHS = (1, 2, 7, 50_000, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1, 2**32)
 
 
-def same_state(a, b):
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
-
-
-def advanced(bit_generator, seed, words):
-    """A generator that has read one odd word (so PCG64 and SFC64 hold a
-    buffered half) and then ``words`` words of its 32-bit stream."""
+def advanced(bit_generator, seed):
+    """A generator that has read one odd word, so PCG64 and SFC64 hold a
+    buffered half of their 32-bit stream."""
     rng = np.random.Generator(bit_generator(seed))
     rng.integers(7)
-    rng.integers(0, 2**32, size=words, dtype=np.uint32)
     return rng
-
-
-@pytest.mark.parametrize("high", HIGHS)
-@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
-def test_bounded_replay_matches_sequential_integers(bit_generator, high):
-    sequential, block = advanced(bit_generator, 3, 0), advanced(bit_generator, 3, 0)
-    expected = [int(sequential.integers(high)) for _ in range(60)]
-    state = block.bit_generator.state
-    words = block.integers(0, 2**32, size=300, dtype=np.uint32)
-    got, at = [], np.zeros(1, dtype=np.int64)
-    for _ in range(60):
-        value, at = _bounded(words, at, np.array([high]))
-        got.append(int(value[0]))
-    assert got == expected
-    block.bit_generator.state = state
-    block.integers(0, 2**32, size=int(at[0]), dtype=np.uint32)
-    assert same_state(block.bit_generator.state, sequential.bit_generator.state)
-
-
-@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
-def test_bounded_replay_lanes_match_generators_at_each_position(bit_generator):
-    # One lane per start position and bound, rejections and all: each equals
-    # a generator advanced to that position and stops where that one does.
-    # On a shorter block, exactly the lanes that read past its end say so.
-    words = advanced(bit_generator, 8, 0).integers(0, 2**32, size=200, dtype=np.uint32)
-    keep = np.random.default_rng(5).random(80 * len(HIGHS)) < 0.5
-    at = np.repeat(np.arange(80), len(HIGHS))[keep]
-    high = np.tile(np.array(HIGHS), 80)[keep]
-    value, after = _bounded(words, at, high)
-    for p, h, v, a in zip(at, high, value, after):
-        sequential = advanced(bit_generator, 8, int(p))
-        assert int(v) == int(sequential.integers(int(h)))
-        assert same_state(sequential.bit_generator.state,
-                          advanced(bit_generator, 8, int(a)).bit_generator.state)
-    short_value, short_after = _bounded(words[:80], at, high)
-    inside = after <= 80
-    np.testing.assert_array_equal(short_after > 80, ~inside)
-    np.testing.assert_array_equal(short_after[inside], after[inside])
-    np.testing.assert_array_equal(short_value[inside], value[inside])
 
 
 def walk_graphs():
@@ -411,26 +366,7 @@ def test_lockstep_walk_matches_loop(name, roots, walk_length):
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS[1:], ids=lambda b: b.__name__)
 def test_lockstep_walk_matches_loop_on_other_bit_generators(bit_generator):
     for name in ("scrambled", "sparse"):
-        assert_walks_match_loop(WALK_GRAPHS[name], 300, 6,
-                                lambda: advanced(bit_generator, 2, 0))
-
-
-@pytest.mark.parametrize("block", ["too small", "one word", "one root per chunk"])
-def test_lockstep_walk_when_the_chain_outruns_its_block(block, monkeypatch):
-    calls = []
-    walks = sampling._walks
-    monkeypatch.setattr(sampling, "_walks", lambda *a: calls.append(a[1].size) or walks(*a))
-    if block == "too small":  # most chains stop short of their roots
-        monkeypatch.setattr(sampling, "_block_size", lambda k, length: k // 2 + 1)
-    elif block == "one word":  # no walk of a step fits: the block must grow
-        monkeypatch.setattr(sampling, "_block_size", lambda k, length: 1)
-    else:
-        monkeypatch.setattr(sampling, "_WALK_VISITS", 1)
-    for name in ("random", "sparse"):
-        calls.clear()
-        assert_walks_match_loop(WALK_GRAPHS[name], 60, 5, lambda: np.random.default_rng(4))
-        assert len(calls) > 1
-        assert block != "one word" or max(calls) > 1  # the block grew
+        assert_walks_match_loop(WALK_GRAPHS[name], 300, 6, lambda: advanced(bit_generator, 2))
 
 
 # -- validate --------------------------------------------------------------
@@ -1132,6 +1068,28 @@ def test_sort_unique_matches_numpy(name):
     assert got.dtype == want.dtype and got_first.dtype == want_first.dtype
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(got_first, want_first)
+
+
+def random_hyperedges(rng, ascending):
+    """Hyperedges of 0-6 members drawn from -3..12, duplicates allowed, so
+    empty hyperedges and out-of-range members occur too."""
+    sizes = rng.integers(0, 7, size=40)
+    members = rng.integers(-3, 13, size=sizes.sum())
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    if ascending:
+        members = np.concatenate([np.sort(members[a:b]) for a, b in zip(offsets, offsets[1:])])
+    return Hyperedges(members.astype(np.int64), offsets)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sorted_members_match_lexsort(seed):
+    rng = np.random.default_rng(seed)
+    for ascending in (False, True):
+        h = random_hyperedges(rng, ascending)
+        got = h.sorted_members()
+        np.testing.assert_array_equal(got, h.members[np.lexsort((h.members, h.edge_of()))])
+        assert not got.flags.writeable and h.sorted_members() is got
+        assert got is h.members or not ascending  # sorted members are not copied
 
 
 # -- graph transforms ----------------------------------------------------------

@@ -329,8 +329,12 @@ class TestPinnedStreams:
     that the array code replaced, and the full-batch digests from the layers'
     edge-list adjacency that the neighbour CSR replaced, so any change to a
     draw, to the order of RNG calls or to the report bytes shows here.  The
-    training digests also fix the float results of the model, as computed
-    with the pinned numpy and OpenBLAS.
+    rw digests (``SAMPLERS``' and ``SAINT``'s rw rows, ``SAINT_MODELS``,
+    ``WEIGHTS["rw"]`` and ``SPARSE``) come from the round-by-round walk,
+    whose RNG calls equal the round-major loop in
+    ``tests/test_array_oracles.py``.  The training digests also fix the
+    float results of the model, as computed with the pinned numpy and
+    OpenBLAS.
     """
 
     SAMPLERS = {
@@ -341,8 +345,8 @@ class TestPinnedStreams:
             "2dfafa73a18cc73d76216edcbde78181eb3964be779ce780fc11d4b7a569a4a3",
             "7f3d5e1f74c8e87eb1e22b17ec52dac1393f110a1f252dd28e2061e789aa9ca6"),
         SamplerSpec("rw", roots=12, walk_length=4): (
-            "aa69ff6a7e6981c899edae0a33b09ec9a5ad7dad0c326a76119da6de8b11ee77",
-            "ee77b07b515e6ce15ca1d3384d782aa79dbac74088ce7ad9ec5a521258c38e33"),
+            "11720bfcc2b83e1c93e7128bfaaa1e1edcaddc09c7a1778c5afaea3148452f98",
+            "484729624df5335b69bc6d8a9136ebfa9fd3a6bd9a865517253028f6c193c9ad"),
         SamplerSpec("rand-node", budget=40): (
             "a3d96015668608dfd567d85fe2d3551cc372d22cbe37d82f972e61c76e8ac0d2",
             "9d9e52422b5c2730581a76230f2ec93667a97eeff2c436c06759783a73f6cbbf"),
@@ -352,7 +356,7 @@ class TestPinnedStreams:
     }
     SAINT = {
         SamplerSpec("rw", roots=20, walk_length=3):
-            "189b8f2c791eabffa68589b231823f051d589e3b4c33d37ee5f4d7fb12095639",
+            "65ab8dedde0bd2c9bf6d9e51ea64140ba4a4eec14bdf51cfed63c67751197103",
         SamplerSpec("node", budget=50):
             "870e4802a16ea15e3a9d87ff7e12aaecd666158d43ea801f6ab1563f4b9e5dbf",
         SamplerSpec("edge", budget=40):
@@ -365,11 +369,11 @@ class TestPinnedStreams:
     # Every other layer on rw-SAINT batches, so each GraphTensors field is
     # built from sampled subgraphs too (gcn's row above reads only a_hat).
     SAINT_MODELS = {
-        "sage": "0cba8ace79a2757a9f3d1bb94868e840192887b329ab23cf3bc72f8c5541f675",
-        "gat": "ca2e4e6f058d32dd337de1de6b61abbc0dd5e17198d526b772a9df285f68bdaa",
-        "gatv2": "272f40313af7ef9aa1b8e50004af926b6b6723536ff595893e525392266eabde",
-        "hyperconv": "2404e5d7145ed45e786f2cd11887810020883ad34fc53205095474a9fae16895",
-        "hyperatten": "b653e8509fa138bc5798b35fd579fc037b17e5f6a399f2b3dc67bb77739a34f0",
+        "sage": "bddba59cac1616ffabe8e77f881dafd89b9afd7678570c3fcd541ab2d8183e82",
+        "gat": "e8e1176ab4707157861b6b00ca446d8eb12482a89884114dff072218489142d2",
+        "gatv2": "8581dd0d5fd7d6892ff81cf0937d4b6f4142db1baa80dce3f8c09f36fa8f2e3a",
+        "hyperconv": "aca54a83a805fc7969b8473f8d0a0bae7a7d5cde71c742cdc64970f9b7b7f89a",
+        "hyperatten": "fe8110560ff2967bc0ecfa3cd47a7d08cc3ef591259f1c5de991c2d036da6e36",
     }
     FULL_BATCH = {
         "gcn": "973504ffbf0f7b7ae8665d4c40d49f8f4b2da6ec1d1f16e4a72b478cf3d113a0",
@@ -393,14 +397,14 @@ class TestPinnedStreams:
                 "92335ef15a93c3366ffd8ea277e6d46fe71fa1753eb9195d11f0b9362d63c6a5",
         },
         "rw": {
-            "gcn": "063728d3869b6548e78f28620866e703ffb8dfbde4ba9bbbba24bcb3840e4332",
-            "sage": "2d6517f0c2d18423d349c161c1f98b467e9ec57bc839366bf69435ef39aa5f3e",
-            "gat": "6640de412d6f7b0b5c17dcb09ead60dab8becf2ebab9b6a47425992309219c4f",
-            "gatv2": "8a53e04d89bf23578b93459a179245abe0d570df0b300f13b36bef2485978619",
-            "hyperconv": "f438d0e7eaa253f24ca247879b1d13e5c12ed6bd932c334b1875318aef768502",
-            "hyperatten": "22e8c8fcd68f66737e68fd0c54e62142882b2655f40220aa5819bf228e257dc4",
+            "gcn": "1628b48ad6d9091f3114183d603879945d835e8ddcb43ad8268f3314b45321fc",
+            "sage": "00152f5f0d94623523a93a8ca4aff95461c39292bd52c9fac79d843c33a502ea",
+            "gat": "3284aaea39338f1703beaca20179c1bba77ababb0d6098d95f4d9f305747592c",
+            "gatv2": "e29acdeba31b0bd51b0e5847cd8c7ecefb4ccba082f14908d5d6d7c2e3ea3e72",
+            "hyperconv": "cf11c72d7ee7e90269b70ffe4b052aaa946073b16c7cf2e492a9d1709f514306",
+            "hyperatten": "1c2138278e626c8c91af093eefdd90b6ec8f7de3981b95b384c0dfad2fa61013",
             "lp:sage+hyperatten":
-                "d2ddc4942ae20345ba4cecee7e0643dd9f855d7a79c631427173fc4e07ba6838",
+                "45a7ee8548dd22dada490b5c66d0924022c243577467b9dfa4f9253e3eaeb64f",
         },
     }
 
@@ -422,9 +426,9 @@ class TestPinnedStreams:
     # Walks on sparse_graph, where many halt at once or step without a draw.
     SPARSE_RW = SamplerSpec("rw", roots=30, walk_length=8)
     SPARSE = {
-        "report": "019b3a995f2103ebcae344921a2c6cd26c942122c5c14c829afaf8063fb0c646",
-        "draws": "b7d53667873afe0cfb6c1bbe1599ba436f3b0bd9e577fc359db869c6339c6c9c",
-        "saint gcn": "fb7038a9e5098d4ab937ed222e0bf110f6463ad85ee5556e57b1ba034925f179",
+        "report": "6079f6324c80e301aefa95d93203973d1d58905afecb408bded2b25bca634952",
+        "draws": "b84e0f191b8199e1111b2324aa9bcfee347e6aef5ec548749636627891ec50dd",
+        "saint gcn": "4d8a993394c4f7ada9a21c5d1430d1c639edae40a09e306c50be7a17c46d7ec6",
     }
 
     @staticmethod
