@@ -17,7 +17,7 @@ ordered lexicographically; the ball list is in anchor order.
 
 import numpy as np
 
-from .graph import neighbour_csr, neighbour_sets
+from .graph import neighbour_csr, neighbour_sets, row_index
 
 __all__ = [
     "ball_hyperedges",
@@ -28,41 +28,14 @@ __all__ = [
 INTERVAL_WINDOW = 200_000
 
 
-def _degeneracy_order(adj: tuple[frozenset, ...]) -> list[int]:
-    """Peel minimum-degree nodes repeatedly; classic bucket-queue version."""
-    n = len(adj)
-    degree = [len(a) for a in adj]
-    buckets: list[set[int]] = [set() for _ in range(max(degree, default=0) + 1)]
-    for v, d in enumerate(degree):
-        buckets[d].add(v)
-    removed = [False] * n
-    order = []
-    d = 0
-    while len(order) < n:
-        while d < len(buckets) and not buckets[d]:
-            d += 1
-        if d >= len(buckets):
-            break
-        v = buckets[d].pop()
-        removed[v] = True
-        order.append(v)
-        for u in adj[v]:
-            if not removed[u]:
-                buckets[degree[u]].discard(u)
-                degree[u] -= 1
-                buckets[degree[u]].add(u)
-        d = max(d - 1, 0)
-    return order
-
-
-def _bron_kerbosch_pivot(adj, r: set, p: set, x: set, out: list) -> None:
+def _bron_kerbosch_pivot(adj, r: set, p: set, x: set, min_size: int, out: list) -> None:
     if not p and not x:
-        if len(r) >= 3:
+        if len(r) >= min_size:
             out.append(tuple(sorted(r)))
         return
     pivot = max(p | x, key=lambda u: len(adj[u] & p))
     for v in list(p - adj[pivot]):
-        _bron_kerbosch_pivot(adj, r | {v}, p & adj[v], x & adj[v], out)
+        _bron_kerbosch_pivot(adj, r | {v}, p & adj[v], x & adj[v], min_size, out)
         p.remove(v)
         x.add(v)
 
@@ -72,20 +45,23 @@ def cliques_to_hyperedges(
 ) -> list[tuple[int, ...]]:
     """All maximal cliques of at least ``min_size`` nodes.
 
-    Uses Bron-Kerbosch with pivoting over a degeneracy ordering, so sparse
-    graphs stay tractable.  Members sorted, list lexicographic.
+    Uses Bron-Kerbosch with pivoting, rooted at each node in ascending
+    degree order.  Self-loops are ignored, as by networkx's
+    ``find_cliques``.  Members sorted, list lexicographic.
     """
     if min_size < 3:
         raise ValueError(f"min_size must be >= 3, got {min_size}")
-    adj = neighbour_sets(*neighbour_csr(num_nodes, edges))
-    order = _degeneracy_order(adj)
-    rank = {v: i for i, v in enumerate(order)}
-    raw: list[tuple[int, ...]] = []
-    for v in order:
-        later = {u for u in adj[v] if rank[u] > rank[v]}
-        earlier = {u for u in adj[v] if rank[u] < rank[v]}
-        _bron_kerbosch_pivot(adj, {v}, later, earlier, raw)
-    cliques = [c for c in raw if len(c) >= min_size]
+    indptr, indices = neighbour_csr(num_nodes, edges)
+    adj = list(neighbour_sets(indptr, indices))
+    for v in indices[indices == row_index(indptr)].tolist():
+        adj[v] = adj[v] - {v}  # a looped pivot would leave itself out of p - adj[pivot]
+    # Any root order finds each maximal clique once, at its first member in that
+    # order with P its later and X its earlier neighbours; the order sets the work.
+    cliques: list[tuple[int, ...]] = []
+    done: set[int] = set()
+    for v in np.argsort(np.diff(indptr), kind="stable").tolist():
+        _bron_kerbosch_pivot(adj, {v}, set(adj[v]) - done, done & adj[v], min_size, cliques)
+        done.add(v)
     cliques.sort()
     return cliques
 
@@ -96,27 +72,26 @@ def interval_hyperedges(
     """Window grouping over (chromosome, offset) node positions.
 
     For each anchor node the hyperedge contains every node on the same
-    chromosome whose offset differs by at most ``window``.  Identical member
-    sets are merged; output is lexicographic.
+    chromosome whose offset differs by at most ``window``; offsets plus or
+    minus ``window`` must fit in int64.  Identical member sets are merged;
+    output is lexicographic.
     """
     if window < 0:
         raise ValueError(f"window must be non-negative, got {window}")
-    by_chrom: dict[object, list[tuple[int, int]]] = {}
-    for v, (chrom, offset) in enumerate(positions):
-        by_chrom.setdefault(chrom, []).append((int(offset), v))
+    by_chrom: dict[object, list[int]] = {}
+    for v, (chrom, _) in enumerate(positions):
+        by_chrom.setdefault(chrom, []).append(v)
+    offset_of = np.array([offset for _, offset in positions], dtype=np.int64)
     seen: set[tuple[int, ...]] = set()
-    for group in by_chrom.values():
-        group.sort()
-        offsets = [o for o, _ in group]
-        nodes = [v for _, v in group]
-        lo = 0
-        hi = 0
-        for i, anchor in enumerate(offsets):
-            while offsets[lo] < anchor - window:
-                lo += 1
-            while hi < len(offsets) and offsets[hi] <= anchor + window:
-                hi += 1
-            seen.add(tuple(sorted(nodes[lo:hi])))
+    for nodes in by_chrom.values():
+        offsets = offset_of[nodes]
+        order = np.argsort(offsets)
+        nodes, offsets = np.array(nodes)[order].tolist(), offsets[order]
+        lo = np.searchsorted(offsets, offsets - window, side="left")
+        hi = np.searchsorted(offsets, offsets + window, side="right")
+        # No span splits tied offsets, so distinct spans hold distinct members.
+        for a, b in set(zip(lo.tolist(), hi.tolist())):
+            seen.add(tuple(sorted(nodes[a:b])))
     return sorted(seen)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "duplicate_hyperedges",
     "neighbour_csr",
     "neighbour_sets",
+    "row_index",
     "sort_unique",
     "structurally_equal",
     "to_hypergraph",
@@ -118,6 +119,11 @@ def neighbour_sets(indptr: np.ndarray, indices: np.ndarray) -> tuple[frozenset, 
     return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
+def row_index(indptr: np.ndarray) -> np.ndarray:
+    """The row of each stored entry of a CSR pattern, as int64."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+
+
 _ITER_BLOCK = 4096  # hyperedges converted to Python ints at once
 
 
@@ -150,7 +156,7 @@ class Hyperedges(Sequence):
         """The hyperedge index of every member, in member order (read-only,
         computed on the first call)."""
         if self._edge_of is None:
-            self._edge_of = np.repeat(np.arange(len(self)), np.diff(self.offsets))
+            self._edge_of = row_index(self.offsets)
             self._edge_of.setflags(write=False)
         return self._edge_of
 
@@ -459,7 +465,7 @@ def classify(g: HybridGraph) -> GraphKind:
 def _canonical_pairs(num_nodes: int, pairs: np.ndarray) -> np.ndarray:
     """Deduplicated (min, max) pairs in lexicographic order."""
     indptr, indices = neighbour_csr(num_nodes, pairs)
-    rows = np.repeat(np.arange(num_nodes), np.diff(indptr))
+    rows = row_index(indptr)
     upper = rows <= indices
     return np.stack([rows[upper], indices[upper]], axis=1)
 

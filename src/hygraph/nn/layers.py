@@ -21,7 +21,7 @@ hyperedge's members are listed changes no output bit.
 import numpy as np
 import scipy.sparse as sp
 
-from ..graph import HybridGraph
+from ..graph import HybridGraph, row_index
 from . import autodiff as ad
 
 __all__ = [
@@ -32,12 +32,6 @@ __all__ = [
 ]
 
 LEAKY_SLOPE = 0.2
-
-
-def _row_index(indptr: np.ndarray) -> np.ndarray:
-    """The row of each stored entry of a CSR pattern, as int64."""
-    counts = np.diff(indptr)
-    return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
 
 
 def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
@@ -54,12 +48,12 @@ def _attention(gt) -> dict:
     as a valid graph has no self-loop edge."""
     n = gt.graph.num_nodes
     indptr, indices = gt.graph.adjacency_csr
-    row, entry = _row_index(indptr), np.arange(indices.size)
+    row, entry = row_index(indptr), np.arange(indices.size)
     att_indptr = indptr + np.arange(n + 1)
     att_src = np.empty(att_indptr[-1], dtype=np.int64)
     att_src[entry + row + (indices > row)] = indices
     att_src[att_indptr[:-1] + np.bincount(row[indices < row], minlength=n)] = np.arange(n)
-    att_dst = _row_index(att_indptr)
+    att_dst = row_index(att_indptr)
     inv_sqrt = 1.0 / np.sqrt(np.diff(indptr) + 1.0)
     return {"a_hat": _csr(inv_sqrt[att_dst] * inv_sqrt[att_src], att_src, att_indptr, (n, n)),
             "att_dst": att_dst}
@@ -79,7 +73,7 @@ def _att_selections(gt) -> dict:
 def _mean_adj(gt) -> dict:
     """``mean_adj``, each row reversed, as ``diags @ adj`` stores it."""
     indptr, indices = gt.graph.adjacency_csr
-    row, entry, n = _row_index(indptr), np.arange(indices.size), gt.graph.num_nodes
+    row, entry, n = row_index(indptr), np.arange(indices.size), gt.graph.num_nodes
     reversed_rows = indices[indptr[row] + indptr[row + 1] - 1 - entry]
     return {"mean_adj": _csr(1.0 / np.diff(indptr)[row], reversed_rows, indptr, (n, n))}
 
@@ -100,11 +94,11 @@ def _incidence(gt) -> dict:
     offsets = g.hyperedges.offsets
     ones = np.ones(offsets[-1])
     ones.setflags(write=False)
-    inc_edge = _row_index(offsets)
+    inc_edge = g.hyperedges.edge_of()
     incidence_t = _csr(ones, g.hyperedges.sorted_members(), offsets, (m, n))
     w = g.hyperedge_weights
     hyper_scatter = incidence_t.T.tocsr()
-    inc_node = _row_index(hyper_scatter.indptr)
+    inc_node = row_index(hyper_scatter.indptr)
     node_mass = hyper_scatter @ w
     node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
     hyper_scatter.data *= node_scale[inc_node]

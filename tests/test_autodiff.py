@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
+from hygraph.graph import row_index
 from hygraph.nn import autodiff as ad
-from hygraph.nn.layers import _row_index
 from hygraph.nn.losses import bce_with_logits, mse, one_hot
 
 
@@ -125,7 +125,7 @@ class TestLinearOps:
         alpha = ad.Tensor(rng.standard_normal(6))
         h = ad.Tensor(rng.standard_normal((5, 3)))
         mix = rng.standard_normal((3, 1))
-        rows = _row_index(pattern.indptr)
+        rows = row_index(pattern.indptr)
         gradcheck(
             lambda: ad.mean(ad.matmul(ad.edge_mix(alpha, h, pattern, rows), mix)),
             [alpha, h],
@@ -143,7 +143,7 @@ class TestLinearOps:
         alpha = ad.Tensor(rng.standard_normal((5, 1)))
         z = ad.Tensor(rng.standard_normal((2, 3)))
         mix = rng.standard_normal((3, 1))
-        node = _row_index(pattern.indptr)
+        node = row_index(pattern.indptr)
         out = ad.edge_mix(alpha, z, pattern, node)
         np.testing.assert_array_equal(out.value[2], np.zeros(3))
         gradcheck(
