@@ -231,7 +231,10 @@ def cmd_build_hyperedges(args) -> int:
     elif method == "interval":
         if ds.positions is None:
             raise SchemaError(f"{path}: interval construction needs 'positions'")
-        built = interval_hyperedges(ds.positions, opts["window"])
+        try:
+            built = interval_hyperedges(ds.positions, opts["window"])
+        except ValueError as e:
+            raise SchemaError(f"--window: {e}") from None
     else:
         if opts["threshold"] is None:
             raise SchemaError("ball construction needs --threshold")

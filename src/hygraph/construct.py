@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 INTERVAL_WINDOW = 200_000
+_INT64 = np.iinfo(np.int64)
 
 
 def _bron_kerbosch_pivot(adj, r: set, p: set, x: set, min_size: int, out: list) -> None:
@@ -72,16 +73,19 @@ def interval_hyperedges(
     """Window grouping over (chromosome, offset) node positions.
 
     For each anchor node the hyperedge contains every node on the same
-    chromosome whose offset differs by at most ``window``; offsets plus or
-    minus ``window`` must fit in int64.  Identical member sets are merged;
-    output is lexicographic.
+    chromosome whose offset differs by at most ``window``.  Identical member
+    sets are merged; output is lexicographic.  Raises ``ValueError`` when an
+    offset plus or minus ``window`` leaves int64.
     """
     if window < 0:
         raise ValueError(f"window must be non-negative, got {window}")
     by_chrom: dict[object, list[int]] = {}
     for v, (chrom, _) in enumerate(positions):
         by_chrom.setdefault(chrom, []).append(v)
-    offset_of = np.array([offset for _, offset in positions], dtype=np.int64)
+    listed = [int(offset) for _, offset in positions]
+    if listed and (min(listed) - window < _INT64.min or max(listed) + window > _INT64.max):
+        raise ValueError(f"offsets plus or minus window {window} leave int64")
+    offset_of = np.array(listed, dtype=np.int64)
     seen: set[tuple[int, ...]] = set()
     for nodes in by_chrom.values():
         offsets = offset_of[nodes]

@@ -29,6 +29,7 @@ __all__ = [
     "Task",
     "classify",
     "duplicate_hyperedges",
+    "gather_rows",
     "neighbour_csr",
     "neighbour_sets",
     "row_index",
@@ -122,6 +123,14 @@ def neighbour_sets(indptr: np.ndarray, indices: np.ndarray) -> tuple[frozenset, 
 def row_index(indptr: np.ndarray) -> np.ndarray:
     """The row of each stored entry of a CSR pattern, as int64."""
     return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+
+
+def gather_rows(indptr: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``values[indptr[r]:indptr[r + 1]]`` for each ``r`` in ``rows``, concatenated."""
+    first = indptr[rows]
+    counts = indptr[rows + 1] - first
+    shift = np.repeat(first - np.cumsum(counts) + counts, counts)
+    return values[shift + np.arange(shift.size)]
 
 
 _ITER_BLOCK = 4096  # hyperedges converted to Python ints at once
@@ -321,6 +330,37 @@ class HybridGraph:
         indptr.setflags(write=False)
         order.setflags(write=False)
         return indptr, order
+
+    @cached_property
+    def member_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hyperedge member positions grouped by node, as CSR ``(indptr, positions)``.
+
+        ``positions[indptr[v]:indptr[v + 1]]`` are the positions in
+        ``hyperedges.sorted_members()`` that hold node ``v``, ascending.
+        Both arrays are read-only.
+        """
+        n, members = self.num_nodes, self.hyperedges.sorted_members()
+        if members.size and (members.min() < 0 or members.max() >= n):
+            raise InvalidGraphError(["hyperedge member out of range"])
+        # A plain sort of the distinct keys (node, position) is a stable sort
+        # by node, and several times faster than numpy's stable argsort.
+        positions = members * members.size + np.arange(members.size)
+        positions.sort()
+        positions %= members.size
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(members, minlength=n), out=indptr[1:])
+        indptr.setflags(write=False)
+        positions.setflags(write=False)
+        return indptr, positions
+
+    @cached_property
+    def edge_sampling_weights(self) -> np.ndarray:
+        """``1/deg(u) + 1/deg(v)`` of every simple edge ``(u, v)`` (read-only)."""
+        deg = self.degrees.astype(np.float64)
+        u, v = self.simple_edges[:, 0], self.simple_edges[:, 1]
+        w = 1.0 / deg[u] + 1.0 / deg[v]
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def incidence_arrays(self) -> tuple[np.ndarray, np.ndarray]:

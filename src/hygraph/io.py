@@ -117,6 +117,8 @@ def _integers(value, path: str, key: str, what: str = "index") -> np.ndarray:
     arr = _numbers(value, path, key)
     if arr.dtype.kind == "f" and not (arr == np.round(arr)).all():
         raise SchemaError(f"{path}: field '{key}': non-integer {what}")
+    if arr.dtype.kind != "i" and arr.size and (arr.max() >= 2**63 or arr.min() < -2**63):
+        raise SchemaError(f"{path}: field '{key}': {what} outside int64")  # the cast would wrap
     return arr.astype(np.int64)
 
 

@@ -10,10 +10,12 @@ It also carries ``node_ids`` and ``hyperedge_ids``, its map back to the
 parent graph.  ``to_graph()`` without a task keeps the parent's task.
 
 Draws read the graph's cached arrays and rebuild no whole-graph structure:
-the walk sampler steps through ``HybridGraph.adjacency_csr``, and ``induce``
-reads the sampled nodes' edges through ``HybridGraph.edges_by_first_endpoint``
-and masks the members sorted within each hyperedge
-(``Hyperedges.sorted_members``) into the sample's own flat arrays.
+the walk sampler steps through ``HybridGraph.adjacency_csr``, the edge
+sampler draws on ``HybridGraph.edge_sampling_weights``, and ``induce`` reads
+the sampled nodes' edges through ``HybridGraph.edges_by_first_endpoint`` and
+their hyperedge memberships through ``HybridGraph.member_positions``, which
+point into the members sorted within each hyperedge
+(``Hyperedges.sorted_members``).
 
 The walk sampler moves all its walks one step per round, with one array
 draw per round; see :func:`sample_random_walk`.
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import HybridGraph, Hyperedges, sort_unique
+from .graph import HybridGraph, Hyperedges, gather_rows, sort_unique
 
 __all__ = [
     "SampledSubgraph",
@@ -88,22 +90,32 @@ class SampledSubgraph(HybridGraph):
         return replace(self, task=task)
 
 
-def _mask_hyperedges(g: HybridGraph, local: np.ndarray):
-    """Hyperedges restricted to the sample: (local members, kept ids).
+def _mask_hyperedges(g: HybridGraph, ids: np.ndarray, local: np.ndarray):
+    """Hyperedges restricted to the sorted sample ``ids``: (local members, kept ids).
 
-    ``local`` maps global node ids to local ones (-1 outside the sample).
-    A hyperedge is kept iff some member survives; its local members are
-    sorted.
+    ``local`` maps global node ids to local ones.  A hyperedge is kept iff
+    some member survives; its local members are sorted.
     """
     if g.num_hyperedges == 0:  # skips a dozen numpy calls per draw on plain graphs
         return g.hyperedges, np.zeros(0, dtype=np.int64)
-    # ``local`` is increasing on the sample, so members sorted within each
-    # hyperedge stay sorted once mapped.
-    mapped = local[g.hyperedges.sorted_members()]
-    inside = mapped >= 0
-    counts = np.bincount(g.hyperedges.edge_of()[inside], minlength=g.num_hyperedges)
-    kept = np.flatnonzero(counts)
-    return Hyperedges(mapped[inside], np.concatenate([[0], np.cumsum(counts[kept])])), kept
+    # Positions in ``sorted_members()`` run hyperedge by hyperedge, members
+    # ascending, and ``local`` is increasing on the sample, so the kept
+    # positions in ascending order give the masked hyperedges as they are.
+    # A sample that holds few members sorts its nodes' positions; one that
+    # holds a quarter or more tests every member, which is then no dearer.
+    indptr, positions = g.member_positions
+    sorted_members = g.hyperedges.sorted_members()
+    if 4 * int((indptr[ids + 1] - indptr[ids]).sum()) < positions.size:
+        kept_at = np.sort(gather_rows(indptr, positions, ids))
+    else:
+        inside = np.zeros(g.num_nodes, dtype=bool)
+        inside[ids] = True
+        kept_at = np.flatnonzero(inside[sorted_members])
+    edge_of = g.hyperedges.edge_of()[kept_at]
+    first = np.ones(edge_of.size, dtype=bool)
+    first[1:] = edge_of[1:] != edge_of[:-1]
+    members = local[sorted_members[kept_at]]
+    return Hyperedges(members, np.append(np.flatnonzero(first), edge_of.size)), edge_of[first]
 
 
 def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
@@ -116,14 +128,10 @@ def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
 
     # The edges whose first endpoint is sampled, kept if the second one is
     # too; sorting their ids keeps the parent's edge order.
-    indptr, order = g.edges_by_first_endpoint
-    first = indptr[ids]
-    counts = indptr[ids + 1] - first
-    shift = np.repeat(first - np.cumsum(counts) + counts, counts)
-    candidates = order[shift + np.arange(shift.size)]
+    candidates = gather_rows(*g.edges_by_first_endpoint, ids)
     edges = g.simple_edges
     edge_ids = np.sort(candidates[local[edges[:, 1][candidates]] >= 0])
-    hyperedges, kept = _mask_hyperedges(g, local)
+    hyperedges, kept = _mask_hyperedges(g, ids, local)
     mapped = local[g.parent[ids]]
 
     return SampledSubgraph(
@@ -184,10 +192,7 @@ def sample_edges(g: HybridGraph, budget: int, rng) -> SampledSubgraph:
     m = g.num_edges
     if budget < 1 or budget > m:
         raise ValueError(f"budget must be in [1, {m}], got {budget}")
-    deg = g.degrees.astype(np.float64)
-    u, v = g.simple_edges[:, 0], g.simple_edges[:, 1]
-    w = 1.0 / deg[u] + 1.0 / deg[v]
-    picked = weighted_sample_without_replacement(w, budget, rng)
+    picked = weighted_sample_without_replacement(g.edge_sampling_weights, budget, rng)
     return induce(g, g.simple_edges[picked].ravel())
 
 
@@ -238,10 +243,8 @@ def sample_uniform_hyperedges(g: HybridGraph, budget: int, rng) -> SampledSubgra
     if budget < 1 or budget > m:
         raise ValueError(f"budget must be in [1, {m}], got {budget}")
     picked = rng.choice(m, size=budget, replace=False)
-    members, _ = g.incidence_arrays
-    chosen = np.zeros(m, dtype=bool)
-    chosen[picked] = True
-    return induce(g, members[chosen[g.hyperedges.edge_of()]])
+    members, offsets = g.incidence_arrays
+    return induce(g, gather_rows(offsets, members, picked))
 
 
 def run_sampler(g: HybridGraph, spec: SamplerSpec, rng) -> SampledSubgraph:

@@ -12,18 +12,21 @@ from pathlib import Path
 from dataclasses import replace
 from types import SimpleNamespace
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from hygraph import (GraphKind, HybridGraph, InvalidGraphError, Task, classify,
                      structurally_equal, to_simple, to_two_level_hierarchy, validate)
+from hygraph import stats
 from hygraph.graph import Hyperedges, _ancestry, sort_unique
 from hygraph.io import load
 from hygraph.nn import autodiff as ad
 from hygraph.nn.autodiff import _accumulate
 from hygraph.nn.layers import LAYER_TYPES, LEAKY_SLOPE, build_graph_tensors
-from hygraph.sampling import (SamplerSpec, induce, run_sampler, sample_random_walk,
+from hygraph.sampling import (SamplerSpec, _mask_hyperedges, induce, run_sampler,
+                             sample_random_walk, sample_uniform_hyperedges,
                              weighted_sample_without_replacement)
 
 # -- reference loops -------------------------------------------------------
@@ -314,6 +317,101 @@ def test_induce_keeps_duplicate_members_sorted():
     g = bare(5, hyperedges=[(4, 1, 4, 0), (3,), (2, 0)])
     for ids in ([0, 1, 4], [3], [2, 4]):
         assert_same_induced(induce(g, ids), induce_loop(g, ids))
+
+
+# -- the hyperedge mask ----------------------------------------------------
+
+
+def mask_loop(g, local):
+    """The mask as it was: every member mapped through ``local`` on every draw."""
+    if g.num_hyperedges == 0:
+        return g.hyperedges, np.zeros(0, dtype=np.int64)
+    mapped = local[g.hyperedges.sorted_members()]
+    inside = mapped >= 0
+    counts = np.bincount(g.hyperedges.edge_of()[inside], minlength=g.num_hyperedges)
+    kept = np.flatnonzero(counts)
+    return Hyperedges(mapped[inside], np.concatenate([[0], np.cumsum(counts[kept])])), kept
+
+
+def mask_graph(rng, n, num_hyperedges):
+    """Hyperedges of 0-6 unsorted members, duplicates allowed; the last
+    nodes are in no hyperedge."""
+    sizes = rng.integers(0, 7, size=num_hyperedges)
+    members = rng.integers(max(1, n - 3), size=sizes.sum())
+    return bare(n, hyperedges=Hyperedges(members, np.concatenate([[0], np.cumsum(sizes)])))
+
+
+def assert_same_mask(g, ids):
+    local = np.full(g.num_nodes, -1, dtype=np.int64)
+    local[ids] = np.arange(ids.size)
+    (got, got_kept), (want, want_kept) = _mask_hyperedges(g, ids, local), mask_loop(g, local)
+    for a, b in ((got.members, want.members), (got.offsets, want.offsets), (got_kept, want_kept)):
+        assert a.dtype == b.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+
+
+def sample_members(g, ids):
+    """How many members the sample ``ids`` holds, against all members."""
+    indptr, positions = g.member_positions
+    return int((indptr[ids + 1] - indptr[ids]).sum()), positions.size
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_mask_matches_whole_member_mask(seed):
+    rng = np.random.default_rng(900 + seed)
+    n = int(rng.integers(1, 60))
+    g = mask_graph(rng, n, int(rng.integers(0, 25)) if seed else 0)
+    for size in (0, 1, 2, n // 4, n // 2, n):
+        assert_same_mask(g, np.sort(rng.choice(n, size=size, replace=False)))
+
+
+def test_mask_takes_both_paths():
+    # A sample holding under a quarter of the members sorts its positions;
+    # a larger one tests every member.  Both must give the same arrays.
+    rng = np.random.default_rng(77)
+    g = mask_graph(rng, 200, 300)
+    few, all_ids = np.array([5, 90]), np.arange(200)
+    held, total = sample_members(g, few)
+    assert 0 < 4 * held < total
+    held, total = sample_members(g, all_ids)
+    assert 4 * held >= total
+    for ids in (few, all_ids, np.arange(0, 200, 3)):
+        assert_same_mask(g, ids)
+
+
+def test_member_positions_match_loop():
+    rng = np.random.default_rng(31)
+    g = mask_graph(rng, 30, 20)
+    indptr, positions = g.member_positions
+    ranked = g.hyperedges.sorted_members().tolist()
+    for v in range(g.num_nodes):
+        expected = [p for p, u in enumerate(ranked) if u == v]
+        assert positions[indptr[v]:indptr[v + 1]].tolist() == expected
+    assert not indptr.flags.writeable and not positions.flags.writeable
+    assert g.member_positions[1] is positions
+    assert bare(2).member_positions[0].tolist() == [0, 0, 0]
+    for member in (2, -1):
+        with pytest.raises(InvalidGraphError, match="member out of range"):
+            bare(2, hyperedges=[(0, 1), (member,)]).member_positions
+
+
+def hyperedge_nodes_loop(g, picked):
+    """The rand-hyperedge sampler's nodes as they were: every member tested."""
+    members, _ = g.incidence_arrays
+    chosen = np.zeros(g.num_hyperedges, dtype=bool)
+    chosen[picked] = True
+    return members[chosen[g.hyperedges.edge_of()]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rand_hyperedge_nodes_match_whole_member_gather(seed):
+    rng = np.random.default_rng(600 + seed)
+    m = int(rng.integers(1, 20))
+    g = random_graph(rng, int(rng.integers(5, 40)), m)
+    for budget in sorted({1, m // 2 or 1, m}):
+        sub = sample_uniform_hyperedges(g, budget, np.random.default_rng(seed))
+        picked = np.random.default_rng(seed).choice(m, size=budget, replace=False)
+        assert_same_induced(sub, induce_loop(g, hyperedge_nodes_loop(g, picked)))
 
 
 # -- the walk sampler ------------------------------------------------------
@@ -726,6 +824,69 @@ def test_degrees_match_loop(edges):
 def test_degrees_reject_out_of_range_edges(edge):
     with pytest.raises(ValueError, match="out of range"):
         bare(3, edges=[edge]).degrees
+
+
+def test_edge_sampling_weights_match_expression():
+    g = scrambled(random_graph(np.random.default_rng(12), 25, 0), np.random.default_rng(13))
+    deg = g.degrees.astype(np.float64)
+    got = g.edge_sampling_weights
+    assert_same_bits(got, 1.0 / deg[g.simple_edges[:, 0]] + 1.0 / deg[g.simple_edges[:, 1]])
+    assert not got.flags.writeable and g.edge_sampling_weights is got
+
+
+# -- triangles -----------------------------------------------------------------
+
+
+def triangles_product(g):
+    """Triangles through each node as the clustering counted them before:
+    the row sums of ``(a @ a) * a``, halved."""
+    n = g.num_nodes
+    indptr, indices = g.adjacency_csr
+    a = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    return np.asarray((a @ a).multiply(a).sum(axis=1)).ravel() / 2.0
+
+
+def clustering_product(g):
+    deg = g.degrees.astype(np.float64)
+    denom = deg * (deg - 1.0)
+    coef = np.where(denom > 0, 2.0 * triangles_product(g) / np.where(denom > 0, denom, 1.0),
+                    0.0)
+    return float(coef.mean())
+
+
+def banded(n, width):
+    return nx.Graph((i, j) for i in range(n) for j in range(i + 1, min(n, i + width + 1)))
+
+
+def triangle_graphs():
+    disconnected = nx.disjoint_union_all([nx.complete_graph(6), nx.cycle_graph(5),
+                                          nx.empty_graph(3), nx.path_graph(4),
+                                          nx.barabasi_albert_graph(40, 3, seed=4)])
+    return {
+        "power-law": nx.barabasi_albert_graph(300, 4, seed=1),
+        "power-law clustered": nx.powerlaw_cluster_graph(200, 6, 0.6, seed=2),
+        "banded": banded(120, 5),
+        "complete": nx.complete_graph(25),
+        "empty": nx.empty_graph(10),
+        "disconnected": disconnected,
+        "random": nx.gnm_random_graph(150, 900, seed=3),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 13, 1 << 20])
+@pytest.mark.parametrize("name", sorted(triangle_graphs()))
+def test_triangles_match_networkx_and_product(name, block, monkeypatch):
+    monkeypatch.setattr(stats, "_WEDGE_BLOCK", block)  # 1: one forward edge per block
+    ref = triangle_graphs()[name]
+    n = ref.number_of_nodes()
+    g = bare(n, edges=list(ref.edges()))
+    got = stats._triangles(g)
+    assert got.dtype == np.int64
+    want = nx.triangles(ref)
+    np.testing.assert_array_equal(got, [want[v] for v in range(n)])
+    np.testing.assert_array_equal(got.astype(np.float64), triangles_product(g))
+    if g.num_edges:
+        assert stats._clustering_mean(g).hex() == clustering_product(g).hex()
 
 
 # -- autodiff scatters -------------------------------------------------------

@@ -147,6 +147,16 @@ class TestBuildHyperedges:
         assert code == 1
         assert "threshold" in err
 
+    @pytest.mark.parametrize("window", [2**63 - 1, 2**64])
+    def test_interval_window_beyond_int64(self, capsys, geo_dataset, tmp_path, window):
+        out_path = tmp_path / "x.json"
+        code, _, err = run(capsys, "build-hyperedges", "--in", geo_dataset,
+                           "--out", str(out_path), "--method", "interval",
+                           "--window", str(window))
+        assert code == 1
+        assert "error: --window:" in err and "int64" in err
+        assert not out_path.exists()
+
     def test_interval_requires_positions(self, capsys, class_dataset, tmp_path):
         code, _, err = run(capsys, "build-hyperedges", "--in", class_dataset,
                            "--out", str(tmp_path / "x.json"),

@@ -182,6 +182,17 @@ class TestIntervals:
         with pytest.raises(ValueError):
             interval_hyperedges([("c", 0)], window=-1)
 
+    def test_window_beyond_int64_rejected(self):
+        # offset + window once wrapped to a negative bound, giving [(), (0, 1)]
+        positions = [("c", 2**62), ("c", 0)]
+        for window in (2**62, 2**63, 2**64):
+            with pytest.raises(ValueError, match="int64"):
+                interval_hyperedges(positions, window=window)
+        with pytest.raises(ValueError, match="int64"):
+            interval_hyperedges([("c", -2**62), ("c", 0)], window=2**62 + 1)
+        assert interval_hyperedges(positions, window=2**62 - 1) == [(0,), (1,)]
+        assert interval_hyperedges([("c", -2**62), ("c", 0)], window=2**62) == [(0, 1)]
+
 
 def brute_force_balls(emb, tau, metric):
     n = emb.shape[0]

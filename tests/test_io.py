@@ -118,6 +118,18 @@ class TestLoad:
         with pytest.raises(SchemaError, match="positions"):
             load_file(write_json(tmp_path / "a.json", obj))
 
+    @pytest.mark.parametrize("offset", [2**63, 2**64 - 1, 2.0**63, -(2.0**64)])
+    def test_position_offset_outside_int64_named(self, tmp_path, offset):
+        # numpy reads 2**63 as uint64, whose cast to int64 wrapped to -2**63
+        obj = minimal(positions=[["chr1", 0], ["chr1", offset], ["chr2", 7]])
+        with pytest.raises(SchemaError, match="'positions': offset outside int64"):
+            load_file(write_json(tmp_path / "a.json", obj))
+
+    def test_position_offsets_at_int64_limits(self, tmp_path):
+        obj = minimal(positions=[["chr1", -2**63], ["chr1", 2**63 - 1], ["chr2", 7]])
+        ds = load_file(write_json(tmp_path / "a.json", obj))
+        assert [o for _, o in ds.positions] == [-2**63, 2**63 - 1, 7]
+
     @pytest.mark.parametrize("field, value", [
         ("hyperedges", 5),
         ("hyperedges", [[0, 1], 2]),
