@@ -102,10 +102,12 @@ def _mask_hyperedges(g: HybridGraph, ids: np.ndarray, local: np.ndarray):
     # ascending, and ``local`` is increasing on the sample, so the kept
     # positions in ascending order give the masked hyperedges as they are.
     # A sample that holds few members sorts its nodes' positions; one that
-    # holds a quarter or more tests every member, which is then no dearer.
+    # holds an eighth or more tests every member against a bool in-sample
+    # array.  The sort was the cheaper below 5-10% of 1M members and below
+    # 15-25% of 200k; a bool array reads faster than testing ``local >= 0``.
     indptr, positions = g.member_positions
     sorted_members = g.hyperedges.sorted_members()
-    if 4 * int((indptr[ids + 1] - indptr[ids]).sum()) < positions.size:
+    if 8 * int((indptr[ids + 1] - indptr[ids]).sum()) < positions.size:
         kept_at = np.sort(gather_rows(indptr, positions, ids))
     else:
         inside = np.zeros(g.num_nodes, dtype=bool)
