@@ -21,11 +21,11 @@ a loop that adds the pairs one by one in that order; and every gradient
 stays a hand-derivable expression checked by finite differences.
 
 Graph operators are built once per graph, not once per step.  ``matmul``'s
-backward reads the stored adjoint of a sparse left operand, a CSR of ``aᵀ``
-with sorted indices, which adds each output row's terms in the order the
-CSC product of ``a.T`` does; and GATv2's selection matrices come built
-with the graph.  Loss rows, unique and sorted, scatter their gradient
-without a selection matrix.
+backward reads the stored adjoint of a sparse left operand, ``a.T.tocsr()``,
+a CSR with sorted indices that adds each output row's terms in the order
+the CSC product of ``a.T`` does; and GATv2's selection matrices are
+``_selection``'s, stored with the graph.  Loss rows, unique and sorted,
+scatter their gradient without a selection matrix.
 """
 
 import numpy as np

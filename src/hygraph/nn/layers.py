@@ -5,8 +5,8 @@ structure held in :class:`GraphTensors`, which builds each group of
 structures the first time a layer reads it and then keeps it: a gcn batch
 builds ``a_hat`` and nothing else.  Hypergraph convolution keeps its two
 incidence factors, so nothing grows with Σ|e|².  Each sparse operator has a
-stored adjoint, built on its first backward, that ``autodiff.matmul`` reads
-in place of ``.T``.
+stored adjoint, its transpose as a CSR with sorted indices, built on its
+first backward, that ``autodiff.matmul`` reads in place of ``.T``.
 
 Attention never materializes dense score matrices; scores live on the edge
 or incidence pair lists and are normalized with a segment softmax over the
@@ -60,14 +60,10 @@ def _attention(gt) -> dict:
 
 
 def _att_selections(gt) -> dict:
-    """The 0/1 selection matrices of GATv2's gathers ``a_hat.indices`` and
-    ``att_dst``, on ``a_hat.indptr``: row ``i`` selects, in pair order, the
-    pairs whose source (its pattern is symmetric) or target is ``i``."""
-    a = gt.a_hat
-    ones, shape = np.ones(a.nnz), (a.shape[0], a.nnz)
-    ones.setflags(write=False)
-    return {"src_selection": _csr(ones, np.argsort(a.indices, kind="stable"), a.indptr, shape),
-            "dst_selection": _csr(ones, np.arange(a.nnz), a.indptr, shape)}
+    """The 0/1 selection matrices of GATv2's gathers ``a_hat.indices`` and ``att_dst``."""
+    n = gt.graph.num_nodes
+    return {"src_selection": ad._selection(gt.a_hat.indices, n),
+            "dst_selection": ad._selection(gt.att_dst, n)}
 
 
 def _mean_adj(gt) -> dict:
@@ -78,59 +74,45 @@ def _mean_adj(gt) -> dict:
     return {"mean_adj": _csr(1.0 / np.diff(indptr)[row], reversed_rows, indptr, (n, n))}
 
 
-def _mean_adj_t(gt) -> dict:
-    """``mean_adj``'s adjoint ``A D⁻¹``: the adjacency, on ``mean_adj``'s
-    ``indptr``, with data ``1 / deg[j]``."""
-    a, indices = gt.mean_adj, gt.graph.adjacency_csr[1]
-    return {"mean_adj_t": _csr(1.0 / np.diff(a.indptr)[indices], indices, a.indptr, a.shape)}
-
-
 def _incidence(gt) -> dict:
-    """The incidence group.  ``incidence_t`` is ``(members, offsets)`` with
-    rows sorted, on a read-only array of ones, and ``hyper_scatter`` is its
-    transpose, hyperedges ascending in each row."""
+    """``incidence_t`` (``(members, offsets)`` with rows sorted, on a
+    read-only array of ones), ``hyper_gather`` on its index arrays, and
+    ``log_weights``."""
     g = gt.graph
     n, m = g.num_nodes, g.num_hyperedges
     offsets = g.hyperedges.offsets
     ones = np.ones(offsets[-1])
     ones.setflags(write=False)
-    inc_edge = g.hyperedges.edge_of()
     incidence_t = _csr(ones, g.hyperedges.sorted_members(), offsets, (m, n))
     w = g.hyperedge_weights
-    hyper_scatter = incidence_t.T.tocsr()
-    inc_node = row_index(hyper_scatter.indptr)
-    node_mass = hyper_scatter @ w
-    node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
-    hyper_scatter.data *= node_scale[inc_node]
     return {"incidence_t": incidence_t,
-            "hyper_gather": _csr((w / np.diff(offsets))[inc_edge], incidence_t.indices,
-                                 incidence_t.indptr, (m, n)),
-            "hyper_scatter": hyper_scatter, "inc_node": inc_node, "log_weights": np.log(w)}
+            "hyper_gather": _csr((w / np.diff(offsets))[g.hyperedges.edge_of()],
+                                 incidence_t.indices, incidence_t.indptr, (m, n)),
+            "log_weights": np.log(w)}
 
 
-def _incidence_adjoint(gt) -> dict:
-    """``incidence_t``'s adjoint ``H``: its ones on ``hyper_scatter``'s structure."""
-    t, s = gt.incidence_t, gt.hyper_scatter
-    return {"incidence": _csr(t.data, s.indices, s.indptr, s.shape)}
-
-
-def _hyperconv_adjoints(gt) -> dict:
-    """The adjoints of ``hyper_gather`` and ``hyper_scatter``, each on the
-    other's structure; ``hyper_scatter``'s data gives each node's scale."""
-    t, s, n = gt.incidence_t, gt.hyper_scatter, gt.graph.num_nodes
-    edge_scale = gt.graph.hyperedge_weights / np.diff(t.indptr)
-    node_scale = np.zeros(n)
-    node_scale[gt.inc_node] = s.data
-    return {"hyper_gather_t": _csr(edge_scale[s.indices], s.indices, s.indptr, s.shape),
-            "hyper_scatter_t": _csr(node_scale[t.indices], t.indices, t.indptr, t.shape)}
+def _hyper_scatter(gt) -> dict:
+    """``hyper_scatter`` on ``incidence``'s index arrays, and ``inc_node``."""
+    h = gt.incidence
+    inc_node = row_index(h.indptr)
+    node_mass = h @ gt.graph.hyperedge_weights
+    node_scale = np.divide(1.0, node_mass, out=np.zeros(h.shape[0]), where=node_mass > 0)
+    return {"hyper_scatter": _csr(node_scale[inc_node], h.indices, h.indptr, h.shape),
+            "inc_node": inc_node}
 
 
 _BUILDERS = {"a_hat": _attention, "att_dst": _attention, "mean_adj": _mean_adj,
              "src_selection": _att_selections, "dst_selection": _att_selections,
-             "mean_adj_t": _mean_adj_t, "incidence": _incidence_adjoint,
-             "hyper_gather_t": _hyperconv_adjoints, "hyper_scatter_t": _hyperconv_adjoints,
-             **dict.fromkeys(("incidence_t", "hyper_gather", "hyper_scatter", "inc_node",
-                              "log_weights"), _incidence)}
+             "incidence_t": _incidence, "hyper_gather": _incidence, "log_weights": _incidence,
+             "hyper_scatter": _hyper_scatter, "inc_node": _hyper_scatter}
+
+# Each stored adjoint and the operator it is the transpose of, built as
+# ``op.T.tocsr()``: a CSR with sorted indices whose product adds each output
+# row's terms in ascending original-row order, as the CSC product of
+# ``op.T`` does, so ``matmul``'s backward keeps its bits.  ``a_hat`` is its
+# own adjoint.
+_ADJOINT_OF = {"mean_adj_t": "mean_adj", "incidence": "incidence_t",
+               "hyper_gather_t": "hyper_gather", "hyper_scatter_t": "hyper_scatter"}
 
 
 class GraphTensors:
@@ -139,7 +121,8 @@ class GraphTensors:
     Every matrix is CSR.  Each pair list attention reads is a CSR pattern,
     columns ascending in each row, plus an int64 array that holds each
     stored pair's row, the softmax segment; the pattern's ``indices`` hold
-    the other end.  Each array is stored once, and counts come from shapes.
+    the other end.  The forward structures store each array once, and
+    counts come from shapes; adjoints and selections have their own.
 
     Groups, each built whole the first time one of its names is read:
 
@@ -150,30 +133,35 @@ class GraphTensors:
     * ``mean_adj`` (sage): ``D⁻¹ A``, zero rows for isolated nodes.
     * incidence: ``incidence_t`` (hyperatten), CSR ``Hᵀ``, members
       ascending; ``hyper_gather`` (hyperconv), ``W D_e⁻¹ Hᵀ``, on
-      ``incidence_t``'s index arrays; ``hyper_scatter`` (hyperconv),
-      ``D_v⁻¹ H``, CSR, hyperedges ascending, whose structure hyperatten
-      reads as its (node, hyperedge) pairs; ``inc_node`` (hyperatten), each
-      incidence pair's node, the softmax segment; ``log_weights``
-      (hyperatten), ``log w`` per hyperedge.
+      ``incidence_t``'s index arrays; ``log_weights`` (hyperatten), ``log w``
+      per hyperedge.
+    * scatter: ``hyper_scatter`` (hyperconv), ``D_v⁻¹ H``, on the index
+      arrays of the adjoint ``incidence`` (built first if need be), so
+      hyperedges ascend in each row; hyperatten reads its structure as its
+      (node, hyperedge) pairs.  ``inc_node`` (hyperatten): each incidence
+      pair's node, the softmax segment.
 
-    Each sparse operator has a stored adjoint, a CSR with sorted indices
-    that the layers hand ``autodiff.matmul`` for its backward: ``a_hat`` is
-    its own (a symmetric pattern whose values are ``inv_sqrt[i] *
-    inv_sqrt[j]``), and ``mean_adj_t``, ``incidence``, ``hyper_gather_t``
-    and ``hyper_scatter_t`` are built on first read, the last three on the
-    index arrays of ``hyper_scatter`` or ``incidence_t``.  So are GATv2's
-    ``src_selection`` and ``dst_selection``, the selection matrices of
-    ``a_hat.indices`` and ``att_dst``.
+    Each sparse operator has a stored adjoint that the layers hand
+    ``autodiff.matmul`` for its backward, built on first read by one rule:
+    ``mean_adj_t``, ``incidence``, ``hyper_gather_t`` and ``hyper_scatter_t``
+    are each their operator's ``op.T.tocsr()`` (``_ADJOINT_OF``), and
+    ``a_hat`` is its own (a symmetric pattern whose values are
+    ``inv_sqrt[i] * inv_sqrt[j]``).  GATv2's ``src_selection`` and
+    ``dst_selection`` are ``autodiff._selection`` of ``a_hat.indices`` and
+    ``att_dst``, built on first read too.
     """
 
     def __init__(self, g: HybridGraph):
         self.graph = g
 
     def __getattr__(self, name):
-        """Build the group that holds ``name``; later reads find it in ``__dict__``."""
-        if name not in _BUILDERS:
+        """Build ``name``'s group or adjoint; later reads find it in ``__dict__``."""
+        if name in _BUILDERS:
+            vars(self).update(_BUILDERS[name](self))
+        elif name in _ADJOINT_OF:
+            vars(self)[name] = getattr(self, _ADJOINT_OF[name]).T.tocsr()
+        else:
             raise AttributeError(f"'GraphTensors' object has no attribute {name!r}")
-        vars(self).update(_BUILDERS[name](self))
         return vars(self)[name]
 
     @property

@@ -11,7 +11,7 @@ few subgraphs per epoch, the loss is taken on the sampled training nodes,
 and evaluation always runs on the full graph.  The parent graph is
 validated once per trial; sampled batches are not checked again, because a
 subgraph that ``induce`` cuts from a valid graph is valid by construction
-(see ``_batches``).
+(see ``sampling.induce``).
 """
 
 import json
@@ -23,7 +23,7 @@ from ..graph import HybridGraph, Task
 from ..io import SplitMasks, split
 from ..sampling import SamplerSpec, run_sampler
 from . import autodiff as ad
-from .layers import GraphTensors, build_graph_tensors
+from .layers import build_graph_tensors
 from .losses import bce_with_logits, mse, one_hot
 from .models import ModelSpec, build_model
 
@@ -197,16 +197,9 @@ def _batches(g: HybridGraph, cfg: TrainConfig, is_train: np.ndarray,
     sampler draws and dropout masks take turns on ``rng`` in a fixed order;
     a subgraph that holds no training node is skipped.  ``is_train`` marks
     the trial's training nodes; a batch's training rows are the sampled
-    nodes it marks, and its targets are gathered from ``full``'s.
-
-    A batch's structure skips ``build_graph_tensors``'s check: ``g`` was
-    validated by the caller, and the subgraph ``induce`` cuts from a valid
-    graph is valid by construction.  The relabelling of sampled ids is
-    injective and monotone, so kept edges gain no self-loop or duplicate;
-    masked hyperedge members stay unique and hyperedges left empty are
-    dropped; weights, features and labels are subsets of the parent's; and
-    the parent map restricted to the sample, with outside parents replaced
-    by self, is still a forest.
+    nodes it marks, and its targets are gathered from ``full``'s.  ``g`` was
+    validated by the caller, so ``build_graph_tensors`` finds each batch
+    marked valid by ``induce`` and checks nothing again.
     """
     if cfg.saint is None:
         yield full
@@ -216,7 +209,7 @@ def _batches(g: HybridGraph, cfg: TrainConfig, is_train: np.ndarray,
         sub = run_sampler(g, cfg.saint, rng)
         local_train = np.flatnonzero(is_train[sub.node_ids])
         if local_train.size:
-            yield (GraphTensors(sub.to_graph(g.task)), sub.node_features,
+            yield (build_graph_tensors(sub.to_graph(g.task)), sub.node_features,
                    targets[sub.node_ids], local_train)
 
 

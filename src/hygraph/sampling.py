@@ -9,13 +9,15 @@ falls back to self wherever the original parent fell outside the sample.
 It also carries ``node_ids`` and ``hyperedge_ids``, its map back to the
 parent graph.  ``to_graph()`` without a task keeps the parent's task.
 
-Draws read the graph's cached arrays and rebuild no whole-graph structure:
-the walk sampler steps through ``HybridGraph.adjacency_csr``, the edge
-sampler draws on ``HybridGraph.edge_sampling_weights``, and ``induce`` reads
-the sampled nodes' edges through ``HybridGraph.edges_by_first_endpoint`` and
+Draws read the graph's cached arrays and build no tuple per hyperedge: the
+walk sampler steps through ``HybridGraph.adjacency_csr``, the edge sampler
+draws on ``HybridGraph.edge_sampling_weights``, and ``induce`` reads the
+sampled nodes' edges through ``HybridGraph.edges_by_first_endpoint`` and
 their hyperedge memberships through ``HybridGraph.member_positions``, which
 point into the members sorted within each hyperedge
-(``Hyperedges.sorted_members``).
+(``Hyperedges.sorted_members``).  Each draw still fills a local id map over
+every node of the parent graph, and a sample that holds an eighth or more
+of all members also fills an in-sample bool array over every node.
 
 The walk sampler moves all its walks one step per round, with one array
 draw per round; see :func:`sample_random_walk`.
@@ -121,7 +123,18 @@ def _mask_hyperedges(g: HybridGraph, ids: np.ndarray, local: np.ndarray):
 
 
 def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
-    """Extract the subgraph induced by ``node_ids`` (deduplicated, sorted)."""
+    """Extract the subgraph induced by ``node_ids`` (deduplicated, sorted).
+
+    The subgraph of a graph already found valid is valid by construction,
+    so it is marked valid and ``require_valid`` checks nothing on it (an
+    oracle test holds ``validate`` to that).  The relabelling of sampled
+    ids is injective and monotone, so kept edges gain no self-loop or
+    duplicate; masked hyperedge members stay unique and hyperedges left
+    empty are dropped; weights, features and labels are subsets of the
+    parent's; and the parent map restricted to the sample, with outside
+    parents replaced by self, is still a forest.  The subgraph of a graph
+    not yet validated, or found invalid, is validated when first checked.
+    """
     ids = sort_unique(np.asarray(node_ids, dtype=np.int64).ravel())
     if ids.size and (ids[0] < 0 or ids[-1] >= g.num_nodes):
         raise ValueError("node id out of range")
@@ -136,7 +149,7 @@ def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
     hyperedges, kept = _mask_hyperedges(g, ids, local)
     mapped = local[g.parent[ids]]
 
-    return SampledSubgraph(
+    sub = SampledSubgraph(
         node_ids=ids,
         hyperedge_ids=kept,
         node_features=g.node_features[ids],
@@ -150,6 +163,9 @@ def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
         labels=g.labels[ids],
         task=g.task,
     )
+    if vars(g).get("violations") == ():
+        vars(sub)["violations"] = ()  # the cached_property's slot
+    return sub
 
 
 def weighted_sample_without_replacement(

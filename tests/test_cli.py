@@ -111,8 +111,8 @@ class TestSplit:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert run(capsys, "split", class_dataset, "--seed", "3", "--out", a)[0] == 0
         assert run(capsys, "split", class_dataset, "--seed", "3", "--out", b)[0] == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
-        payload = json.loads(open(a).read())
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+        payload = json.loads(Path(a).read_text())
         assert len(payload["train"]) == 24
         assert len(payload["val"]) == 8
         assert len(payload["test"]) == 8
@@ -230,7 +230,7 @@ class TestTrainEval:
                          "--seed", "11", "--save-model", model_path,
                          "--out", report_path)
         assert code == 0
-        report = json.loads(open(report_path).read())
+        report = json.loads(Path(report_path).read_text())
         assert report["metric"] == "accuracy"
         assert len(report["per_seed"]) == 2
         assert [r["seed"] for r in report["per_seed"]] == [11, 12]
@@ -277,7 +277,7 @@ class TestTrainEval:
                 "--hidden", "4", "--trials", "2", "--seed", "0"]
         assert run(capsys, *args, "--out", a)[0] == 0
         assert run(capsys, *args, "--out", b)[0] == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_saint_flag(self, capsys, class_dataset):
         code, out, _ = run(capsys, "train", class_dataset, "--model", "gcn",
@@ -310,7 +310,7 @@ class TestTrainEval:
         run(capsys, "train", class_dataset, "--model", "gcn", "--epochs", "1",
             "--hidden", "4", "--trials", "1", "--save-model", model_path)
         other = tmp_path / "regression.json"
-        obj = json.loads(open(class_dataset).read())
+        obj = json.loads(Path(class_dataset).read_text())
         obj["task"] = "regression"
         obj.pop("num_classes")
         obj["labels"] = [float(v) for v in obj["labels"]]
@@ -366,7 +366,7 @@ class TestConfigFile:
         assert code == 0
         assert again == first
         if "{out}" in argv:
-            assert open(again_out, "rb").read() == open(first_out, "rb").read()
+            assert Path(again_out).read_bytes() == Path(first_out).read_bytes()
 
     @pytest.mark.parametrize("argv, config, named", [
         (["train", "{data}", "--model", "gcn"], {"epochs": "2"}, "config key 'epochs'"),

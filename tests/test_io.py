@@ -193,7 +193,7 @@ class TestSaveRoundTrip:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save(g, a)
         save(g, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     @pytest.mark.parametrize("rows", [1, 2, 1000])
     def test_saved_bytes_match_json_dump(self, tmp_path, monkeypatch, rows):
@@ -225,13 +225,13 @@ class TestSaveRoundTrip:
             files.append((loaded, str(tmp_path / f"{name}.json")))
         for dataset, path in files:
             save_file(dataset, path)
-            obj = json.loads(open(path, encoding="utf-8").read())
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
             assert obj["edges"] == [[int(u), int(v)] for u, v in dataset.edges]
             assert obj["hyperedges"] == [list(e) for e in dataset.hyperedges]
             expected = io.StringIO()
             json.dump(obj, expected, sort_keys=True, separators=(",", ":"))
             expected.write("\n")
-            assert open(path, "rb").read() == expected.getvalue().encode("utf-8")
+            assert Path(path).read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_classification_roundtrip(self, tmp_path):
         g = HybridGraph(

@@ -7,7 +7,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from hygraph import HybridGraph, Task, validate
+import hygraph.graph
+from hygraph import HybridGraph, InvalidGraphError, Task, validate
 from hygraph.nn.layers import build_graph_tensors
 from hygraph.nn.models import ModelSpec
 from hygraph.nn.train import TrainConfig, run_experiment, train_single
@@ -511,9 +512,46 @@ class TestPinnedStreams:
         assert hashlib.sha256(weights).hexdigest() == self.WEIGHTS[mode][name]
 
 
+def count_validate(monkeypatch) -> list:
+    """The graphs ``validate`` runs on from here on, in call order."""
+    checked, validate_fn = [], hygraph.graph.validate
+    monkeypatch.setattr(hygraph.graph, "validate",
+                        lambda h: (checked.append(h), validate_fn(h))[1])
+    return checked
+
+
+class TestSubgraphValidity:
+    # A subgraph induced from a graph already found valid is marked valid;
+    # one induced from any other graph is validated when first checked.
+    @pytest.mark.parametrize("spec", list(TestPinnedStreams.SAMPLERS), ids=lambda s: s.method)
+    def test_sampler_report_on_a_validated_graph_validates_nothing(self, spec, monkeypatch):
+        g = TestPinnedStreams.pinned_graph().require_valid()
+        checked = count_validate(monkeypatch)
+        sampler_report(g, spec, 4, 21)
+        assert checked == []
+
+    def test_subgraph_of_an_unvalidated_graph_is_validated(self, monkeypatch):
+        g = TestPinnedStreams.pinned_graph()  # built by replace: not yet validated
+        checked = count_validate(monkeypatch)
+        sub = induce(g, np.arange(0, g.num_nodes, 2))
+        assert checked == []
+        sub.require_valid()
+        assert checked == [sub]
+
+    def test_subgraph_of_an_invalid_graph_is_validated(self, monkeypatch):
+        g = TestPinnedStreams.pinned_graph()
+        bad = replace(g, simple_edges=np.vstack([g.simple_edges, [[3, 3]]]))
+        assert bad.violations
+        checked = count_validate(monkeypatch)
+        sub = induce(bad, np.arange(bad.num_nodes))
+        with pytest.raises(InvalidGraphError, match="self-loop"):
+            sub.require_valid()
+        assert checked == [sub]
+
+
 class TestInducedSubgraphsAreValid:
-    """SAINT training builds batch tensors without re-checking the batch, so
-    every subgraph induced from a valid graph must pass ``validate``."""
+    """``induce`` marks a subgraph of a valid graph valid without checking
+    it, so every subgraph induced from a valid graph must pass ``validate``."""
 
     def test_random_graphs_and_id_sets(self):
         rng = np.random.default_rng(2024)
