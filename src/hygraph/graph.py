@@ -286,8 +286,12 @@ class HybridGraph:
         return tuple(validate(self))
 
     def require_valid(self) -> "HybridGraph":
-        if self.violations:
-            raise InvalidGraphError(list(self.violations))
+        """This graph, checked unless marked ``known_valid`` (as it is after a
+        check, like the subgraphs ``sampling.induce`` cuts from it)."""
+        if not vars(self).get("known_valid"):
+            if self.violations:
+                raise InvalidGraphError(list(self.violations))
+            vars(self)["known_valid"] = True
         return self
 
     @cached_property

@@ -75,44 +75,51 @@ def _mean_adj(gt) -> dict:
 
 
 def _incidence(gt) -> dict:
-    """``incidence_t`` (``(members, offsets)`` with rows sorted, on a
-    read-only array of ones), ``hyper_gather`` on its index arrays, and
-    ``log_weights``."""
+    """The incidence group: ``incidence_t`` is ``(members, offsets)``, rows
+    sorted, and ``incidence`` its transpose, both on one read-only array of
+    ones; ``hyper_gather`` and ``hyper_scatter`` sit on their index arrays."""
     g = gt.graph
     n, m = g.num_nodes, g.num_hyperedges
     offsets = g.hyperedges.offsets
     ones = np.ones(offsets[-1])
     ones.setflags(write=False)
     incidence_t = _csr(ones, g.hyperedges.sorted_members(), offsets, (m, n))
+    h = incidence_t.T.tocsr()
+    incidence = _csr(ones, h.indices, h.indptr, (n, m))
+    inc_node = row_index(incidence.indptr)
     w = g.hyperedge_weights
-    return {"incidence_t": incidence_t,
+    node_mass = incidence @ w
+    node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
+    return {"incidence_t": incidence_t, "incidence": incidence,
             "hyper_gather": _csr((w / np.diff(offsets))[g.hyperedges.edge_of()],
                                  incidence_t.indices, incidence_t.indptr, (m, n)),
-            "log_weights": np.log(w)}
+            "hyper_scatter": _csr(node_scale[inc_node], incidence.indices,
+                                  incidence.indptr, (n, m)),
+            "inc_node": inc_node, "log_weights": np.log(w)}
 
 
-def _hyper_scatter(gt) -> dict:
-    """``hyper_scatter`` on ``incidence``'s index arrays, and ``inc_node``."""
-    h = gt.incidence
-    inc_node = row_index(h.indptr)
-    node_mass = h @ gt.graph.hyperedge_weights
-    node_scale = np.divide(1.0, node_mass, out=np.zeros(h.shape[0]), where=node_mass > 0)
-    return {"hyper_scatter": _csr(node_scale[inc_node], h.indices, h.indptr, h.shape),
-            "inc_node": inc_node}
+def _adjoint(name: str, op: str, pattern: str | None = None):
+    """Builds ``name``, ``op``'s adjoint ``op.T.tocsr()``, on the index arrays
+    of ``pattern`` if named.  Its sorted indices add each output row in
+    ascending original-row order, as the CSC product of ``op.T`` does."""
+    def build(gt) -> dict:
+        t = getattr(gt, op).T.tocsr()
+        if pattern is not None:
+            s = getattr(gt, pattern)
+            t = _csr(t.data, s.indices, s.indptr, t.shape)
+        return {name: t}
+    return build
 
 
+# ``hyper_gather`` sits on ``incidence_t``'s index arrays and ``hyper_scatter``
+# on ``incidence``'s, so each one's transpose has the other's pattern.
 _BUILDERS = {"a_hat": _attention, "att_dst": _attention, "mean_adj": _mean_adj,
              "src_selection": _att_selections, "dst_selection": _att_selections,
-             "incidence_t": _incidence, "hyper_gather": _incidence, "log_weights": _incidence,
-             "hyper_scatter": _hyper_scatter, "inc_node": _hyper_scatter}
-
-# Each stored adjoint and the operator it is the transpose of, built as
-# ``op.T.tocsr()``: a CSR with sorted indices whose product adds each output
-# row's terms in ascending original-row order, as the CSC product of
-# ``op.T`` does, so ``matmul``'s backward keeps its bits.  ``a_hat`` is its
-# own adjoint.
-_ADJOINT_OF = {"mean_adj_t": "mean_adj", "incidence": "incidence_t",
-               "hyper_gather_t": "hyper_gather", "hyper_scatter_t": "hyper_scatter"}
+             **dict.fromkeys(("incidence_t", "incidence", "hyper_gather", "hyper_scatter",
+                              "inc_node", "log_weights"), _incidence),
+             "mean_adj_t": _adjoint("mean_adj_t", "mean_adj"),
+             "hyper_gather_t": _adjoint("hyper_gather_t", "hyper_gather", "incidence"),
+             "hyper_scatter_t": _adjoint("hyper_scatter_t", "hyper_scatter", "incidence_t")}
 
 
 class GraphTensors:
@@ -122,7 +129,7 @@ class GraphTensors:
     columns ascending in each row, plus an int64 array that holds each
     stored pair's row, the softmax segment; the pattern's ``indices`` hold
     the other end.  The forward structures store each array once, and
-    counts come from shapes; adjoints and selections have their own.
+    counts come from shapes.
 
     Groups, each built whole the first time one of its names is read:
 
@@ -132,36 +139,31 @@ class GraphTensors:
       pair's target, the softmax segment.
     * ``mean_adj`` (sage): ``D⁻¹ A``, zero rows for isolated nodes.
     * incidence: ``incidence_t`` (hyperatten), CSR ``Hᵀ``, members
-      ascending; ``hyper_gather`` (hyperconv), ``W D_e⁻¹ Hᵀ``, on
-      ``incidence_t``'s index arrays; ``log_weights`` (hyperatten), ``log w``
-      per hyperedge.
-    * scatter: ``hyper_scatter`` (hyperconv), ``D_v⁻¹ H``, on the index
-      arrays of the adjoint ``incidence`` (built first if need be), so
-      hyperedges ascend in each row; hyperatten reads its structure as its
-      (node, hyperedge) pairs.  ``inc_node`` (hyperatten): each incidence
-      pair's node, the softmax segment.
+      ascending, and ``incidence``, CSR ``H``, on the same read-only ones;
+      ``hyper_gather`` (hyperconv), ``W D_e⁻¹ Hᵀ``, and ``hyper_scatter``
+      (hyperconv), ``D_v⁻¹ H``, on their index arrays (hyperatten reads
+      ``hyper_scatter``'s as its (node, hyperedge) pairs); ``inc_node``
+      (hyperatten), each pair's node, the softmax segment; ``log_weights``
+      (hyperatten), ``log w`` per hyperedge.
 
-    Each sparse operator has a stored adjoint that the layers hand
-    ``autodiff.matmul`` for its backward, built on first read by one rule:
-    ``mean_adj_t``, ``incidence``, ``hyper_gather_t`` and ``hyper_scatter_t``
-    are each their operator's ``op.T.tocsr()`` (``_ADJOINT_OF``), and
-    ``a_hat`` is its own (a symmetric pattern whose values are
-    ``inv_sqrt[i] * inv_sqrt[j]``).  GATv2's ``src_selection`` and
-    ``dst_selection`` are ``autodiff._selection`` of ``a_hat.indices`` and
-    ``att_dst``, built on first read too.
+    Each sparse operator has a stored adjoint, its ``op.T.tocsr()`` (see
+    ``_adjoint``), that the layers hand ``autodiff.matmul`` for its
+    backward: ``a_hat`` is its own (a symmetric pattern whose values are
+    ``inv_sqrt[i] * inv_sqrt[j]``), ``incidence`` is ``incidence_t``'s, and
+    ``mean_adj_t``, ``hyper_gather_t`` and ``hyper_scatter_t`` are built on
+    first read, the last two on ``incidence``'s and ``incidence_t``'s index
+    arrays.  So are GATv2's ``src_selection`` and ``dst_selection``, the
+    ``autodiff._selection`` of ``a_hat.indices`` and ``att_dst``.
     """
 
     def __init__(self, g: HybridGraph):
         self.graph = g
 
     def __getattr__(self, name):
-        """Build ``name``'s group or adjoint; later reads find it in ``__dict__``."""
-        if name in _BUILDERS:
-            vars(self).update(_BUILDERS[name](self))
-        elif name in _ADJOINT_OF:
-            vars(self)[name] = getattr(self, _ADJOINT_OF[name]).T.tocsr()
-        else:
+        """Build the group that holds ``name``; later reads find it in ``__dict__``."""
+        if name not in _BUILDERS:
             raise AttributeError(f"'GraphTensors' object has no attribute {name!r}")
+        vars(self).update(_BUILDERS[name](self))
         return vars(self)[name]
 
     @property

@@ -199,7 +199,7 @@ def _batches(g: HybridGraph, cfg: TrainConfig, is_train: np.ndarray,
     the trial's training nodes; a batch's training rows are the sampled
     nodes it marks, and its targets are gathered from ``full``'s.  ``g`` was
     validated by the caller, so ``build_graph_tensors`` finds each batch
-    marked valid by ``induce`` and checks nothing again.
+    marked known valid by ``induce`` and checks nothing again.
     """
     if cfg.saint is None:
         yield full

@@ -15,9 +15,8 @@ draws on ``HybridGraph.edge_sampling_weights``, and ``induce`` reads the
 sampled nodes' edges through ``HybridGraph.edges_by_first_endpoint`` and
 their hyperedge memberships through ``HybridGraph.member_positions``, which
 point into the members sorted within each hyperedge
-(``Hyperedges.sorted_members``).  Each draw still fills a local id map over
-every node of the parent graph, and a sample that holds an eighth or more
-of all members also fills an in-sample bool array over every node.
+(``Hyperedges.sorted_members``).  Each draw still fills a ``num_nodes`` id
+map, and a sample holding an eighth or more of all members a bool one.
 
 The walk sampler moves all its walks one step per round, with one array
 draw per round; see :func:`sample_random_walk`.
@@ -125,15 +124,12 @@ def _mask_hyperedges(g: HybridGraph, ids: np.ndarray, local: np.ndarray):
 def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
     """Extract the subgraph induced by ``node_ids`` (deduplicated, sorted).
 
-    The subgraph of a graph already found valid is valid by construction,
-    so it is marked valid and ``require_valid`` checks nothing on it (an
-    oracle test holds ``validate`` to that).  The relabelling of sampled
-    ids is injective and monotone, so kept edges gain no self-loop or
-    duplicate; masked hyperedge members stay unique and hyperedges left
-    empty are dropped; weights, features and labels are subsets of the
-    parent's; and the parent map restricted to the sample, with outside
-    parents replaced by self, is still a forest.  The subgraph of a graph
-    not yet validated, or found invalid, is validated when first checked.
+    The subgraph of a ``known_valid`` graph is valid by construction and is
+    marked so (its ``violations`` still runs ``validate``): the relabelling
+    is injective and monotone, so kept edges gain no self-loop or duplicate;
+    masked members stay unique and empty hyperedges are dropped; weights,
+    features and labels are subsets; and the parent map restricted to the
+    sample, outside parents replaced by self, is still a forest.
     """
     ids = sort_unique(np.asarray(node_ids, dtype=np.int64).ravel())
     if ids.size and (ids[0] < 0 or ids[-1] >= g.num_nodes):
@@ -163,8 +159,8 @@ def induce(g: HybridGraph, node_ids) -> SampledSubgraph:
         labels=g.labels[ids],
         task=g.task,
     )
-    if vars(g).get("violations") == ():
-        vars(sub)["violations"] = ()  # the cached_property's slot
+    if vars(g).get("known_valid"):
+        vars(sub)["known_valid"] = True
     return sub
 
 

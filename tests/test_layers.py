@@ -23,7 +23,7 @@ from hygraph.nn.losses import one_hot
 from hygraph.nn.models import ModelSpec, build_model
 from hygraph.nn.train import Adam, _loss_on
 from hygraph.sampling import SamplerSpec, run_sampler
-from tests.test_array_oracles import ADJOINTS, DATA, STORED_NAMES
+from tests.test_array_oracles import DATA, SELECTIONS, STORED_NAMES
 from tests.test_autodiff import gradcheck
 
 
@@ -180,10 +180,11 @@ class TestGraphTensors:
     def test_no_pair_array_is_stored_twice(self):
         # One end of each pair list is a pattern's indices; no array field
         # repeats them, and hyper_gather reuses incidence_t's.  Attention
-        # reads a_hat's structure, so no 0/1 copy of it is stored.  The
-        # operators store new index arrays only where no other operator
-        # holds them: hyper_scatter sits on incidence's.  The other adjoints
-        # and the selections are transposes with index arrays of their own.
+        # reads a_hat's structure, so no 0/1 copy of it is stored.  Each
+        # operator, incidence and the adjoints of hyper_gather and
+        # hyper_scatter store new index arrays only where no other of them
+        # holds them: every index array equal to another is shared.
+        # mean_adj_t and the selections are transposes with their own.
         gt = build_graph_tensors(graph(
             6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]], [(4, 0, 2), (1, 5), (3,)]
         ))
@@ -198,11 +199,15 @@ class TestGraphTensors:
         assert np.shares_memory(gt.hyper_gather.indptr, gt.incidence_t.indptr)
         # incidence_t is a 0/1 pattern on a read-only array of ones.
         assert not gt.incidence_t.data.flags.writeable
-        assert np.shares_memory(gt.incidence.indices, gt.hyper_scatter.indices)
-        assert np.shares_memory(gt.incidence.indptr, gt.hyper_scatter.indptr)
-        # ADJOINTS' keys are the five operators.
-        operators = [getattr(gt, name) for name in (*ADJOINTS, "incidence")]
-        index_arrays = [a for v in operators for a in (v.indices, v.indptr)]
+        for adjoint in (gt.incidence, gt.hyper_gather_t):
+            assert np.shares_memory(adjoint.indices, gt.hyper_scatter.indices)
+            assert np.shares_memory(adjoint.indptr, gt.hyper_scatter.indptr)
+        assert np.shares_memory(gt.incidence.data, gt.incidence_t.data)
+        assert np.shares_memory(gt.hyper_scatter_t.indices, gt.incidence_t.indices)
+        assert np.shares_memory(gt.hyper_scatter_t.indptr, gt.incidence_t.indptr)
+        shared = [m for name, m in zip(STORED_NAMES, stored)
+                  if sp.issparse(m) and name not in ("mean_adj_t", *SELECTIONS)]
+        index_arrays = [a for v in shared for a in (v.indices, v.indptr)]
         for a in index_arrays:
             for b in index_arrays:
                 if a.dtype == b.dtype and a.tobytes() == b.tobytes():
@@ -211,7 +216,8 @@ class TestGraphTensors:
 
 # The structure groups ``GraphTensors`` builds on first read.
 ATTENTION = {"a_hat", "att_dst"}
-INCIDENCE = {"incidence_t", "hyper_gather", "hyper_scatter", "inc_node", "log_weights"}
+INCIDENCE = {"incidence_t", "incidence", "hyper_gather", "hyper_scatter", "inc_node",
+             "log_weights"}
 
 
 def saint_batch():
@@ -223,10 +229,10 @@ def saint_batch():
 class TestLazyGroups:
     @pytest.mark.parametrize("name, built", [
         ("gcn", ATTENTION),
-        ("hyperconv", INCIDENCE | {"incidence", "hyper_gather_t", "hyper_scatter_t"}),
+        ("hyperconv", INCIDENCE | {"hyper_gather_t", "hyper_scatter_t"}),
         ("sage", {"mean_adj", "mean_adj_t"}),
         ("gatv2", ATTENTION | {"src_selection", "dst_selection"}),
-        ("hyperatten", INCIDENCE | {"incidence"}),
+        ("hyperatten", INCIDENCE),
     ])
     def test_a_layer_builds_only_what_it_reads(self, name, built):
         # A gcn batch builds a_hat and nothing of the incidence group, and

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import hygraph.graph
-from hygraph import HybridGraph, InvalidGraphError, Task, validate
+from hygraph import HybridGraph, InvalidGraphError, Task, sampling, validate
+from hygraph.graph import Hyperedges
 from hygraph.nn.layers import build_graph_tensors
 from hygraph.nn.models import ModelSpec
 from hygraph.nn.train import TrainConfig, run_experiment, train_single
@@ -521,14 +522,36 @@ def count_validate(monkeypatch) -> list:
 
 
 class TestSubgraphValidity:
-    # A subgraph induced from a graph already found valid is marked valid;
-    # one induced from any other graph is validated when first checked.
+    # A subgraph induced from a graph already found valid is marked known
+    # valid, so require_valid checks nothing on it; one induced from any
+    # other graph is validated when first checked.  Reading violations
+    # validates either.
     @pytest.mark.parametrize("spec", list(TestPinnedStreams.SAMPLERS), ids=lambda s: s.method)
     def test_sampler_report_on_a_validated_graph_validates_nothing(self, spec, monkeypatch):
         g = TestPinnedStreams.pinned_graph().require_valid()
         checked = count_validate(monkeypatch)
         sampler_report(g, spec, 4, 21)
         assert checked == []
+
+    def test_violations_of_a_marked_subgraph_still_validate(self, monkeypatch):
+        # A fault that induce let through is still reported by violations,
+        # which checks that read (the benchmark's among them) rely on.
+        g = TestPinnedStreams.pinned_graph().require_valid()
+        mask = sampling._mask_hyperedges
+
+        def duplicate_a_member(*args):
+            hyperedges, kept = mask(*args)
+            members, offsets = hyperedges.members.copy(), hyperedges.offsets
+            k = int(np.flatnonzero(np.diff(offsets) >= 2)[0])
+            members[offsets[k] + 1] = members[offsets[k]]
+            return Hyperedges(members, offsets), kept
+
+        monkeypatch.setattr(sampling, "_mask_hyperedges", duplicate_a_member)
+        checked = count_validate(monkeypatch)
+        sub = induce(g, np.arange(g.num_nodes))
+        assert sub.require_valid() is sub and checked == []
+        assert any(v.startswith("duplicate members") for v in sub.violations)
+        assert checked == [sub]
 
     def test_subgraph_of_an_unvalidated_graph_is_validated(self, monkeypatch):
         g = TestPinnedStreams.pinned_graph()  # built by replace: not yet validated
