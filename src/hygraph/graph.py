@@ -92,6 +92,30 @@ def sort_unique(keys: np.ndarray, return_index: bool = False):
     return (ranked[first], order[first]) if return_index else ranked[first]
 
 
+def _require_in_range(nodes: np.ndarray, num_nodes: int, what: str) -> None:
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= num_nodes):
+        raise InvalidGraphError([f"{what} out of range"])
+
+
+def _group_by_node(nodes: np.ndarray, num_nodes: int, what: str):
+    """The positions of ``nodes`` grouped by node, as CSR ``(indptr, order)``.
+
+    ``order[indptr[v]:indptr[v + 1]]`` are the positions that hold ``v``,
+    ascending.  A plain sort of the distinct keys (node, position) is a
+    stable sort by node, and several times faster than numpy's stable
+    argsort.  Both arrays are read-only.
+    """
+    _require_in_range(nodes, num_nodes, what)
+    order = nodes * nodes.size + np.arange(nodes.size)
+    order.sort()
+    order %= nodes.size
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nodes, minlength=num_nodes), out=indptr[1:])
+    indptr.setflags(write=False)
+    order.setflags(write=False)
+    return indptr, order
+
+
 def neighbour_csr(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """Neighbour lists of an undirected edge list as CSR ``(indptr, indices)``.
 
@@ -101,8 +125,7 @@ def neighbour_csr(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """
     n = num_nodes
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise InvalidGraphError(["edge index out of range"])
+    _require_in_range(edges, n, "edge index")
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
     pairs = sort_unique(src * n + dst)  # sorted by (src, dst), duplicates gone
@@ -302,8 +325,7 @@ class HybridGraph:
         and a self-loop adds two.
         """
         ends = self.simple_edges.ravel()
-        if ends.size and (ends.min() < 0 or ends.max() >= self.num_nodes):
-            raise InvalidGraphError(["edge index out of range"])
+        _require_in_range(ends, self.num_nodes, "edge index")
         deg = np.bincount(ends, minlength=self.num_nodes).astype(np.int64, copy=False)
         deg.setflags(write=False)
         return deg
@@ -319,43 +341,18 @@ class HybridGraph:
 
     @cached_property
     def edges_by_first_endpoint(self) -> tuple[np.ndarray, np.ndarray]:
-        """Simple edge ids grouped by first endpoint, as CSR ``(indptr, order)``.
-
-        The edges whose first endpoint is ``v`` are
-        ``order[indptr[v]:indptr[v + 1]]``, in ascending id order.  Both
-        arrays are read-only.
-        """
-        n, edges = self.num_nodes, self.simple_edges
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise InvalidGraphError(["edge index out of range"])
-        order = np.argsort(edges[:, 0], kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edges[:, 0], minlength=n), out=indptr[1:])
-        indptr.setflags(write=False)
-        order.setflags(write=False)
-        return indptr, order
+        """Simple edge ids grouped by first endpoint, as :func:`_group_by_node`
+        gives them: the edges whose first endpoint is ``v`` are
+        ``order[indptr[v]:indptr[v + 1]]``, in ascending id order."""
+        _require_in_range(self.simple_edges, self.num_nodes, "edge index")
+        return _group_by_node(self.simple_edges[:, 0], self.num_nodes, "edge index")
 
     @cached_property
     def member_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hyperedge member positions grouped by node, as CSR ``(indptr, positions)``.
-
-        ``positions[indptr[v]:indptr[v + 1]]`` are the positions in
-        ``hyperedges.sorted_members()`` that hold node ``v``, ascending.
-        Both arrays are read-only.
-        """
-        n, members = self.num_nodes, self.hyperedges.sorted_members()
-        if members.size and (members.min() < 0 or members.max() >= n):
-            raise InvalidGraphError(["hyperedge member out of range"])
-        # A plain sort of the distinct keys (node, position) is a stable sort
-        # by node, and several times faster than numpy's stable argsort.
-        positions = members * members.size + np.arange(members.size)
-        positions.sort()
-        positions %= members.size
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(members, minlength=n), out=indptr[1:])
-        indptr.setflags(write=False)
-        positions.setflags(write=False)
-        return indptr, positions
+        """The positions in ``hyperedges.sorted_members()`` that hold each node,
+        grouped by node as :func:`_group_by_node` gives them."""
+        return _group_by_node(self.hyperedges.sorted_members(), self.num_nodes,
+                              "hyperedge member")
 
     @cached_property
     def edge_sampling_weights(self) -> np.ndarray:

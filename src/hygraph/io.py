@@ -112,6 +112,15 @@ def _floats(value, path: str, key: str) -> np.ndarray:
     return _numbers(value, path, key).astype(np.float64, copy=False)
 
 
+def _matrix(value, path: str, key: str, rows: int) -> np.ndarray:
+    """A JSON list of ``rows`` rows as a 2-D float array; ``[]`` has no rows."""
+    arr = _floats(value, path, key)
+    arr = np.atleast_2d(arr) if arr.ndim > 1 or arr.size else arr.reshape(0, 0)
+    if arr.shape[0] != rows:
+        raise SchemaError(f"{path}: field '{key}' has {arr.shape[0]} rows, expected {rows}")
+    return arr
+
+
 def _integers(value, path: str, key: str, what: str = "index") -> np.ndarray:
     """Numbers that must be integral: ``1.0`` is read as 1, ``1.5`` is refused."""
     arr = _numbers(value, path, key)
@@ -177,11 +186,7 @@ def load_file(path: str) -> DatasetFile:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise SchemaError(f"{path}: field 'num_nodes' must be a non-negative integer")
 
-    features = np.atleast_2d(_floats(_need(obj, "node_features", path), path, "node_features"))
-    if features.shape[0] != n:
-        raise SchemaError(
-            f"{path}: field 'node_features' has {features.shape[0]} rows, expected {n}"
-        )
+    features = _matrix(_need(obj, "node_features", path), path, "node_features", n)
 
     edges = _integers(_need(obj, "edges", path), path, "edges")
     if edges.size == 0:
@@ -200,7 +205,7 @@ def load_file(path: str) -> DatasetFile:
 
     he_features = obj.get("hyperedge_features")
     if he_features is not None:
-        he_features = np.atleast_2d(_floats(he_features, path, "hyperedge_features"))
+        he_features = _matrix(he_features, path, "hyperedge_features", len(hyperedges))
 
     parent = obj.get("parent")
     if parent is not None:
@@ -236,11 +241,7 @@ def load_file(path: str) -> DatasetFile:
 
     embeddings = obj.get("embeddings")
     if embeddings is not None:
-        embeddings = np.atleast_2d(_floats(embeddings, path, "embeddings"))
-        if embeddings.shape[0] != n:
-            raise SchemaError(
-                f"{path}: field 'embeddings' has {embeddings.shape[0]} rows, expected {n}"
-            )
+        embeddings = _matrix(embeddings, path, "embeddings", n)
 
     return DatasetFile(
         name=obj.get("name", ""),
@@ -326,7 +327,8 @@ def save_file(ds: DatasetFile, path: str) -> None:
 
 
 def save(g: HybridGraph, path: str, name: str = "") -> None:
-    """Write a validated graph in canonical form; round-trips exactly."""
+    """Write a validated graph in canonical form; round-trips exactly, except
+    that a matrix with no rows loads with shape (0, 0)."""
     g.require_valid()
     ds = DatasetFile(
         name=name,

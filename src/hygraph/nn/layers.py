@@ -3,10 +3,11 @@
 Every layer maps a node feature matrix (n, d_in) to (n, d_out) using
 structure held in :class:`GraphTensors`, which builds each group of
 structures the first time a layer reads it and then keeps it: a gcn batch
-builds ``a_hat`` and nothing else.  Hypergraph convolution keeps its two
-incidence factors, so nothing grows with Σ|e|².  Each sparse operator has a
-stored adjoint, its transpose as a CSR with sorted indices, built on its
-first backward, that ``autodiff.matmul`` reads in place of ``.T``.
+builds ``a_hat`` and nothing else.  Patterns are read off the graph's
+indexes, ``adjacency_csr`` and ``member_positions``.  Hypergraph convolution
+keeps its two incidence factors, so nothing grows with Σ|e|².  Each sparse
+operator has a stored adjoint, its transpose as a CSR with sorted indices,
+built on its first backward, that ``autodiff.matmul`` reads in place of ``.T``.
 
 Attention never materializes dense score matrices; scores live on the edge
 or incidence pair lists and are normalized with a segment softmax over the
@@ -43,20 +44,18 @@ def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
 
 
 def _attention(gt) -> dict:
-    """``a_hat`` and ``att_dst``.  ``a_hat``'s row ``v`` holds entry ``p``
-    (neighbour ``j``) at ``p + v + (j > v)`` and its loop in the slot left,
-    as a valid graph has no self-loop edge."""
+    """``a_hat`` and ``att_dst``.  ``a_hat``'s pattern is the neighbour CSR of
+    A + I: each node inserted in its ``adjacency_csr`` row after its lower
+    neighbours, as a valid graph has no self-loop edge."""
     n = gt.graph.num_nodes
     indptr, indices = gt.graph.adjacency_csr
-    row, entry = row_index(indptr), np.arange(indices.size)
-    att_indptr = indptr + np.arange(n + 1)
-    att_src = np.empty(att_indptr[-1], dtype=np.int64)
-    att_src[entry + row + (indices > row)] = indices
-    att_src[att_indptr[:-1] + np.bincount(row[indices < row], minlength=n)] = np.arange(n)
-    att_dst = row_index(att_indptr)
-    inv_sqrt = 1.0 / np.sqrt(np.diff(indptr) + 1.0)
-    return {"a_hat": _csr(inv_sqrt[att_dst] * inv_sqrt[att_src], att_src, att_indptr, (n, n)),
-            "att_dst": att_dst}
+    row = row_index(indptr)
+    lower = np.bincount(row[indices < row], minlength=n)
+    src = np.insert(indices, indptr[:-1] + lower, np.arange(n))
+    indptr = indptr + np.arange(n + 1)
+    dst = row_index(indptr)
+    inv_sqrt = 1.0 / np.sqrt(np.diff(indptr))
+    return {"a_hat": _csr(inv_sqrt[dst] * inv_sqrt[src], src, indptr, (n, n)), "att_dst": dst}
 
 
 def _att_selections(gt) -> dict:
@@ -76,22 +75,22 @@ def _mean_adj(gt) -> dict:
 
 def _incidence(gt) -> dict:
     """The incidence group: ``incidence_t`` is ``(members, offsets)``, rows
-    sorted, and ``incidence`` its transpose, both on one read-only array of
-    ones; ``hyper_gather`` and ``hyper_scatter`` sit on their index arrays."""
+    sorted, and ``incidence`` the member index, both on one read-only array
+    of ones; ``hyper_gather`` and ``hyper_scatter`` sit on their index arrays."""
     g = gt.graph
     n, m = g.num_nodes, g.num_hyperedges
-    offsets = g.hyperedges.offsets
+    offsets, edge_of = g.hyperedges.offsets, g.hyperedges.edge_of()
     ones = np.ones(offsets[-1])
     ones.setflags(write=False)
     incidence_t = _csr(ones, g.hyperedges.sorted_members(), offsets, (m, n))
-    h = incidence_t.T.tocsr()
-    incidence = _csr(ones, h.indices, h.indptr, (n, m))
-    inc_node = row_index(incidence.indptr)
+    indptr, positions = g.member_positions
+    incidence = _csr(ones, edge_of[positions], indptr, (n, m))
+    inc_node = row_index(indptr)
     w = g.hyperedge_weights
     node_mass = incidence @ w
     node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
     return {"incidence_t": incidence_t, "incidence": incidence,
-            "hyper_gather": _csr((w / np.diff(offsets))[g.hyperedges.edge_of()],
+            "hyper_gather": _csr((w / np.diff(offsets))[edge_of],
                                  incidence_t.indices, incidence_t.indptr, (m, n)),
             "hyper_scatter": _csr(node_scale[inc_node], incidence.indices,
                                   incidence.indptr, (n, m)),
@@ -134,17 +133,17 @@ class GraphTensors:
     Groups, each built whole the first time one of its names is read:
 
     * attention: ``a_hat`` (gcn), ``D̃^-½ (A + I) D̃^-½``, CSR (target,
-      source), both edge directions and loops; gat and gatv2 read its
-      structure as their pairs.  ``att_dst`` (gat, gatv2): each attention
-      pair's target, the softmax segment.
+      source), the neighbour CSR of A + I, so ``D̃`` is its row lengths;
+      gat and gatv2 read its structure as their pairs.  ``att_dst`` (gat,
+      gatv2): each attention pair's target, the softmax segment.
     * ``mean_adj`` (sage): ``D⁻¹ A``, zero rows for isolated nodes.
     * incidence: ``incidence_t`` (hyperatten), CSR ``Hᵀ``, members
-      ascending, and ``incidence``, CSR ``H``, on the same read-only ones;
-      ``hyper_gather`` (hyperconv), ``W D_e⁻¹ Hᵀ``, and ``hyper_scatter``
-      (hyperconv), ``D_v⁻¹ H``, on their index arrays (hyperatten reads
-      ``hyper_scatter``'s as its (node, hyperedge) pairs); ``inc_node``
-      (hyperatten), each pair's node, the softmax segment; ``log_weights``
-      (hyperatten), ``log w`` per hyperedge.
+      ascending, and ``incidence``, CSR ``H`` off ``member_positions``, on
+      the same read-only ones; ``hyper_gather`` (hyperconv), ``W D_e⁻¹ Hᵀ``,
+      and ``hyper_scatter`` (hyperconv), ``D_v⁻¹ H``, on their index arrays
+      (hyperatten reads ``hyper_scatter``'s as its (node, hyperedge) pairs);
+      ``inc_node`` (hyperatten), each pair's node, the softmax segment;
+      ``log_weights`` (hyperatten), ``log w`` per hyperedge.
 
     Each sparse operator has a stored adjoint, its ``op.T.tocsr()`` (see
     ``_adjoint``), that the layers hand ``autodiff.matmul`` for its

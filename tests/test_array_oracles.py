@@ -28,6 +28,7 @@ from hygraph.nn.layers import LAYER_TYPES, LEAKY_SLOPE, build_graph_tensors
 from hygraph.sampling import (SamplerSpec, _mask_hyperedges, induce, run_sampler,
                              sample_random_walk, sample_uniform_hyperedges,
                              weighted_sample_without_replacement)
+from hygraph.synthetic import make_classification_graph
 
 # -- reference loops -------------------------------------------------------
 
@@ -291,12 +292,14 @@ def test_induce_keeps_duplicate_edges_and_self_loops(seed):
 
 def test_edges_by_first_endpoint_match_loop():
     rng = np.random.default_rng(9)
-    g = scrambled(random_graph(rng, 30, 0), rng)
-    indptr, order = g.edges_by_first_endpoint
-    for v in range(g.num_nodes):
-        expected = [i for i, (u, _) in enumerate(g.simple_edges.tolist()) if u == v]
-        assert order[indptr[v]:indptr[v + 1]].tolist() == expected
-    assert not indptr.flags.writeable and not order.flags.writeable
+    generated = make_classification_graph(num_nodes=60, seed=3)
+    assert (np.diff(generated.simple_edges[:, 0]) >= 0).all()  # the generator's edges come sorted
+    for g in (scrambled(random_graph(rng, 30, 0), rng), generated, bare(3)):
+        indptr, order = g.edges_by_first_endpoint
+        for v in range(g.num_nodes):
+            expected = [i for i, (u, _) in enumerate(g.simple_edges.tolist()) if u == v]
+            assert order[indptr[v]:indptr[v + 1]].tolist() == expected
+        assert not indptr.flags.writeable and not order.flags.writeable
     assert bare(3).edges_by_first_endpoint[0].tolist() == [0, 0, 0, 0]
     for edge in ([0, 3], [-1, 0]):
         with pytest.raises(InvalidGraphError, match="edge index out of range"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hygraph.cli import main
-from hygraph.graph import GraphKind, classify
+from hygraph.graph import GraphKind, HybridGraph, classify
 from hygraph.io import load, save
 from hygraph.nn import train
 from hygraph.nn.models import ModelSpec
@@ -175,6 +175,21 @@ class TestSample:
         assert sub.num_nodes == 10
         mapping = json.loads(err.splitlines()[-1])
         assert len(mapping["node_ids"]) == 10
+
+    def test_sample_without_hyperedges_loads(self, capsys, tmp_path):
+        # The one edge lies outside the one hyperedge, so the sample keeps
+        # no hyperedge and saves its hyperedge features as [].
+        g = HybridGraph(node_features=np.zeros((4, 1)), simple_edges=[[2, 3]],
+                        hyperedges=[(0, 1)], hyperedge_features=np.ones((1, 2)))
+        path, out_path = str(tmp_path / "g.json"), str(tmp_path / "sub.json")
+        save(g, path)
+        code, _, _ = run(capsys, "sample", path, "--method", "edge", "--budget", "1",
+                         "--seed", "0", "--out", out_path)
+        assert code == 0
+        sub = load(out_path)
+        assert sub.num_nodes == 2 and sub.hyperedge_features.shape == (0, 0)
+        code, out, _ = run(capsys, "stats", out_path)
+        assert code == 0 and "num_nodes" in out
 
     def test_sample_stdout_payload(self, capsys, class_dataset):
         code, out, _ = run(capsys, "sample", class_dataset, "--method",

@@ -182,6 +182,15 @@ class TestSaveRoundTrip:
         save(g, path, name="round")
         assert structurally_equal(g, load(path))
 
+    def test_graph_with_no_nodes_loads(self, tmp_path):
+        # A matrix with no rows is saved as [], which loads with shape (0, 0).
+        path = str(tmp_path / "empty.json")
+        save(HybridGraph(node_features=np.zeros((0, 3)), simple_edges=[]), path)
+        g = load(path)
+        assert g.num_nodes == 0 and g.node_features.shape == (0, 0)
+        assert structurally_equal(g, HybridGraph(node_features=np.zeros((0, 0)),
+                                                 simple_edges=[]))
+
     def test_save_is_deterministic(self, tmp_path):
         g = HybridGraph(
             node_features=np.arange(8.0).reshape(4, 2),
