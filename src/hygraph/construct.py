@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 INTERVAL_WINDOW = 200_000
+_BALL_BLOCK = 64  # rows of the distance matrix held at once
 _INT64 = np.iinfo(np.int64)
 
 
@@ -126,20 +127,31 @@ def ball_hyperedges(
     else:
         raise ValueError(f"unknown metric: {metric!r}")
 
+    # Row blocks are written in place into buffers reused from block to
+    # block, so the memory held is a fixed number of rows of n.  Each
+    # element gets the same product and float ops, in the same order, as
+    # the expression on all rows at once.
+    block = min(_BALL_BLOCK, n)
+    prod, dist = np.empty((block, n)), np.empty((block, n))
+    within = np.empty((block, n), dtype=bool)
+    if metric == "euclidean":
+        left, limit = 2.0 * emb, tau * tau + 1e-12  # d² = (|u|² + |v|²) - (2u)·v
+    else:
+        left, limit = emb, tau + 1e-12  # 1 - clip(u·v, -1, 1)
     out: list[tuple[int, ...]] = []
-    chunk = max(1, min(n, 4_000_000 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        p, d, w = prod[:stop - start], dist[:stop - start], within[:stop - start]
+        np.matmul(left[start:stop], emb.T, out=p)
         if metric == "euclidean":
-            d2 = (
-                sq_norms[start:stop, None]
-                + sq_norms[None, :]
-                - 2.0 * emb[start:stop] @ emb.T
-            )
-            within = d2 <= tau * tau + 1e-12
+            np.add(sq_norms[start:stop, None], sq_norms[None, :], out=d)
+            np.subtract(d, p, out=d)
         else:
-            cos = np.clip(emb[start:stop] @ emb.T, -1.0, 1.0)
-            within = 1.0 - cos <= tau + 1e-12
-        for i in range(stop - start):
-            out.append(tuple(np.flatnonzero(within[i]).tolist()))
+            np.clip(p, -1.0, 1.0, out=p)
+            np.subtract(1.0, p, out=d)
+        np.less_equal(d, limit, out=w)
+        rows, cols = np.nonzero(w)
+        bounds = np.searchsorted(rows, np.arange(stop - start + 1)).tolist()
+        cols = cols.tolist()
+        out.extend(tuple(cols[a:b]) for a, b in zip(bounds, bounds[1:]))
     return out

@@ -101,14 +101,18 @@ def _group_by_node(nodes: np.ndarray, num_nodes: int, what: str):
     """The positions of ``nodes`` grouped by node, as CSR ``(indptr, order)``.
 
     ``order[indptr[v]:indptr[v + 1]]`` are the positions that hold ``v``,
-    ascending.  A plain sort of the distinct keys (node, position) is a
-    stable sort by node, and several times faster than numpy's stable
-    argsort.  Both arrays are read-only.
+    ascending.  Non-decreasing ``nodes``, as the generators' first endpoints
+    are, are grouped already, so ``order`` is ``arange``.  Otherwise a plain
+    sort of the distinct keys (node, position) is a stable sort by node,
+    and several times faster than numpy's stable argsort.  Both arrays are
+    read-only.
     """
     _require_in_range(nodes, num_nodes, what)
-    order = nodes * nodes.size + np.arange(nodes.size)
-    order.sort()
-    order %= nodes.size
+    order = np.arange(nodes.size)
+    if not (nodes[1:] >= nodes[:-1]).all():
+        order += nodes * nodes.size
+        order.sort()
+        order %= nodes.size
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(nodes, minlength=num_nodes), out=indptr[1:])
     indptr.setflags(write=False)

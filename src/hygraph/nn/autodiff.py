@@ -26,7 +26,13 @@ a CSR with sorted indices that adds each output row's terms in the order
 the CSC product of ``a.T`` does; and GATv2's selection matrices are
 ``_selection``'s, stored with the graph.  Loss rows, unique and sorted,
 scatter their gradient without a selection matrix.
+
+Inside ``no_grad()`` every op computes the same values but records no
+tape: its output keeps no parents and no backward closure, so nothing
+the forward made outlives the values it returns.  Evaluation runs there.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,11 +48,27 @@ __all__ = [
     "log_softmax",
     "matmul",
     "mean",
+    "no_grad",
     "random_mask",
     "relu",
     "segment_softmax",
     "take_rows",
 ]
+
+
+_recording = True  # False inside ``no_grad()``
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block; the previous state returns on exit,
+    also when the block raises."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -56,8 +78,7 @@ class Tensor:
 
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = parents
-        self._backward = backward
+        self.parents, self._backward = (parents, backward) if _recording else ((), None)
         self.grad = None
 
     @property

@@ -2,12 +2,15 @@
 
 Every layer maps a node feature matrix (n, d_in) to (n, d_out) using
 structure held in :class:`GraphTensors`, which builds each group of
-structures the first time a layer reads it and then keeps it: a gcn batch
-builds ``a_hat`` and nothing else.  Patterns are read off the graph's
-indexes, ``adjacency_csr`` and ``member_positions``.  Hypergraph convolution
-keeps its two incidence factors, so nothing grows with Σ|e|².  Each sparse
-operator has a stored adjoint, its transpose as a CSR with sorted indices,
-built on its first backward, that ``autodiff.matmul`` reads in place of ``.T``.
+structures the first time a layer reads it: a gcn batch builds ``a_hat`` and
+nothing else.  The groups are kept on the graph, like its ``adjacency_csr``,
+so every later trial, model and evaluation on the same graph object builds
+nothing, and a sampled batch's groups are freed with its subgraph.  Patterns
+are read off the graph's indexes, ``adjacency_csr`` and
+``member_positions``.  Hypergraph convolution keeps its two incidence
+factors, so nothing grows with Σ|e|².  Each sparse operator has a stored
+adjoint, its transpose as a CSR with sorted indices, built on its first
+backward, that ``autodiff.matmul`` reads in place of ``.T``.
 
 Attention never materializes dense score matrices; scores live on the edge
 or incidence pair lists and are normalized with a segment softmax over the
@@ -121,8 +124,24 @@ _BUILDERS = {"a_hat": _attention, "att_dst": _attention, "mean_adj": _mean_adj,
              "hyper_scatter_t": _adjoint("hyper_scatter_t", "hyper_scatter", "incidence_t")}
 
 
+def _read_only(group: dict) -> dict:
+    """``group`` with every array it holds made read-only, a sparse matrix's
+    three included: one stored group serves every later reader of the graph."""
+    for value in group.values():
+        for a in (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,):
+            a.setflags(write=False)
+    return group
+
+
+# The key of a graph's instance dict that holds its built groups, by builder.
+# Only arrays and matrices are kept there, never a ``GraphTensors``, so the
+# graph and its groups form no reference cycle.
+_GROUPS = "graph_tensor_groups"
+
+
 class GraphTensors:
-    """The structure every layer reads, each group built on its first read.
+    """The structure every layer reads, each group built on its first read
+    of the graph and reused by every ``GraphTensors`` of that graph.
 
     Every matrix is CSR.  Each pair list attention reads is a CSR pattern,
     columns ascending in each row, plus an int64 array that holds each
@@ -159,10 +178,14 @@ class GraphTensors:
         self.graph = g
 
     def __getattr__(self, name):
-        """Build the group that holds ``name``; later reads find it in ``__dict__``."""
+        """Copy in the group that holds ``name``, built once per graph and
+        kept in the graph's ``_GROUPS`` entry; later reads find it in ``__dict__``."""
         if name not in _BUILDERS:
             raise AttributeError(f"'GraphTensors' object has no attribute {name!r}")
-        vars(self).update(_BUILDERS[name](self))
+        build, groups = _BUILDERS[name], vars(self.graph).setdefault(_GROUPS, {})
+        if build not in groups:
+            groups[build] = _read_only(build(self))
+        vars(self).update(groups[build])
         return vars(self)[name]
 
     @property
@@ -175,7 +198,8 @@ class GraphTensors:
 
 
 def build_graph_tensors(g: HybridGraph) -> GraphTensors:
-    """Check ``g`` and return its ``GraphTensors``, which build their structures on demand."""
+    """Check ``g`` and return its ``GraphTensors``, which build their
+    structures on demand, once per graph object."""
     g.require_valid()
     return GraphTensors(g)
 

@@ -8,10 +8,13 @@ is Adam under a half-cosine learning-rate decay.
 
 Training can run full-batch or on sampled subgraphs: a sampler spec draws a
 few subgraphs per epoch, the loss is taken on the sampled training nodes,
-and evaluation always runs on the full graph.  The parent graph is
-validated once per trial; sampled batches are not checked again, because a
-subgraph that ``induce`` cuts from a valid graph is valid by construction
-(see ``sampling.induce``).
+and evaluation always runs on the full graph, with no tape (``autodiff.no_grad``).
+The parent graph is validated on its first trial and then marked valid;
+sampled batches are not checked again, because a subgraph that ``induce``
+cuts from a valid graph is valid by construction (see ``sampling.induce``).
+The graph's operators are built on its first trial that reads them and kept
+on the graph object (see ``layers.GraphTensors``), so later trials and calls
+on it build none; each batch's are freed with its subgraph.
 """
 
 import json
@@ -127,9 +130,10 @@ def evaluate(model, gt, x: np.ndarray, labels: np.ndarray,
     """Accuracy on ``rows`` for classification, mean squared error otherwise.
 
     ``rows`` may be a tuple of row sets: the model then runs forward once and
-    the result is a tuple with one metric per set.
+    the result is a tuple with one metric per set.  The forward records no tape.
     """
-    out = model.forward(gt, ad.Tensor(x), training=False).value
+    with ad.no_grad():
+        out = model.forward(gt, ad.Tensor(x), training=False).value
     if isinstance(rows, tuple):
         return tuple(_metric(out, labels, r, task) for r in rows)
     return _metric(out, labels, rows, task)

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from hygraph import (GraphKind, HybridGraph, InvalidGraphError, Task, classify,
                      structurally_equal, to_simple, to_two_level_hierarchy, validate)
 from hygraph import stats
-from hygraph.graph import Hyperedges, _ancestry, sort_unique
+from hygraph.graph import Hyperedges, _ancestry, _group_by_node, sort_unique
 from hygraph.io import load
 from hygraph.nn import autodiff as ad
 from hygraph.nn.autodiff import _accumulate
@@ -380,6 +380,22 @@ def test_mask_takes_both_paths():
     assert 8 * held >= total
     for ids in (few, all_ids, np.arange(0, 200, 3)):
         assert_same_mask(g, ids)
+
+
+@pytest.mark.parametrize("nodes", [
+    np.sort(np.random.default_rng(5).integers(0, 40, size=300)),
+    np.random.default_rng(6).integers(0, 40, size=300),
+    np.array([3, 3, 7, 7, 7, 39]), np.array([7, 3, 3]),
+    np.zeros(0, dtype=np.int64), np.array([12]),
+], ids=["sorted", "unsorted", "sorted-repeats", "unsorted-repeats", "empty", "one"])
+def test_group_by_node_matches_stable_argsort(nodes):
+    # Sorted keys skip the sort; either way the positions are a stable argsort.
+    indptr, order = _group_by_node(nodes, 40, "node")
+    np.testing.assert_array_equal(order, np.argsort(nodes, kind="stable"))
+    np.testing.assert_array_equal(indptr, np.concatenate(
+        [[0], np.cumsum(np.bincount(nodes, minlength=40))]))
+    assert order.dtype == indptr.dtype == np.int64
+    assert not indptr.flags.writeable and not order.flags.writeable
 
 
 def test_member_positions_match_loop():

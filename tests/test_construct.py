@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from itertools import combinations
 
 import networkx as nx
@@ -211,6 +212,17 @@ def brute_force_balls(emb, tau, metric):
     return out
 
 
+def whole_matrix_balls(emb, tau, metric):
+    """Balls from the distance expression on all rows at once."""
+    if metric == "euclidean":
+        sq = np.einsum("ij,ij->i", emb, emb)
+        within = sq[:, None] + sq[None, :] - 2.0 * emb @ emb.T <= tau * tau + 1e-12
+    else:
+        unit = emb / np.sqrt(np.einsum("ij,ij->i", emb, emb))[:, None]
+        within = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0) <= tau + 1e-12
+    return [tuple(np.flatnonzero(row).tolist()) for row in within]
+
+
 class TestBalls:
     def test_line_example(self):
         emb = np.array([[0.0], [1.0], [10.0]])
@@ -245,6 +257,27 @@ class TestBalls:
             tau = float(rng.uniform(0.05, 1.5))
             got = ball_hyperedges(emb, tau, metric="cosine")
             assert got == brute_force_balls(emb, tau, "cosine")
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
+    def test_row_blocks_match_whole_matrix(self, n, metric):
+        # Blocks of rows computed in place give each element the same bits;
+        # n below the block size and n not a multiple of it included.
+        rng = np.random.default_rng(45 + n)
+        emb = rng.standard_normal((n, 3)) * rng.uniform(0.2, 2.0)
+        for tau in (0.0, 0.3, 1.1):
+            assert ball_hyperedges(emb, tau, metric) == whole_matrix_balls(emb, tau, metric)
+
+    def test_memory_is_a_few_row_blocks(self):
+        # 5000 points: the whole distance matrix would be 200 MB.
+        emb = np.random.default_rng(46).standard_normal((5000, 4))
+        tracemalloc.start()
+        try:
+            ball_hyperedges(emb, tau=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, peak
 
     def test_non_finite_rejected(self):
         emb = np.array([[0.0], [np.nan]])

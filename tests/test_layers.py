@@ -21,7 +21,7 @@ from hygraph.nn.layers import (
 )
 from hygraph.nn.losses import one_hot
 from hygraph.nn.models import ModelSpec, build_model
-from hygraph.nn.train import Adam, _loss_on
+from hygraph.nn.train import Adam, TrainConfig, _loss_on, run_experiment
 from hygraph.sampling import SamplerSpec, run_sampler
 from tests.test_array_oracles import DATA, SELECTIONS, STORED_NAMES
 from tests.test_autodiff import gradcheck
@@ -244,10 +244,33 @@ class TestLazyGroups:
         ad.mean(layer.forward(gt, ad.Tensor(sub.node_features))).backward()
         assert set(vars(gt)) == {"graph"} | built
 
+    def test_groups_are_kept_on_the_graph_read_only(self):
+        # A second GraphTensors of the graph reads the same stored arrays,
+        # which no reader can write.
+        sub = saint_batch()
+        layer = LAYER_TYPES["gatv2"](sub.node_features.shape[1], 4, np.random.default_rng(0))
+        ad.mean(layer.forward(build_graph_tensors(sub), ad.Tensor(sub.node_features))).backward()
+        gt = build_graph_tensors(sub)
+        for name in ATTENTION | {"src_selection", "dst_selection"}:
+            value = getattr(gt, name)
+            assert value is getattr(build_graph_tensors(sub), name)
+            arrays = (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,)
+            assert not any(a.flags.writeable for a in arrays), name
+
     def test_build_checks_the_graph_at_once(self):
         g = graph(3, [[1, 1]])
         with pytest.raises(ValueError, match="self-loop"):
             build_graph_tensors(g)
+
+
+def count_constructors(monkeypatch) -> list:
+    """The formats of the scipy sparse matrices constructed from now on."""
+    calls = []
+    init = _cs_matrix.__init__
+    monkeypatch.setattr(_cs_matrix, "__init__",
+                        lambda self, *args, **kwargs: (calls.append(self.format),
+                                                       init(self, *args, **kwargs))[1])
+    return calls
 
 
 class TestConstructorCount:
@@ -274,13 +297,58 @@ class TestConstructorCount:
             optimizer.step(0.01)
 
         step()
-        calls = []
-        init = _cs_matrix.__init__
-        monkeypatch.setattr(_cs_matrix, "__init__",
-                            lambda self, *args, **kwargs: (calls.append(self.format),
-                                                           init(self, *args, **kwargs))[1])
+        calls = count_constructors(monkeypatch)
         step()
         assert len(calls) == per_step, calls
+
+    @pytest.mark.parametrize("name", ["gcn", "sage", "hyperconv", "lp:gcn+hyperconv"])
+    def test_a_second_experiment_on_the_graph_builds_nothing(self, name, monkeypatch):
+        # Operators and adjoints are kept on the graph object, so later
+        # trials and calls reuse them, evaluation included.
+        g = load(str(DATA / "synthetic_classification.json"))
+        cfg = TrainConfig(epochs=2, trials=2)
+        run_experiment(g, ModelSpec(name), cfg, 0)
+        calls = count_constructors(monkeypatch)
+        run_experiment(g, ModelSpec(name), cfg, 0)
+        assert calls == []
+
+
+def full_graph_model(name):
+    g = load(str(DATA / "synthetic_classification.json"))
+    model = build_model(ModelSpec(name, dropout=0.3), g.node_features.shape[1], 2,
+                        np.random.default_rng(4), True)
+    return g, model
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("name", sorted(LAYER_TYPES))
+    def test_same_values_and_no_tape(self, name, monkeypatch):
+        g, model = full_graph_model(name)
+        gt, x = build_graph_tensors(g), g.node_features
+        taped = model.forward(gt, ad.Tensor(x), training=False)
+        assert taped.parents
+        made = []
+        init = ad.Tensor.__init__
+        monkeypatch.setattr(ad.Tensor, "__init__",
+                            lambda self, *args: (init(self, *args), made.append(self))[0])
+        with ad.no_grad():
+            out = model.forward(gt, ad.Tensor(x), training=False)
+        assert out.value.tobytes() == taped.value.tobytes()
+        assert len(made) > 4 and out in made
+        assert all(t.parents == () and t._backward is None for t in made)
+
+    def test_state_restored_on_exit_and_on_error(self):
+        x = ad.Tensor(np.ones((2, 2)))
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.relu(x).parents == ()  # the inner block restores "off"
+        assert ad.relu(x).parents == (x,)
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("inside")
+        taped = ad.relu(x)
+        assert taped.parents == (x,) and taped._backward is not None
 
 
 class TestGCN:

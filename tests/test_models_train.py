@@ -1,3 +1,6 @@
+import gc
+import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +8,7 @@ import pytest
 
 import hygraph.graph
 from hygraph import HybridGraph, InvalidGraphError, Task
-from hygraph.io import split
+from hygraph.io import load, split
 from hygraph.nn import autodiff as ad
 from hygraph.nn.layers import build_graph_tensors
 from hygraph.nn.models import GNN, LPModel, ModelSpec, build_model
@@ -20,8 +23,9 @@ from hygraph.nn.train import (
     save_model,
     train_single,
 )
-from hygraph.sampling import SamplerSpec
+from hygraph.sampling import SampledSubgraph, SamplerSpec
 from hygraph.synthetic import make_classification_graph, make_regression_graph
+from tests.test_array_oracles import DATA
 from tests.test_sampling import TestPinnedStreams as Pinned  # a name pytest does not collect twice
 
 
@@ -290,6 +294,50 @@ class TestRunExperiment:
                                 TrainConfig(epochs=5, trials=2), base_seed=0)
         assert report["metric"] == "mse"
         assert "random_guess" not in report
+
+
+class TestOperatorsKeptOnTheGraph:
+    RW = SamplerSpec("rw", roots=30, walk_length=3)
+    ROWS = [(name, None) for name in ("gcn", "sage", "gat", "gatv2", "hyperconv",
+                                      "hyperatten", "lp:sage+hyperatten")] + [("gcn", RW)]
+
+    @staticmethod
+    def report(g, name, saint):
+        cfg = TrainConfig(epochs=3, trials=2, saint=saint, batches_per_epoch=2)
+        return json.dumps(run_experiment(g, ModelSpec(name, hidden=8), cfg, 5), sort_keys=True)
+
+    def test_reports_do_not_depend_on_operators_held(self):
+        # Every model first runs once on ``shared``, so each row below finds
+        # the operators of all the others already on the graph.
+        path = str(DATA / "synthetic_classification.json")
+        shared = load(path)
+        for name, saint in self.ROWS:
+            self.report(shared, name, saint)
+        for name, saint in self.ROWS:
+            assert self.report(shared, name, saint) == self.report(load(path), name, saint)
+
+    @pytest.mark.parametrize("name", ["gcn", "lp:gcn+hyperatten"])
+    def test_saint_batches_are_freed_by_reference_count(self, name, monkeypatch):
+        # The operators hang off each batch subgraph and refer to nothing,
+        # so no cycle keeps a batch alive once training is done with it.
+        g = make_classification_graph(num_nodes=120, num_hyperedges=30, seed=9)
+        batches = []
+        to_graph = SampledSubgraph.to_graph
+
+        def tracked(self, task=None):
+            sub = to_graph(self, task)
+            batches.append(weakref.ref(sub))
+            return sub
+
+        monkeypatch.setattr(SampledSubgraph, "to_graph", tracked)
+        cfg = TrainConfig(epochs=3, trials=2, saint=self.RW, batches_per_epoch=2)
+        gc.disable()
+        try:
+            run_experiment(g, ModelSpec(name, hidden=8), cfg, 0)
+            assert len(batches) == 12
+            assert all(ref() is None for ref in batches)
+        finally:
+            gc.enable()
 
 
 class TestEvaluate:
