@@ -131,16 +131,21 @@ def ball_hyperedges(
     # block, so the memory held is a fixed number of rows of n.  Each
     # element gets the same product and float ops, in the same order, as
     # the expression on all rows at once.
-    block = min(_BALL_BLOCK, n)
-    prod, dist = np.empty((block, n)), np.empty((block, n))
-    within = np.empty((block, n), dtype=bool)
+    # numpy takes a one-row product as a matrix-vector product, whose sums
+    # can differ from the full product's, so a last block of one row joins
+    # the block before it.
+    block = min(_BALL_BLOCK, max(n, 1))
+    starts = list(range(0, n, block))
+    if n > 1 and n % block == 1:
+        starts.pop()
+    prod, dist = np.empty((block + 1, n)), np.empty((block + 1, n))
+    within = np.empty((block + 1, n), dtype=bool)
     if metric == "euclidean":
         left, limit = 2.0 * emb, tau * tau + 1e-12  # d² = (|u|² + |v|²) - (2u)·v
     else:
         left, limit = emb, tau + 1e-12  # 1 - clip(u·v, -1, 1)
     out: list[tuple[int, ...]] = []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start, stop in zip(starts, starts[1:] + [n]):
         p, d, w = prod[:stop - start], dist[:stop - start], within[:stop - start]
         np.matmul(left[start:stop], emb.T, out=p)
         if metric == "euclidean":

@@ -139,6 +139,14 @@ def _read_only(group: dict) -> dict:
 _GROUPS = "graph_tensor_groups"
 
 
+class _Groups(dict):
+    """A graph's built groups.  A cache: a pickled or deep-copied graph
+    carries none and builds its own."""
+
+    def __reduce__(self):
+        return _Groups, ()
+
+
 class GraphTensors:
     """The structure every layer reads, each group built on its first read
     of the graph and reused by every ``GraphTensors`` of that graph.
@@ -182,7 +190,7 @@ class GraphTensors:
         kept in the graph's ``_GROUPS`` entry; later reads find it in ``__dict__``."""
         if name not in _BUILDERS:
             raise AttributeError(f"'GraphTensors' object has no attribute {name!r}")
-        build, groups = _BUILDERS[name], vars(self.graph).setdefault(_GROUPS, {})
+        build, groups = _BUILDERS[name], vars(self.graph).setdefault(_GROUPS, _Groups())
         if build not in groups:
             groups[build] = _read_only(build(self))
         vars(self).update(groups[build])
@@ -192,9 +200,12 @@ class GraphTensors:
     def hyper_prop(self) -> sp.csr_matrix:
         """The clique-expanded ``D_v⁻¹ H W D_e⁻¹ Hᵀ``, whose nnz grows with Σ|e|².
 
-        No layer reads it; the benchmark tracer reports its nnz.
+        No layer reads it; the benchmark tracer reports its nnz.  It reads
+        the graph's stored incidence group, or builds one it keeps nowhere,
+        so reading it leaves nothing on a graph whose layers never read that group.
         """
-        return (self.hyper_scatter @ self.hyper_gather).tocsr()
+        inc = vars(self.graph).get(_GROUPS, {}).get(_incidence) or _incidence(self)
+        return (inc["hyper_scatter"] @ inc["hyper_gather"]).tocsr()
 
 
 def build_graph_tensors(g: HybridGraph) -> GraphTensors:

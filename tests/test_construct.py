@@ -259,7 +259,7 @@ class TestBalls:
             assert got == brute_force_balls(emb, tau, "cosine")
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
-    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
+    @pytest.mark.parametrize("n", [0, 1, 5, 63, 64, 65, 129, 130, 200])
     def test_row_blocks_match_whole_matrix(self, n, metric):
         # Blocks of rows computed in place give each element the same bits;
         # n below the block size and n not a multiple of it included.

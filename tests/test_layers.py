@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -256,6 +257,26 @@ class TestLazyGroups:
             assert value is getattr(build_graph_tensors(sub), name)
             arrays = (value.data, value.indices, value.indptr) if sp.issparse(value) else (value,)
             assert not any(a.flags.writeable for a in arrays), name
+
+    @pytest.mark.parametrize("name", ["sage", "hyperconv"])
+    def test_a_graph_holding_groups_pickles_without_them(self, name):
+        # Stored adjoints are built by local closures; a pickled graph
+        # carries no group and builds its own.
+        sub = saint_batch()
+        layer = LAYER_TYPES[name](sub.node_features.shape[1], 4, np.random.default_rng(0))
+        x = ad.Tensor(sub.node_features)
+        ad.mean(layer.forward(build_graph_tensors(sub), x)).backward()
+        copy = pickle.loads(pickle.dumps(sub))
+        assert not vars(copy)["graph_tensor_groups"]
+        np.testing.assert_array_equal(layer.forward(build_graph_tensors(copy), x).value,
+                                      layer.forward(build_graph_tensors(sub), x).value)
+
+    def test_hyper_prop_leaves_no_group_on_the_graph(self):
+        sub = saint_batch()
+        gt = build_graph_tensors(sub)
+        prop = gt.hyper_prop
+        assert "graph_tensor_groups" not in vars(sub) and set(vars(gt)) == {"graph"}
+        assert (prop != (gt.hyper_scatter @ gt.hyper_gather).tocsr()).nnz == 0
 
     def test_build_checks_the_graph_at_once(self):
         g = graph(3, [[1, 1]])
