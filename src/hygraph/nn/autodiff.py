@@ -131,9 +131,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def matmul(a, b, adjoint=None) -> Tensor:
     """Matrix product with a dense ``b``; ``a`` may be a constant sparse matrix.
 
-    ``adjoint``, for such an ``a``, returns ``a``'s adjoint as a CSR with
-    sorted indices, built once and kept by its owner; the backward then
-    takes no ``a.T``, whose product adds in the same order.
+    ``adjoint``, for such an ``a``, is ``a``'s adjoint as a CSR with sorted
+    indices, built once by its owner; the backward then takes no ``a.T``,
+    whose product adds in the same order.
     """
     a_is_t = isinstance(a, Tensor)
     b_is_t = isinstance(b, Tensor)
@@ -145,7 +145,7 @@ def matmul(a, b, adjoint=None) -> Tensor:
         if a_is_t:
             _accumulate(a, g @ bv.T)
         if b_is_t:
-            _accumulate(b, (av.T if adjoint is None else adjoint()) @ g)
+            _accumulate(b, (av.T if adjoint is None else adjoint) @ g)
 
     return Tensor(av @ bv, parents, backward)
 
@@ -346,8 +346,8 @@ def gatv2_scores(h_l: Tensor, h_r: Tensor, a: Tensor, src, dst, slope: float,
     in another order).  It then overwrites each block with ``(g aᵀ)`` times
     LeakyReLU's slopes, in that order, and scatters the buffer to ``h_l``
     and ``h_r`` in pair order, as ``take_rows`` does, through the selection
-    matrices of ``src`` and ``dst`` (``_selection``'s) that ``selections()``
-    returns, built once per graph by their owner.
+    matrices of ``src`` and ``dst`` (``_selection``'s) in ``selections``,
+    built once per graph by their owner.
 
     One caveat on the bits: where OpenBLAS threads the chain's full
     matrix-vector product, the row at a thread boundary can be summed in
@@ -381,7 +381,7 @@ def gatv2_scores(h_l: Tensor, h_r: Tensor, a: Tensor, src, dst, slope: float,
             slopes = _leaky_slopes(block > 0, slope)
             np.multiply(g[start:stop], av.T, out=block)
             block *= slopes
-        by_src, by_dst = selections()
+        by_src, by_dst = selections
         _accumulate(h_l, by_src @ buf)
         _accumulate(h_r, by_dst @ buf)
 

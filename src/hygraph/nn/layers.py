@@ -8,9 +8,9 @@ so every later trial, model and evaluation on the same graph object builds
 nothing, and a sampled batch's groups are freed with its subgraph.  Patterns
 are read off the graph's indexes, ``adjacency_csr`` and
 ``member_positions``.  Hypergraph convolution keeps its two incidence
-factors, so nothing grows with Σ|e|².  Each sparse operator has a stored
-adjoint, its transpose as a CSR with sorted indices, built on its first
-backward, that ``autodiff.matmul`` reads in place of ``.T``.
+factors, so nothing grows with Σ|e|².  Each sparse operator's builder also
+builds its adjoint, its transpose as a CSR with sorted indices, which the
+layers hand ``autodiff.matmul`` to read in place of ``.T``.
 
 Attention never materializes dense score matrices; scores live on the edge
 or incidence pair lists and are normalized with a segment softmax over the
@@ -21,6 +21,8 @@ gradients are sparse products.  The attention patterns, like the incidence
 factors, keep their columns ascending in each row, so the order in which a
 hyperedge's members are listed changes no output bit.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,59 +71,53 @@ def _att_selections(gt) -> dict:
 
 
 def _mean_adj(gt) -> dict:
-    """``mean_adj``, each row reversed, as ``diags @ adj`` stores it."""
+    """``mean_adj``, each row reversed, as ``diags @ adj`` stores it, and its
+    adjoint ``mean_adj_t`` on the rows as ``adjacency_csr`` stores them:
+    A is symmetric, so entry (v, u) of the adjoint is u's ``1 / deg``."""
     indptr, indices = gt.graph.adjacency_csr
     row, entry, n = row_index(indptr), np.arange(indices.size), gt.graph.num_nodes
-    reversed_rows = indices[indptr[row] + indptr[row + 1] - 1 - entry]
-    return {"mean_adj": _csr(1.0 / np.diff(indptr)[row], reversed_rows, indptr, (n, n))}
+    reversed_rows, deg = indices[indptr[row] + indptr[row + 1] - 1 - entry], np.diff(indptr)
+    mean_adj = _csr(1.0 / deg[row], reversed_rows, indptr, (n, n))
+    return {"mean_adj": mean_adj,
+            "mean_adj_t": _csr(1.0 / deg[indices], indices, mean_adj.indptr, (n, n))}
 
 
 def _incidence(gt) -> dict:
     """The incidence group: ``incidence_t`` is ``(members, offsets)``, rows
     sorted, and ``incidence`` the member index, both on one read-only array
-    of ones; ``hyper_gather`` and ``hyper_scatter`` sit on their index arrays."""
+    of ones, each the other's adjoint."""
     g = gt.graph
     n, m = g.num_nodes, g.num_hyperedges
-    offsets, edge_of = g.hyperedges.offsets, g.hyperedges.edge_of()
-    ones = np.ones(offsets[-1])
+    ones = np.ones(g.hyperedges.offsets[-1])
     ones.setflags(write=False)
-    incidence_t = _csr(ones, g.hyperedges.sorted_members(), offsets, (m, n))
+    incidence_t = _csr(ones, g.hyperedges.sorted_members(), g.hyperedges.offsets, (m, n))
     indptr, positions = g.member_positions
-    incidence = _csr(ones, edge_of[positions], indptr, (n, m))
-    inc_node = row_index(indptr)
-    w = g.hyperedge_weights
-    node_mass = incidence @ w
-    node_scale = np.divide(1.0, node_mass, out=np.zeros(n), where=node_mass > 0)
+    incidence = _csr(ones, g.hyperedges.edge_of()[positions], indptr, (n, m))
     return {"incidence_t": incidence_t, "incidence": incidence,
-            "hyper_gather": _csr((w / np.diff(offsets))[edge_of],
-                                 incidence_t.indices, incidence_t.indptr, (m, n)),
-            "hyper_scatter": _csr(node_scale[inc_node], incidence.indices,
-                                  incidence.indptr, (n, m)),
-            "inc_node": inc_node, "log_weights": np.log(w)}
+            "inc_node": row_index(indptr), "log_weights": np.log(g.hyperedge_weights)}
 
 
-def _adjoint(name: str, op: str, pattern: str | None = None):
-    """Builds ``name``, ``op``'s adjoint ``op.T.tocsr()``, on the index arrays
-    of ``pattern`` if named.  Its sorted indices add each output row in
-    ascending original-row order, as the CSC product of ``op.T`` does."""
-    def build(gt) -> dict:
-        t = getattr(gt, op).T.tocsr()
-        if pattern is not None:
-            s = getattr(gt, pattern)
-            t = _csr(t.data, s.indices, s.indptr, t.shape)
-        return {name: t}
-    return build
+def _hyperconv(gt) -> dict:
+    """HGNN's two factors and their adjoints, each on the index arrays of
+    ``incidence_t`` or ``incidence``; a stored entry holds the scale of its
+    hyperedge (``W D_e⁻¹``) or of its node (``D_v⁻¹``)."""
+    g, inc, inc_t = gt.graph, gt.incidence, gt.incidence_t
+    edge_scale = g.hyperedge_weights / np.diff(g.hyperedges.offsets)
+    node_mass = inc @ g.hyperedge_weights
+    node_scale = np.divide(1.0, node_mass, out=np.zeros(inc.shape[0]), where=node_mass > 0)
+    return {name: _csr(scale[ends], on.indices, on.indptr, on.shape) for name, on, scale, ends in (
+        ("hyper_gather", inc_t, edge_scale, g.hyperedges.edge_of()),
+        ("hyper_scatter", inc, node_scale, gt.inc_node),
+        ("hyper_gather_t", inc, edge_scale, inc.indices),
+        ("hyper_scatter_t", inc_t, node_scale, inc_t.indices))}
 
 
-# ``hyper_gather`` sits on ``incidence_t``'s index arrays and ``hyper_scatter``
-# on ``incidence``'s, so each one's transpose has the other's pattern.
-_BUILDERS = {"a_hat": _attention, "att_dst": _attention, "mean_adj": _mean_adj,
+_BUILDERS = {"a_hat": _attention, "att_dst": _attention,
              "src_selection": _att_selections, "dst_selection": _att_selections,
-             **dict.fromkeys(("incidence_t", "incidence", "hyper_gather", "hyper_scatter",
-                              "inc_node", "log_weights"), _incidence),
-             "mean_adj_t": _adjoint("mean_adj_t", "mean_adj"),
-             "hyper_gather_t": _adjoint("hyper_gather_t", "hyper_gather", "incidence"),
-             "hyper_scatter_t": _adjoint("hyper_scatter_t", "hyper_scatter", "incidence_t")}
+             **dict.fromkeys(("mean_adj", "mean_adj_t"), _mean_adj),
+             **dict.fromkeys(("incidence_t", "incidence", "inc_node", "log_weights"), _incidence),
+             **dict.fromkeys(("hyper_gather", "hyper_scatter", "hyper_gather_t",
+                              "hyper_scatter_t"), _hyperconv)}
 
 
 def _read_only(group: dict) -> dict:
@@ -163,23 +159,23 @@ class GraphTensors:
       source), the neighbour CSR of A + I, so ``D̃`` is its row lengths;
       gat and gatv2 read its structure as their pairs.  ``att_dst`` (gat,
       gatv2): each attention pair's target, the softmax segment.
+    * selections (gatv2): ``src_selection`` and ``dst_selection``, the
+      ``autodiff._selection`` of ``a_hat.indices`` and ``att_dst``.
     * ``mean_adj`` (sage): ``D⁻¹ A``, zero rows for isolated nodes.
-    * incidence: ``incidence_t`` (hyperatten), CSR ``Hᵀ``, members
+    * incidence (hyperatten): ``incidence_t``, CSR ``Hᵀ``, members
       ascending, and ``incidence``, CSR ``H`` off ``member_positions``, on
-      the same read-only ones; ``hyper_gather`` (hyperconv), ``W D_e⁻¹ Hᵀ``,
-      and ``hyper_scatter`` (hyperconv), ``D_v⁻¹ H``, on their index arrays
-      (hyperatten reads ``hyper_scatter``'s as its (node, hyperedge) pairs);
-      ``inc_node`` (hyperatten), each pair's node, the softmax segment;
-      ``log_weights`` (hyperatten), ``log w`` per hyperedge.
+      the same read-only ones; ``incidence``'s structure is hyperatten's
+      (node, hyperedge) pairs, ``inc_node`` each pair's node, the softmax
+      segment.  ``log_weights``: ``log w`` per hyperedge.
+    * hyperconv, off the incidence group: ``hyper_gather``, ``W D_e⁻¹ Hᵀ``,
+      on ``incidence_t``'s index arrays, ``hyper_scatter``, ``D_v⁻¹ H``, on
+      ``incidence``'s, and their adjoints, each on the other's.
 
-    Each sparse operator has a stored adjoint, its ``op.T.tocsr()`` (see
-    ``_adjoint``), that the layers hand ``autodiff.matmul`` for its
-    backward: ``a_hat`` is its own (a symmetric pattern whose values are
+    Each builder builds the adjoints of its sparse operators, their
+    ``op.T.tocsr()`` to the bit, which the layers hand ``autodiff.matmul``:
+    ``a_hat`` is its own (a symmetric pattern whose values are
     ``inv_sqrt[i] * inv_sqrt[j]``), ``incidence`` is ``incidence_t``'s, and
-    ``mean_adj_t``, ``hyper_gather_t`` and ``hyper_scatter_t`` are built on
-    first read, the last two on ``incidence``'s and ``incidence_t``'s index
-    arrays.  So are GATv2's ``src_selection`` and ``dst_selection``, the
-    ``autodiff._selection`` of ``a_hat.indices`` and ``att_dst``.
+    ``mean_adj_t``, ``hyper_gather_t`` and ``hyper_scatter_t`` are stored.
     """
 
     def __init__(self, g: HybridGraph):
@@ -201,11 +197,13 @@ class GraphTensors:
         """The clique-expanded ``D_v⁻¹ H W D_e⁻¹ Hᵀ``, whose nnz grows with Σ|e|².
 
         No layer reads it; the benchmark tracer reports its nnz.  It reads
-        the graph's stored incidence group, or builds one it keeps nowhere,
-        so reading it leaves nothing on a graph whose layers never read that group.
+        the graph's stored hyperconv group, or builds one it keeps nowhere
+        from a throwaway incidence group, so reading it leaves nothing on a
+        graph whose layers never read that group.
         """
-        inc = vars(self.graph).get(_GROUPS, {}).get(_incidence) or _incidence(self)
-        return (inc["hyper_scatter"] @ inc["hyper_gather"]).tocsr()
+        conv = (vars(self.graph).get(_GROUPS, {}).get(_hyperconv)
+                or _hyperconv(SimpleNamespace(graph=self.graph, **_incidence(self))))
+        return (conv["hyper_scatter"] @ conv["hyper_gather"]).tocsr()
 
 
 def build_graph_tensors(g: HybridGraph) -> GraphTensors:
@@ -243,7 +241,7 @@ class GCNLayer:
         return [self.theta]
 
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
-        return ad.matmul(gt.a_hat, ad.matmul(x, self.theta), lambda: gt.a_hat)
+        return ad.matmul(gt.a_hat, ad.matmul(x, self.theta), gt.a_hat)
 
 
 class SAGELayer:
@@ -258,7 +256,7 @@ class SAGELayer:
 
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
         own = ad.matmul(x, self.theta_self)
-        nbr = ad.matmul(gt.mean_adj, ad.matmul(x, self.theta_nbr), lambda: gt.mean_adj_t)
+        nbr = ad.matmul(gt.mean_adj, ad.matmul(x, self.theta_nbr), gt.mean_adj_t)
         return ad.add(own, nbr)
 
 
@@ -302,7 +300,7 @@ class GATv2Layer:
         h_r = ad.matmul(x, self.theta_r)
         src, dst = gt.a_hat.indices, gt.att_dst
         scores = ad.gatv2_scores(h_l, h_r, self.a, src, dst, LEAKY_SLOPE,
-                                 lambda: (gt.src_selection, gt.dst_selection))
+                                 (gt.src_selection, gt.dst_selection))
         return _attend(scores, h_l, gt.a_hat, dst)
 
 
@@ -321,8 +319,8 @@ class HyperConvLayer:
 
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
         h = ad.matmul(x, self.theta)
-        z = ad.matmul(gt.hyper_gather, h, lambda: gt.hyper_gather_t)
-        return ad.matmul(gt.hyper_scatter, z, lambda: gt.hyper_scatter_t)
+        z = ad.matmul(gt.hyper_gather, h, gt.hyper_gather_t)
+        return ad.matmul(gt.hyper_scatter, z, gt.hyper_scatter_t)
 
 
 class HyperAttenLayer:
@@ -331,7 +329,7 @@ class HyperAttenLayer:
     Hyperedge messages are sums of transformed member rows; per-incidence
     scores add the log hyperedge weight before the segment softmax, which
     reproduces weighted normalized mixing exactly.  The (node, hyperedge)
-    pairs are ``hyper_scatter``'s structure, node by node with hyperedges
+    pairs are ``incidence``'s structure, node by node with hyperedges
     ascending, so the order in which members are listed changes no bit.
     """
 
@@ -345,13 +343,13 @@ class HyperAttenLayer:
 
     def forward(self, gt: GraphTensors, x: ad.Tensor) -> ad.Tensor:
         h = ad.matmul(x, self.theta)
-        z = ad.matmul(gt.incidence_t, h, lambda: gt.incidence)
+        z = ad.matmul(gt.incidence_t, h, gt.incidence)
         s_node = ad.matmul(h, self.a_node)
         s_edge = ad.matmul(z, self.a_edge)
-        node, edge = gt.inc_node, gt.hyper_scatter.indices
+        node, edge = gt.inc_node, gt.incidence.indices
         raw = _additive_scores(s_node, node, s_edge, edge)
         scores = ad.add(raw, gt.log_weights[edge].reshape(-1, 1))
-        return _attend(scores, z, gt.hyper_scatter, node)
+        return _attend(scores, z, gt.incidence, node)
 
 
 LAYER_TYPES = {

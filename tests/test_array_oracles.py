@@ -1088,7 +1088,7 @@ def test_gatv2_scores_match_composed_ops(k, d):
     upstream = rng.standard_normal((k, 1))
     selections = (ad._selection(src, n), ad._selection(dst, n))
     results = []
-    for scores in (lambda *args: ad.gatv2_scores(*args, lambda: selections), gatv2_scores_chain):
+    for scores in (lambda *args: ad.gatv2_scores(*args, selections), gatv2_scores_chain):
         tensors = [ad.Tensor(v) for v in values]
         out = scores(*tensors, src, dst, LEAKY_SLOPE)
         backprop(out, upstream)

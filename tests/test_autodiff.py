@@ -195,12 +195,12 @@ class TestNonlinearities:
         pre = h_l.value[src] + h_r.value[dst]
         assert np.abs(pre).min() > 0.01  # away from LeakyReLU's kink
         selections = (ad._selection(src, 4), ad._selection(dst, 4))
-        out = ad.gatv2_scores(h_l, h_r, a, src, dst, 0.2, lambda: selections)
+        out = ad.gatv2_scores(h_l, h_r, a, src, dst, 0.2, selections)
         np.testing.assert_allclose(out.value, np.where(pre > 0, pre, 0.2 * pre) @ a.value)
         weights = rng.standard_normal((6, 1))
         gradcheck(
             lambda: ad.mean(ad.dropout(ad.gatv2_scores(h_l, h_r, a, src, dst, 0.2,
-                                                       lambda: selections), weights, 1.0)),
+                                                       selections), weights, 1.0)),
             [h_l, h_r, a],
         )
 

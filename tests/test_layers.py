@@ -154,7 +154,7 @@ class TestGraphTensors:
     def test_incidence_pairs(self):
         g = graph(4, hyperedges=[(0, 1, 2), (2, 3)])
         gt = build_graph_tensors(g)
-        pairs = list(zip(gt.inc_node.tolist(), gt.hyper_scatter.indices.tolist()))
+        pairs = list(zip(gt.inc_node.tolist(), gt.incidence.indices.tolist()))
         assert pairs == [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]
 
     def test_no_stored_matrix_grows_with_squared_hyperedge_sizes(self):
@@ -182,10 +182,9 @@ class TestGraphTensors:
         # One end of each pair list is a pattern's indices; no array field
         # repeats them, and hyper_gather reuses incidence_t's.  Attention
         # reads a_hat's structure, so no 0/1 copy of it is stored.  Each
-        # operator, incidence and the adjoints of hyper_gather and
-        # hyper_scatter store new index arrays only where no other of them
-        # holds them: every index array equal to another is shared.
-        # mean_adj_t and the selections are transposes with their own.
+        # operator and adjoint stores new index arrays only where no other of
+        # them holds them: every index array equal to another is shared.
+        # The selections hold their own.
         gt = build_graph_tensors(graph(
             6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]], [(4, 0, 2), (1, 5), (3,)]
         ))
@@ -200,14 +199,14 @@ class TestGraphTensors:
         assert np.shares_memory(gt.hyper_gather.indptr, gt.incidence_t.indptr)
         # incidence_t is a 0/1 pattern on a read-only array of ones.
         assert not gt.incidence_t.data.flags.writeable
-        for adjoint in (gt.incidence, gt.hyper_gather_t):
-            assert np.shares_memory(adjoint.indices, gt.hyper_scatter.indices)
-            assert np.shares_memory(adjoint.indptr, gt.hyper_scatter.indptr)
+        for adjoint in (gt.hyper_scatter, gt.hyper_gather_t):
+            assert np.shares_memory(adjoint.indices, gt.incidence.indices)
+            assert np.shares_memory(adjoint.indptr, gt.incidence.indptr)
         assert np.shares_memory(gt.incidence.data, gt.incidence_t.data)
         assert np.shares_memory(gt.hyper_scatter_t.indices, gt.incidence_t.indices)
         assert np.shares_memory(gt.hyper_scatter_t.indptr, gt.incidence_t.indptr)
         shared = [m for name, m in zip(STORED_NAMES, stored)
-                  if sp.issparse(m) and name not in ("mean_adj_t", *SELECTIONS)]
+                  if sp.issparse(m) and name not in SELECTIONS]
         index_arrays = [a for v in shared for a in (v.indices, v.indptr)]
         for a in index_arrays:
             for b in index_arrays:
@@ -217,8 +216,12 @@ class TestGraphTensors:
 
 # The structure groups ``GraphTensors`` builds on first read.
 ATTENTION = {"a_hat", "att_dst"}
-INCIDENCE = {"incidence_t", "incidence", "hyper_gather", "hyper_scatter", "inc_node",
-             "log_weights"}
+INCIDENCE = {"incidence_t", "incidence", "inc_node", "log_weights"}
+HYPERCONV = {"hyper_gather", "hyper_scatter", "hyper_gather_t", "hyper_scatter_t"}
+# The names each layer's forward reads, and its training step builds.
+BUILT = {"gcn": ATTENTION, "sage": {"mean_adj", "mean_adj_t"}, "gat": ATTENTION,
+         "gatv2": ATTENTION | {"src_selection", "dst_selection"},
+         "hyperconv": INCIDENCE | HYPERCONV, "hyperatten": INCIDENCE}
 
 
 def saint_batch():
@@ -229,11 +232,7 @@ def saint_batch():
 
 class TestLazyGroups:
     @pytest.mark.parametrize("name, built", [
-        ("gcn", ATTENTION),
-        ("hyperconv", INCIDENCE | {"hyper_gather_t", "hyper_scatter_t"}),
-        ("sage", {"mean_adj", "mean_adj_t"}),
-        ("gatv2", ATTENTION | {"src_selection", "dst_selection"}),
-        ("hyperatten", INCIDENCE),
+        (name, BUILT[name]) for name in ("gcn", "hyperconv", "sage", "gatv2", "hyperatten", "gat")
     ])
     def test_a_layer_builds_only_what_it_reads(self, name, built):
         # A gcn batch builds a_hat and nothing of the incidence group, and
@@ -244,6 +243,17 @@ class TestLazyGroups:
         layer = LAYER_TYPES[name](sub.node_features.shape[1], 4, np.random.default_rng(0))
         ad.mean(layer.forward(gt, ad.Tensor(sub.node_features))).backward()
         assert set(vars(gt)) == {"graph"} | built
+
+    @pytest.mark.parametrize("name", sorted(BUILT))
+    def test_a_forward_without_a_tape_builds_what_a_training_step_does(self, name):
+        # Each adjoint is built with its operator, so a forward that will
+        # never run a backward builds the same names, adjoints included.
+        sub = saint_batch()
+        gt = build_graph_tensors(sub)
+        layer = LAYER_TYPES[name](sub.node_features.shape[1], 4, np.random.default_rng(0))
+        with ad.no_grad():
+            layer.forward(gt, ad.Tensor(sub.node_features))
+        assert set(vars(gt)) == {"graph"} | BUILT[name]
 
     def test_groups_are_kept_on_the_graph_read_only(self):
         # A second GraphTensors of the graph reads the same stored arrays,
@@ -260,8 +270,8 @@ class TestLazyGroups:
 
     @pytest.mark.parametrize("name", ["sage", "hyperconv"])
     def test_a_graph_holding_groups_pickles_without_them(self, name):
-        # Stored adjoints are built by local closures; a pickled graph
-        # carries no group and builds its own.
+        # The groups are a cache: a pickled graph carries none and builds
+        # its own.
         sub = saint_batch()
         layer = LAYER_TYPES[name](sub.node_features.shape[1], 4, np.random.default_rng(0))
         x = ad.Tensor(sub.node_features)
