@@ -4,7 +4,14 @@ Values are float64 ndarrays wrapped in :class:`Tensor`; constants (including
 scipy sparse matrices on the left of ``matmul``) pass through unchanged and
 receive no gradient.  Every op builds the graph eagerly and stores a closure
 that pushes the output gradient to its tensor parents; ``Tensor.backward``
-walks the graph once in reverse topological order.
+walks the graph once in reverse topological order and consumes it as it
+goes: once a node's closure has run, its gradient, parents and closure are
+dropped, so each activation and gradient is freed as soon as the walk has
+passed every node that reads it.  Only leaves (parameters and inputs) keep
+their gradients.  A training step therefore holds one tape, its own: the
+previous step's ``out`` and ``loss``, still bound while the next forward
+runs, hold only their values.  Each closure keeps only what its backward
+reads (``add`` keeps its operands' shapes, ``dropout`` its bool mask).
 
 The op set holds only what the layers and losses use: linear maps
 (``matmul``, ``add``, ``concat``, ``take_rows``, ``edge_mix``), pointwise
@@ -86,12 +93,25 @@ class Tensor:
         return self.value.shape
 
     def backward(self):
+        """Push gradients from this scalar root to every leaf, consuming the tape.
+
+        The walk pops each node off the topological order, runs its closure,
+        then drops the node's gradient, parents and closure, so activations
+        and gradients are freed as the walk passes them.  Leaves (tensors
+        with no closure: parameters and inputs) keep their gradients.  A
+        walked root has no tape left, so a second ``backward`` adds nothing.
+        """
         if self.value.size != 1:
             raise ValueError("backward requires a scalar root")
         self.grad = np.ones_like(self.value)
-        for t in reversed(_topological(self)):
-            if t._backward is not None and t.grad is not None:
+        order = _topological(self)
+        while order:
+            t = order.pop()
+            if t._backward is None:
+                continue
+            if t.grad is not None:
                 t._backward(t.grad)
+            t.grad, t.parents, t._backward = None, (), None
 
 
 def _topological(root: Tensor) -> list[Tensor]:
@@ -156,12 +176,13 @@ def add(a, b) -> Tensor:
     av = a.value if a_is_t else np.asarray(a, dtype=np.float64)
     bv = b.value if b_is_t else np.asarray(b, dtype=np.float64)
     parents = tuple(t for t in (a, b) if isinstance(t, Tensor))
+    a_shape, b_shape = av.shape, bv.shape  # all the backward reads of the operands
 
     def backward(g):
         if a_is_t:
-            _accumulate(a, _unbroadcast(g, av.shape))
+            _accumulate(a, _unbroadcast(g, a_shape))
         if b_is_t:
-            _accumulate(b, _unbroadcast(g, bv.shape))
+            _accumulate(b, _unbroadcast(g, b_shape))
 
     return Tensor(av + bv, parents, backward)
 
@@ -392,20 +413,22 @@ def gatv2_scores(h_l: Tensor, h_r: Tensor, a: Tensor, src, dst, slope: float,
 
 
 def dropout(a: Tensor, mask: np.ndarray, keep: float) -> Tensor:
-    """Masked inverted dropout with a caller-supplied 0/1 mask.
+    """Masked inverted dropout: ``a * (mask / keep)``, with a caller-supplied mask.
 
     Taking the mask as data keeps the op a fixed linear map, so finite
     differences can check it like everything else; drawing the mask from an
-    rng is the caller's job (see ``random_mask``).
+    rng is the caller's job (see ``random_mask``).  The op keeps ``mask``
+    as given (a bool mask costs a byte an entry) and forms ``mask / keep``
+    in the forward and again in the backward: a bool divided by ``keep``
+    has the same bits as a 0/1 float divided by ``keep``.
     """
-    scale = mask / keep
 
     def backward(g):
-        _accumulate(a, g * scale)
+        _accumulate(a, g * (mask / keep))
 
-    return Tensor(a.value * scale, (a,), backward)
+    return Tensor(a.value * (mask / keep), (a,), backward)
 
 
 def random_mask(rng: np.random.Generator, shape, drop: float) -> np.ndarray:
-    """A 0/1 keep-mask where each entry survives with probability 1 - drop."""
-    return (rng.random(shape) >= drop).astype(np.float64)
+    """A bool keep-mask where each entry survives with probability 1 - drop."""
+    return rng.random(shape) >= drop

@@ -262,6 +262,21 @@ class TestNonlinearities:
         out = ad.dropout(x, mask, 0.5).value
         np.testing.assert_allclose(out, [[4.0, 0.0, 4.0, 0.0]])
 
+    @pytest.mark.parametrize("keep", [0.5, 0.7, 0.9, 1 / 3])
+    def test_bool_mask_matches_float_mask(self, keep):
+        rng = np.random.default_rng(21)
+        mask = ad.random_mask(rng, (30, 7), drop=1.0 - keep)
+        assert mask.dtype == bool
+        value = rng.standard_normal((30, 7))
+        upstream = rng.standard_normal((30, 7))
+        results = []
+        for m in (mask, mask.astype(np.float64)):
+            x = ad.Tensor(value)
+            out = ad.dropout(x, m, keep)
+            out._backward(upstream)
+            results.append((out.value.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]
+
     def test_random_mask_rate(self):
         rng = np.random.default_rng(16)
         mask = ad.random_mask(rng, (200, 200), drop=0.3)
