@@ -8,9 +8,6 @@ mean and standard deviation of test accuracy for each.
 import argparse
 import tempfile
 
-import numpy as np
-
-from hygraph.io import split
 from hygraph.nn.layers import build_graph_tensors
 from hygraph.nn.models import ModelSpec
 from hygraph.nn.train import (
@@ -58,10 +55,8 @@ def main():
     model, masks, result = train_single(g, spec, cfg, args.seed)
     with tempfile.NamedTemporaryFile(suffix=".npz") as fh:
         save_model(model, spec, g.task, g.node_features.shape[1], fh.name)
-        reloaded, _, task = load_model(fh.name)
-    gt = build_graph_tensors(g)
-    again = evaluate(reloaded, gt, np.asarray(g.node_features), g.labels,
-                     masks.test, task)
+        reloaded, _, _ = load_model(fh.name)
+    again = evaluate(reloaded, build_graph_tensors(g), masks.test)
     print(f"\nsaved + reloaded hyperconv: test {again:.3f} "
           f"(freshly trained: {result.test_metric:.3f})")
 

@@ -7,11 +7,12 @@ directory holding copies of its ``data/`` and ``manifests/``, one shared
 point-cloud file and one shared copy of ``DATA`` with each hyperedge's
 members reversed, so every path a report records is the same string on both
 sides.  The commands are the README's CLI examples plus runs that train
-GATv2, SAINT batches of other layers, and hyperatten on the reversed copy;
-the training runs save their weights, and between them the SAINT runs draw
-batches from all five samplers.  Sampler reports of long walks and of
-hyperedge draws run on ``DATA`` and on the ball graph a run builds.  For
-every command the script compares the exit code, stdout and every file
+GATv2, SAINT batches of other layers, hyperatten on the reversed copy, a
+label-probing combiner and a regression model; the training runs save
+their weights, the combiner's and the regression model's are evaluated
+again, and between them the SAINT runs draw batches from all five
+samplers.  Sampler reports of long walks and of hyperedge draws run on
+``DATA`` and on the ball graph a run builds.  For every command the script compares the exit code, stdout and every file
 written byte for byte, and stderr with the ``{"command": ...}`` announce
 lines taken out; announce lines that differ are listed but do not fail the
 comparison.  Exit status is 0 when everything else matches, 1 otherwise.
@@ -26,6 +27,7 @@ import sys
 import tempfile
 
 DATA = "data/synthetic_classification.json"
+REGRESSION = "data/synthetic_regression.json"
 POINTS = "points.json"
 REVERSED = "reversed.json"  # DATA, each hyperedge's members listed in reverse
 
@@ -69,6 +71,10 @@ CLI_RUNS = [
     ["train", DATA, "--model", "hyperconv", "--saint", "rand-hyperedge", "--budget", "20",
      "--batches", "5", "--save-model", "hyperconv_rand_hyperedge.npz"],
     ["train", REVERSED, "--model", "hyperatten", "--epochs", "20", "--save-model", "rev.npz"],
+    ["train", DATA, "--model", "lp:gcn+hyperconv", "--epochs", "20", "--save-model", "lp.npz"],
+    ["eval", DATA, "--model-file", "lp.npz", "--split", "test", "--seed", "0"],
+    ["train", REGRESSION, "--model", "sage", "--epochs", "20", "--save-model", "reg.npz"],
+    ["eval", REGRESSION, "--model-file", "reg.npz", "--split", "val", "--seed", "0"],
 ]
 SUITE_RUN = ["suite", "manifests/synthetic_suite.json", "--out", "report.json"]
 DEMOS = [["01_hybrid_graphs.py"], ["02_hyperedge_construction.py"],

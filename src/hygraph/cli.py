@@ -306,10 +306,11 @@ def cmd_eval(args) -> int:
         raise SchemaError(
             f"model was trained for task {task.kind!r}; dataset has {g.task.kind!r}"
         )
-    masks = split(g, seed)
-    rows = getattr(masks, which)
-    gt = build_graph_tensors(g)
-    metric = evaluate(model, gt, np.asarray(g.node_features), g.labels, rows, task)
+    if model.d_in != g.node_features.shape[1]:
+        raise SchemaError(f"node_features: {args.model_file} was trained on {model.d_in} "
+                          f"features; {path} has {g.node_features.shape[1]}")
+    rows = getattr(split(g, seed), which)
+    metric = evaluate(model, build_graph_tensors(g), rows)
     payload = {
         **_dataset_payload(path),
         "model": spec.name,

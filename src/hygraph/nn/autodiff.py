@@ -7,11 +7,12 @@ that pushes the output gradient to its tensor parents; ``Tensor.backward``
 walks the graph once in reverse topological order and consumes it as it
 goes: once a node's closure has run, its gradient, parents and closure are
 dropped, so each activation and gradient is freed as soon as the walk has
-passed every node that reads it.  Only leaves (parameters and inputs) keep
-their gradients.  A training step therefore holds one tape, its own: the
-previous step's ``out`` and ``loss``, still bound while the next forward
-runs, hold only their values.  Each closure keeps only what its backward
-reads (``add`` keeps its operands' shapes, ``dropout`` its bool mask).
+passed every node that reads it.  Only leaves (the parameters: node
+features enter as constants) keep their gradients.  A training step
+therefore holds one tape, its own: the previous step's ``out`` and
+``loss``, still bound while the next forward runs, hold only their values.
+Each closure keeps only what its backward reads (``add`` keeps its
+operands' shapes, ``dropout`` its bool mask).
 
 The op set holds only what the layers and losses use: linear maps
 (``matmul``, ``add``, ``concat``, ``take_rows``, ``edge_mix``), pointwise
@@ -98,8 +99,8 @@ class Tensor:
         The walk pops each node off the topological order, runs its closure,
         then drops the node's gradient, parents and closure, so activations
         and gradients are freed as the walk passes them.  Leaves (tensors
-        with no closure: parameters and inputs) keep their gradients.  A
-        walked root has no tape left, so a second ``backward`` adds nothing.
+        with no closure: the parameters) keep their gradients.  A walked
+        root has no tape left, so a second ``backward`` adds nothing.
         """
         if self.value.size != 1:
             raise ValueError("backward requires a scalar root")

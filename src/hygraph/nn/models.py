@@ -1,9 +1,11 @@
 """Model assembly: two-layer message-passing networks and label propagation.
 
 Every base network is dropout -> layer -> ReLU -> dropout -> layer, with a
-linear final layer.  The label-probing combiner runs two base networks side
-by side and mixes their outputs (log-probabilities for classification)
-through a single trained affine head:
+linear final layer.  Its input ``x`` is ``gt.graph.node_features``, a
+constant that takes no gradient, so its dropout is a plain product.  The
+label-probing combiner runs two base networks side by side and mixes their
+outputs (log-probabilities for classification) through a single trained
+affine head:
 
     out = [f1(x) || f2(x)] @ theta + bias
 """
@@ -64,6 +66,7 @@ class GNN:
                  dropout: float, rng: np.random.Generator):
         layer_type = LAYER_TYPES[name]
         self.name = name
+        self.d_in = d_in
         self.dropout = dropout
         self.layer1 = layer_type(d_in, hidden, rng)
         self.layer2 = layer_type(hidden, d_out, rng)
@@ -71,15 +74,14 @@ class GNN:
     def params(self) -> list[ad.Tensor]:
         return self.layer1.params() + self.layer2.params()
 
-    def forward(self, gt: GraphTensors, x, rng=None, training: bool = False) -> ad.Tensor:
-        h = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
+    def forward(self, gt: GraphTensors, *, rng=None, training: bool = False) -> ad.Tensor:
+        x = gt.graph.node_features
+        keep = 1.0 - self.dropout
         if training and self.dropout > 0:
-            mask = ad.random_mask(rng, h.shape, self.dropout)
-            h = ad.dropout(h, mask, 1.0 - self.dropout)
-        h = ad.relu(self.layer1.forward(gt, h))
+            x = x * (ad.random_mask(rng, x.shape, self.dropout) / keep)
+        h = ad.relu(self.layer1.forward(gt, x))
         if training and self.dropout > 0:
-            mask = ad.random_mask(rng, h.shape, self.dropout)
-            h = ad.dropout(h, mask, 1.0 - self.dropout)
+            h = ad.dropout(h, ad.random_mask(rng, h.shape, self.dropout), keep)
         return self.layer2.forward(gt, h)
 
 
@@ -97,6 +99,7 @@ class LPModel:
         first, second = spec.inner_names
         self.inner1 = GNN(first, d_in, spec.hidden, d_out, spec.dropout, rng)
         self.inner2 = GNN(second, d_in, spec.hidden, d_out, spec.dropout, rng)
+        self.d_in = d_in
         self.classification = classification
         self.theta = ad.Tensor(glorot(rng, 2 * d_out, d_out))
         self.bias = ad.Tensor(np.zeros((1, d_out)))
@@ -105,9 +108,9 @@ class LPModel:
     def params(self) -> list[ad.Tensor]:
         return self.inner1.params() + self.inner2.params() + [self.theta, self.bias]
 
-    def forward(self, gt: GraphTensors, x, rng=None, training: bool = False) -> ad.Tensor:
-        h1 = self.inner1.forward(gt, x, rng, training)
-        h2 = self.inner2.forward(gt, x, rng, training)
+    def forward(self, gt: GraphTensors, *, rng=None, training: bool = False) -> ad.Tensor:
+        h1 = self.inner1.forward(gt, rng=rng, training=training)
+        h2 = self.inner2.forward(gt, rng=rng, training=training)
         if self.classification:
             h1 = ad.log_softmax(h1)
             h2 = ad.log_softmax(h2)

@@ -9,6 +9,8 @@ is Adam under a half-cosine learning-rate decay.
 Training can run full-batch or on sampled subgraphs: a sampler spec draws a
 few subgraphs per epoch, the loss is taken on the sampled training nodes,
 and evaluation always runs on the full graph, with no tape (``autodiff.no_grad``).
+A batch is its ``GraphTensors`` and its loss rows: the model, the loss and
+``evaluate`` read features, labels and task from ``gt.graph``.
 The parent graph is validated on its first trial and then marked valid;
 sampled batches are not checked again, because a subgraph that ``induce``
 cuts from a valid graph is valid by construction (see ``sampling.induce``).
@@ -98,22 +100,16 @@ def cosine_lr(base: float, epoch: int, total: int) -> float:
     return base * (1.0 + np.cos(np.pi * epoch / total)) / 2.0
 
 
-def _targets(labels: np.ndarray, task: Task) -> np.ndarray:
-    if task.is_classification:
-        return one_hot(labels, task.num_classes)
-    return np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-
-
 def _out_dim(task: Task) -> int:
     return task.num_classes if task.is_classification else 1
 
 
-def _loss_on(out: ad.Tensor, rows: np.ndarray, targets: np.ndarray,
-             task: Task) -> ad.Tensor:
+def _loss_on(out: ad.Tensor, g: HybridGraph, rows: np.ndarray) -> ad.Tensor:
+    """The training loss of ``out`` on ``rows`` of ``g``, against ``g``'s labels."""
     picked = ad.take_rows(out, rows)
-    if task.is_classification:
-        return bce_with_logits(picked, targets[rows])
-    return mse(picked, targets[rows])
+    if g.task.is_classification:
+        return bce_with_logits(picked, one_hot(g.labels[rows], g.task.num_classes))
+    return mse(picked, np.asarray(g.labels[rows], dtype=np.float64).reshape(-1, 1))
 
 
 @dataclass
@@ -124,26 +120,24 @@ class TrialResult:
     train_losses: list[float | None] = field(repr=False, default_factory=list)
 
 
-def evaluate(model, gt, x: np.ndarray, labels: np.ndarray,
-             rows: np.ndarray | tuple[np.ndarray, ...],
-             task: Task) -> float | tuple[float, ...]:
-    """Accuracy on ``rows`` for classification, mean squared error otherwise.
+def evaluate(model, gt, rows: np.ndarray | tuple[np.ndarray, ...]) -> float | tuple[float, ...]:
+    """Accuracy on ``rows`` of ``gt.graph`` for classification, else mean squared error.
 
     ``rows`` may be a tuple of row sets: the model then runs forward once and
     the result is a tuple with one metric per set.  The forward records no tape.
     """
     with ad.no_grad():
-        out = model.forward(gt, ad.Tensor(x), training=False).value
+        out = model.forward(gt, training=False).value
     if isinstance(rows, tuple):
-        return tuple(_metric(out, labels, r, task) for r in rows)
-    return _metric(out, labels, rows, task)
+        return tuple(_metric(out, gt.graph, r) for r in rows)
+    return _metric(out, gt.graph, rows)
 
 
-def _metric(out: np.ndarray, labels: np.ndarray, rows: np.ndarray, task: Task) -> float:
-    if task.is_classification:
+def _metric(out: np.ndarray, g: HybridGraph, rows: np.ndarray) -> float:
+    if g.task.is_classification:
         pred = out[rows].argmax(axis=1)
-        return float((pred == labels[rows]).mean())
-    return float(((out[rows, 0] - labels[rows]) ** 2).mean())
+        return float((pred == g.labels[rows]).mean())
+    return float(((out[rows, 0] - g.labels[rows]) ** 2).mean())
 
 
 def random_guess(task: Task) -> float | None:
@@ -155,14 +149,11 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
                  seed: int) -> tuple[object, SplitMasks, TrialResult]:
     """One seeded trial: split, init, optimize, measure val and test."""
     g.require_valid()
-    task = g.task
     masks = split(g, seed)
     rng = np.random.default_rng(seed)
-    model = build_model(model_spec, g.node_features.shape[1], _out_dim(task),
-                        rng, task.is_classification)
+    model = build_model(model_spec, g.node_features.shape[1], _out_dim(g.task),
+                        rng, g.task.is_classification)
     gt = build_graph_tensors(g)
-    x = np.asarray(g.node_features)
-    targets = _targets(g.labels, task)
     is_train = np.zeros(g.num_nodes, dtype=bool)
     is_train[masks.train] = True
     optimizer = Adam(model.params())
@@ -171,18 +162,17 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
         batch_losses = []
-        for batch_gt, batch_x, batch_targets, rows in _batches(
-                g, cfg, is_train, rng, (gt, x, targets, masks.train)):
+        for batch_gt, rows in _batches(g, cfg, is_train, rng, (gt, masks.train)):
             optimizer.zero_grad()
-            out = model.forward(batch_gt, ad.Tensor(batch_x), rng, training=True)
-            loss = _loss_on(out, rows, batch_targets, task)
+            out = model.forward(batch_gt, rng=rng, training=True)
+            loss = _loss_on(out, batch_gt.graph, rows)
             _check_finite(loss.value, model_spec.name, epoch)
             loss.backward()
             optimizer.step(lr)
             batch_losses.append(float(loss.value))
         losses.append(float(np.mean(batch_losses)) if batch_losses else None)
 
-    test_metric, val_metric = evaluate(model, gt, x, g.labels, (masks.test, masks.val), task)
+    test_metric, val_metric = evaluate(model, gt, (masks.test, masks.val))
     result = TrialResult(
         seed=seed,
         test_metric=test_metric,
@@ -194,27 +184,26 @@ def train_single(g: HybridGraph, model_spec: ModelSpec, cfg: TrainConfig,
 
 def _batches(g: HybridGraph, cfg: TrainConfig, is_train: np.ndarray,
              rng: np.random.Generator, full: tuple):
-    """One epoch's ``(graph tensors, features, targets, training rows)`` batches.
+    """One epoch's ``(graph tensors, training rows)`` batches.
 
     Full-batch training is the single batch ``full``, the whole graph.  SAINT
     draws each subgraph only when the previous batch has been trained on, so
     sampler draws and dropout masks take turns on ``rng`` in a fixed order;
     a subgraph that holds no training node is skipped.  ``is_train`` marks
     the trial's training nodes; a batch's training rows are the sampled
-    nodes it marks, and its targets are gathered from ``full``'s.  ``g`` was
-    validated by the caller, so ``build_graph_tensors`` finds each batch
-    marked known valid by ``induce`` and checks nothing again.
+    nodes it marks, and its features and labels are its subgraph's own,
+    those of ``g``'s rows it holds.  ``g`` was validated by the caller, so
+    ``build_graph_tensors`` finds each batch marked known valid by
+    ``induce`` and checks nothing again.
     """
     if cfg.saint is None:
         yield full
         return
-    targets = full[2]
     for _ in range(cfg.batches_per_epoch):
         sub = run_sampler(g, cfg.saint, rng)
         local_train = np.flatnonzero(is_train[sub.node_ids])
         if local_train.size:
-            yield (build_graph_tensors(sub.to_graph(g.task)), sub.node_features,
-                   targets[sub.node_ids], local_train)
+            yield build_graph_tensors(sub.to_graph(g.task)), local_train
 
 
 def _check_finite(value, model_name: str, epoch: int) -> None:

@@ -319,9 +319,8 @@ def test_criterion_09_linear_probe_sanity():
     model = build_model(spec, 4, 3, rng, classification=False)
     model.theta.value[:] = np.vstack([np.eye(3), np.zeros((3, 3))])
     model.bias.value[:] = 0.0
-    x = np.asarray(g.node_features)
-    probe = model.forward(gt, ad.Tensor(x)).value
-    inner = model.inner1.forward(gt, ad.Tensor(x)).value
+    probe = model.forward(gt).value
+    inner = model.inner1.forward(gt).value
     assert np.array_equal(probe, inner)
 
     start = time.perf_counter()

@@ -335,6 +335,20 @@ class TestTrainEval:
         assert code == 1
         assert "task" in err
 
+    def test_eval_feature_width_mismatch(self, capsys, class_dataset, tmp_path):
+        model_path = str(tmp_path / "m.npz")
+        run(capsys, "train", class_dataset, "--model", "gcn", "--epochs", "1",
+            "--hidden", "4", "--trials", "1", "--save-model", model_path)
+        narrow = tmp_path / "narrow.json"
+        obj = json.loads(Path(class_dataset).read_text())
+        width = len(obj["node_features"][0])
+        obj["node_features"] = [row[:5] for row in obj["node_features"]]
+        narrow.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "eval", str(narrow), "--model-file", model_path)
+        assert code == 1
+        assert (f"error: node_features: {model_path} was trained on {width} features; "
+                f"{narrow} has 5") in err
+
 
 def announced_config(err):
     line = next(ln for ln in err.splitlines() if ln.startswith('{"command":'))

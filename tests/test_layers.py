@@ -20,7 +20,6 @@ from hygraph.nn.layers import (
     SAGELayer,
     build_graph_tensors,
 )
-from hygraph.nn.losses import one_hot
 from hygraph.nn.models import ModelSpec, build_model
 from hygraph.nn.train import Adam, TrainConfig, _loss_on, run_experiment
 from hygraph.sampling import SamplerSpec, run_sampler
@@ -305,6 +304,15 @@ def count_constructors(monkeypatch) -> list:
     return calls
 
 
+def record_tensors(monkeypatch) -> list:
+    """The autodiff tensors constructed from now on."""
+    made = []
+    init = ad.Tensor.__init__
+    monkeypatch.setattr(ad.Tensor, "__init__",
+                        lambda self, *args: (init(self, *args), made.append(self))[0])
+    return made
+
+
 STEP_MODELS = sorted(LAYER_TYPES) + ["lp:gcn+hyperconv"]
 
 
@@ -313,13 +321,12 @@ def training_step(g, name):
     rng = np.random.default_rng(0)
     model = build_model(ModelSpec(name), g.node_features.shape[1], 2, rng, True)
     gt, rows = build_graph_tensors(g), split(g, 0).train
-    targets = one_hot(g.labels, 2)
     optimizer = Adam(model.params())
 
     def step(backward=True):
         optimizer.zero_grad()
-        out = model.forward(gt, ad.Tensor(g.node_features), rng, training=True)
-        loss = _loss_on(out, rows, targets, g.task)
+        out = model.forward(gt, rng=rng, training=True)
+        loss = _loss_on(out, g, rows)
         if backward:
             loss.backward()
             optimizer.step(0.01)
@@ -367,15 +374,12 @@ class TestNoGrad:
     @pytest.mark.parametrize("name", sorted(LAYER_TYPES))
     def test_same_values_and_no_tape(self, name, monkeypatch):
         g, model = full_graph_model(name)
-        gt, x = build_graph_tensors(g), g.node_features
-        taped = model.forward(gt, ad.Tensor(x), training=False)
+        gt = build_graph_tensors(g)
+        taped = model.forward(gt, training=False)
         assert taped.parents
-        made = []
-        init = ad.Tensor.__init__
-        monkeypatch.setattr(ad.Tensor, "__init__",
-                            lambda self, *args: (init(self, *args), made.append(self))[0])
+        made = record_tensors(monkeypatch)
         with ad.no_grad():
-            out = model.forward(gt, ad.Tensor(x), training=False)
+            out = model.forward(gt, training=False)
         assert out.value.tobytes() == taped.value.tobytes()
         assert len(made) > 4 and out in made
         assert all(t.parents == () and t._backward is None for t in made)
@@ -402,14 +406,31 @@ class TestTapeRelease:
         _, loss = step(backward=False)
         tape = ad._topological(loss)  # every tensor the forward made, kept alive
         inner = [t for t in tape if t._backward is not None]
+        leaves = [t for t in tape if t._backward is None]
         assert len(inner) > 4
         loss.backward()
         assert all(t.grad is None and t.parents == () and t._backward is None for t in inner)
         params = model.params()
-        assert all(any(p is t for t in tape) and p.grad is not None for p in params)
+        assert sorted(map(id, leaves)) == sorted(map(id, params))  # the features are no leaf
+        assert all(p.grad is not None for p in params)
         grads = [p.grad.tobytes() for p in params]
         loss.backward()  # the walked root has no tape left
         assert [p.grad.tobytes() for p in params] == grads
+
+
+class TestFeaturesTakeNoGradient:
+    @pytest.mark.parametrize("name", STEP_MODELS)
+    def test_no_tensor_holds_the_features(self, name, monkeypatch):
+        # The features enter as a constant: no step wraps them in a Tensor,
+        # so none takes a gradient.  d_in = 8 is neither the hidden width
+        # (32) nor the class count (2), so no other tensor has their shape.
+        g = load(str(DATA / "synthetic_classification.json"))
+        assert g.node_features.shape[1] not in (ModelSpec(name).hidden, 2)
+        _, step = training_step(g, name)
+        made = record_tensors(monkeypatch)
+        step()
+        assert len(made) > 4
+        assert all(t.shape != g.node_features.shape for t in made)
 
 
 class TestStepMemory:
@@ -432,7 +453,7 @@ class TestStepMemory:
     def test_step_peak_is_bounded(self, large, name):
         model, step = training_step(large, name)
         with ad.no_grad():  # builds the graph's operators
-            model.forward(build_graph_tensors(large), ad.Tensor(large.node_features))
+            model.forward(build_graph_tensors(large))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -66,7 +66,7 @@ class TestGNNForward:
         gt = build_graph_tensors(g)
         rng = np.random.default_rng(0)
         model = GNN("gcn", g.node_features.shape[1], 8, 2, 0.5, rng)
-        out = model.forward(gt, ad.Tensor(np.asarray(g.node_features)))
+        out = model.forward(gt)
         assert out.value.shape == (g.num_nodes, 2)
 
     def test_eval_forward_deterministic(self):
@@ -74,9 +74,8 @@ class TestGNNForward:
         gt = build_graph_tensors(g)
         model = GNN("sage", g.node_features.shape[1], 8, 2, 0.5,
                     np.random.default_rng(1))
-        x = ad.Tensor(np.asarray(g.node_features))
-        a = model.forward(gt, x, training=False).value
-        b = model.forward(gt, x, training=False).value
+        a = model.forward(gt, training=False).value
+        b = model.forward(gt, training=False).value
         np.testing.assert_array_equal(a, b)
 
     def test_dropout_only_in_training(self):
@@ -84,11 +83,22 @@ class TestGNNForward:
         gt = build_graph_tensors(g)
         model = GNN("gcn", g.node_features.shape[1], 8, 2, 0.5,
                     np.random.default_rng(2))
-        x = ad.Tensor(np.asarray(g.node_features))
         rng = np.random.default_rng(3)
-        a = model.forward(gt, x, rng, training=True).value
-        b = model.forward(gt, x, rng, training=True).value
+        a = model.forward(gt, rng=rng, training=True).value
+        b = model.forward(gt, rng=rng, training=True).value
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["gcn", "lp:gcn+sage"])
+    def test_rng_and_training_are_keyword_only(self, name):
+        # A stale ``forward(gt, x)`` must not bind the features to ``rng``.
+        g = toy_graph()
+        model = build_model(ModelSpec(name, hidden=8), g.node_features.shape[1], 2,
+                            np.random.default_rng(2), True)
+        gt = build_graph_tensors(g)
+        with pytest.raises(TypeError):
+            model.forward(gt, g.node_features)
+        with pytest.raises(TypeError):
+            model.forward(gt, np.random.default_rng(3), True)
 
 
 class TestLPModel:
@@ -100,9 +110,8 @@ class TestLPModel:
                         np.random.default_rng(4), classification=False)
         model.theta.value = np.vstack([np.eye(1), np.zeros((1, 1))])
         model.bias.value = np.zeros((1, 1))
-        x = ad.Tensor(np.asarray(g.node_features))
-        combined = model.forward(gt, x, training=False).value
-        alone = model.inner1.forward(gt, x, training=False).value
+        combined = model.forward(gt, training=False).value
+        alone = model.inner1.forward(gt, training=False).value
         np.testing.assert_array_equal(combined, alone)
 
     def test_params_cover_both_branches_and_head(self):
@@ -213,18 +222,17 @@ class TestTrainSingle:
         forward = GNN.forward
         modes = []
 
-        def counted(self, gt, x, rng=None, training=False):
+        def counted(self, gt, *, rng=None, training=False):
             modes.append(training)
-            return forward(self, gt, x, rng, training)
+            return forward(self, gt, rng=rng, training=training)
 
         monkeypatch.setattr(GNN, "forward", counted)
         model, masks, result = train_single(
             g, ModelSpec("gatv2", hidden=8), TrainConfig(epochs=3, trials=1), seed=2)
         assert modes == [True, True, True, False]
         gt = build_graph_tensors(g)
-        x = np.asarray(g.node_features)
-        assert result.test_metric == evaluate(model, gt, x, g.labels, masks.test, g.task)
-        assert result.val_metric == evaluate(model, gt, x, g.labels, masks.val, g.task)
+        assert result.test_metric == evaluate(model, gt, masks.test)
+        assert result.val_metric == evaluate(model, gt, masks.val)
 
     def test_saint_mode_trains(self):
         g = make_classification_graph(num_nodes=120, num_hyperedges=30, seed=9)
@@ -346,11 +354,10 @@ class TestEvaluate:
         gt = build_graph_tensors(g)
         model = GNN("gcn", g.node_features.shape[1], 8, 2, 0.0,
                     np.random.default_rng(8))
-        x = np.asarray(g.node_features)
         rows = np.arange(10)
-        out = model.forward(gt, ad.Tensor(x), training=False).value
+        out = model.forward(gt, training=False).value
         expect = float((out[rows].argmax(axis=1) == g.labels[rows]).mean())
-        assert evaluate(model, gt, x, g.labels, rows, g.task) == expect
+        assert evaluate(model, gt, rows) == expect
 
     def test_random_guess_values(self):
         assert random_guess(Task("classification", num_classes=2)) == 0.5
@@ -372,10 +379,9 @@ class TestPersistence:
         assert loaded_spec == spec
         assert task == g.task
         gt = build_graph_tensors(g)
-        x = ad.Tensor(np.asarray(g.node_features))
         np.testing.assert_array_equal(
-            model.forward(gt, x, training=False).value,
-            loaded.forward(gt, x, training=False).value,
+            model.forward(gt, training=False).value,
+            loaded.forward(gt, training=False).value,
         )
 
     def test_split_reproducible_for_eval(self):
