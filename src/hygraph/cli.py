@@ -179,6 +179,15 @@ def _dataset_payload(path: str) -> dict:
             "dataset_checksum": file_checksum(path)}
 
 
+def _required(args, opts: dict, key: str):
+    """``opts[key]``, or a ``SchemaError`` naming ``--key`` and its choices if unset."""
+    if not opts[key]:
+        choices = OPTIONS[args.command][key].choices
+        listed = f" {'|'.join(choices)}" if choices else ""
+        raise SchemaError(f"{args.command} needs --{key}{listed}")
+    return opts[key]
+
+
 def _sampler_spec(opts: dict, method: str) -> SamplerSpec:
     return SamplerSpec(method, budget=opts["budget"], roots=opts["roots"],
                        walk_length=opts["walk-length"])
@@ -203,11 +212,9 @@ def cmd_stats(args) -> int:
 
 def cmd_convert(args) -> int:
     opts = _configure(args)
-    target = opts["to"]
-    if target is None:
-        raise SchemaError(f"convert needs --to {'|'.join(CONVERSIONS)}")
+    target = _required(args, opts, "to")
     ds = load_file(opts["in"])
-    converted = CONVERSIONS[target](ds.to_graph())
+    converted = CONVERSIONS[target](ds.to_graph(opts["in"]))
     save(converted, args.out, ds.name + f":{target}" if ds.name else target)
     return 0
 
@@ -222,9 +229,7 @@ def cmd_split(args) -> int:
 
 def cmd_build_hyperedges(args) -> int:
     opts = _configure(args)
-    method, path = opts["method"], opts["in"]
-    if method is None:
-        raise SchemaError("build-hyperedges needs --method clique|interval|ball")
+    method, path = _required(args, opts, "method"), opts["in"]
     ds = load_file(path)
     if method == "clique":
         built = cliques_to_hyperedges(ds.num_nodes, ds.edges, opts["min-size"])
@@ -251,7 +256,7 @@ def cmd_build_hyperedges(args) -> int:
 
 def cmd_sample(args) -> int:
     opts = _configure(args)
-    spec = _sampler_spec(opts, opts["method"])
+    spec = _sampler_spec(opts, _required(args, opts, "method"))
     g = load(opts["dataset"])
     sub = run_sampler(g, spec, np.random.default_rng(opts["seed"]))
     ids = {"node_ids": sub.node_ids.tolist(), "hyperedge_ids": sub.hyperedge_ids.tolist()}
@@ -266,7 +271,7 @@ def cmd_sample(args) -> int:
 
 def cmd_sampler_report(args) -> int:
     opts = _configure(args)
-    spec = _sampler_spec(opts, opts["method"])
+    spec = _sampler_spec(opts, _required(args, opts, "method"))
     path = opts["dataset"]
     report = sampler_report(load(path), spec, opts["trials"], opts["seed"])
     _emit({**_dataset_payload(path), **report}, args.out)
@@ -275,9 +280,8 @@ def cmd_sampler_report(args) -> int:
 
 def cmd_train(args) -> int:
     opts = _configure(args)
-    if not opts["model"]:
-        raise SchemaError("train needs --model")
-    spec = ModelSpec(opts["model"], hidden=opts["hidden"], dropout=opts["dropout"])
+    spec = ModelSpec(_required(args, opts, "model"), hidden=opts["hidden"],
+                     dropout=opts["dropout"])
     cfg = TrainConfig(
         epochs=opts["epochs"],
         lr=opts["lr"],
@@ -302,10 +306,13 @@ def cmd_eval(args) -> int:
     path, which, seed = opts["dataset"], opts["split"], opts["seed"]
     g = load(path)
     model, spec, task = load_model(args.model_file)
-    if task != g.task:
+    if task.kind != g.task.kind:
         raise SchemaError(
             f"model was trained for task {task.kind!r}; dataset has {g.task.kind!r}"
         )
+    if task.num_classes != g.task.num_classes:
+        raise SchemaError(f"num_classes: {args.model_file} was trained for "
+                          f"{task.num_classes} classes; {path} has {g.task.num_classes}")
     if model.d_in != g.node_features.shape[1]:
         raise SchemaError(f"node_features: {args.model_file} was trained on {model.d_in} "
                           f"features; {path} has {g.node_features.shape[1]}")

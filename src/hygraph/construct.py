@@ -17,7 +17,7 @@ ordered lexicographically; the ball list is in anchor order.
 
 import numpy as np
 
-from .graph import neighbour_csr, neighbour_sets, row_index
+from .graph import neighbour_csr
 
 __all__ = [
     "ball_hyperedges",
@@ -54,15 +54,15 @@ def cliques_to_hyperedges(
     if min_size < 3:
         raise ValueError(f"min_size must be >= 3, got {min_size}")
     indptr, indices = neighbour_csr(num_nodes, edges)
-    adj = list(neighbour_sets(indptr, indices))
-    for v in indices[indices == row_index(indptr)].tolist():
-        adj[v] = adj[v] - {v}  # a looped pivot would leave itself out of p - adj[pivot]
+    flat, bounds = indices.tolist(), indptr.tolist()
+    # Without its self-loop: a looped pivot would leave itself out of p - adj[pivot].
+    adj = [set(flat[a:b]) - {v} for v, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     # Any root order finds each maximal clique once, at its first member in that
     # order with P its later and X its earlier neighbours; the order sets the work.
     cliques: list[tuple[int, ...]] = []
     done: set[int] = set()
     for v in np.argsort(np.diff(indptr), kind="stable").tolist():
-        _bron_kerbosch_pivot(adj, {v}, set(adj[v]) - done, done & adj[v], min_size, cliques)
+        _bron_kerbosch_pivot(adj, {v}, adj[v] - done, done & adj[v], min_size, cliques)
         done.add(v)
     cliques.sort()
     return cliques

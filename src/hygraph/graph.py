@@ -4,6 +4,7 @@ A hybrid graph couples three kinds of structure on one node set:
 
 * simple edges: unordered node pairs,
 * hyperedges: arbitrary non-empty node subsets, each with a positive weight,
+  stored members ascending, so the order they were listed in changes nothing,
 * a parent function assigning every node a parent one level up in a node
   hierarchy (``parent[v] == v`` marks a top-level node).
 
@@ -31,7 +32,6 @@ __all__ = [
     "duplicate_hyperedges",
     "gather_rows",
     "neighbour_csr",
-    "neighbour_sets",
     "row_index",
     "sort_unique",
     "structurally_equal",
@@ -141,12 +141,6 @@ def neighbour_csr(num_nodes: int, edges) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def neighbour_sets(indptr: np.ndarray, indices: np.ndarray) -> tuple[frozenset, ...]:
-    """The rows of a neighbour CSR as one frozenset per node."""
-    flat, bounds = indices.tolist(), indptr.tolist()
-    return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-
 def row_index(indptr: np.ndarray) -> np.ndarray:
     """The row of each stored entry of a CSR pattern, as int64."""
     return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
@@ -166,13 +160,20 @@ _ITER_BLOCK = 4096  # hyperedges converted to Python ints at once
 class Hyperedges(Sequence):
     """Hyperedges stored flat, read like a tuple of tuples of Python ints.
 
-    Hyperedge ``k`` is ``members[offsets[k]:offsets[k + 1]]``, members in the
-    order given; both arrays are int64 and are made read-only.
+    Hyperedge ``k`` is ``members[offsets[k]:offsets[k + 1]]``, a node set,
+    so its members are stored ascending: they are sorted here if listed in
+    another order, and ascending input is kept as the same array.  Both
+    arrays are int64 and are made read-only.
     """
 
     def __init__(self, members: np.ndarray, offsets: np.ndarray):
-        self.members, self.offsets = members, offsets
-        self._edge_of = self._sorted_members = None
+        self.offsets, self._edge_of = offsets, None
+        ascending = members[1:] >= members[:-1]
+        starts = offsets[(offsets > 0) & (offsets < members.size)]
+        ascending[starts - 1] = True  # a hyperedge may start below the last one's end
+        if not ascending.all():
+            members = members[np.lexsort((members, self.edge_of()))]
+        self.members = members
         members.setflags(write=False)
         offsets.setflags(write=False)
 
@@ -195,19 +196,6 @@ class Hyperedges(Sequence):
             self._edge_of = row_index(self.offsets)
             self._edge_of.setflags(write=False)
         return self._edge_of
-
-    def sorted_members(self) -> np.ndarray:
-        """The members sorted within each hyperedge (read-only, computed on
-        the first call); ``members`` itself when they are already ascending,
-        as every induced subgraph's are."""
-        if self._sorted_members is None:
-            members, edge_of = self.members, self.edge_of()  # edge_of is non-decreasing
-            if ((members[1:] >= members[:-1]) | (edge_of[1:] != edge_of[:-1])).all():
-                self._sorted_members = members
-            else:
-                self._sorted_members = members[np.lexsort((members, edge_of))]
-                self._sorted_members.setflags(write=False)
-        return self._sorted_members
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -248,8 +236,8 @@ class HybridGraph:
     """Immutable hybrid graph.
 
     Hyperedges are stored flat, as a :class:`Hyperedges` view over one
-    member array and its offsets; members are kept in the order given so
-    that validation can report duplicates.  Use
+    member array and its offsets, members ascending in each hyperedge;
+    validation reports duplicate members, which sit side by side.  Use
     :func:`validate` to check all structural invariants; operations that
     assume a valid graph call :meth:`require_valid` (the result is cached).
     """
@@ -341,7 +329,9 @@ class HybridGraph:
 
     @cached_property
     def adjacency_sets(self) -> tuple[frozenset, ...]:
-        return neighbour_sets(*self.adjacency_csr)
+        indptr, indices = self.adjacency_csr
+        flat, bounds = indices.tolist(), indptr.tolist()
+        return tuple(frozenset(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def edges_by_first_endpoint(self) -> tuple[np.ndarray, np.ndarray]:
@@ -353,10 +343,9 @@ class HybridGraph:
 
     @cached_property
     def member_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """The positions in ``hyperedges.sorted_members()`` that hold each node,
+        """The positions in ``hyperedges.members`` that hold each node,
         grouped by node as :func:`_group_by_node` gives them."""
-        return _group_by_node(self.hyperedges.sorted_members(), self.num_nodes,
-                              "hyperedge member")
+        return _group_by_node(self.hyperedges.members, self.num_nodes, "hyperedge member")
 
     @cached_property
     def edge_sampling_weights(self) -> np.ndarray:
@@ -426,8 +415,7 @@ def validate(g: HybridGraph) -> list[str]:
     members, offsets = g.incidence_arrays
     sizes = np.diff(offsets)
     edge_of = g.hyperedges.edge_of()
-    ranked = g.hyperedges.sorted_members()
-    twice = (ranked[1:] == ranked[:-1]) & (edge_of[1:] == edge_of[:-1])
+    twice = (members[1:] == members[:-1]) & (edge_of[1:] == edge_of[:-1])  # members ascend
     has_twice = np.bincount(edge_of[1:][twice], minlength=m) > 0
     outside = np.bincount(edge_of[(members < 0) | (members >= n)], minlength=m) > 0
     for k in np.flatnonzero((sizes == 0) | has_twice | outside):

@@ -9,7 +9,8 @@ node-index order:
 
 Missing optional fields take documented defaults: weights -> all 1.0,
 parent -> identity.  ``hyperedges`` load straight into the flat
-``graph.Hyperedges`` view, with no tuple per hyperedge.  ``positions``
+``graph.Hyperedges`` view, with no tuple per hyperedge; ``save`` writes
+each hyperedge's members ascending, as the view stores them.  ``positions``
 (per-node ``[chromosome, offset]``) and ``embeddings`` are carried for the
 hyperedge-construction pipelines and are not part of the in-memory graph.
 
@@ -76,8 +77,10 @@ class DatasetFile:
     positions: list[tuple[object, int]] | None = None
     embeddings: np.ndarray | None = None
 
-    def to_graph(self) -> HybridGraph:
-        return HybridGraph(
+    def to_graph(self, path: str) -> HybridGraph:
+        """The graph of the file at ``path``, checked: a breach is a
+        ``SchemaError`` that names the file."""
+        g = HybridGraph(
             node_features=self.node_features,
             simple_edges=self.edges,
             hyperedges=self.hyperedges,
@@ -86,7 +89,11 @@ class DatasetFile:
             parent=self.parent,
             labels=self.labels,
             task=self.task,
-        ).require_valid()
+        )
+        try:
+            return g.require_valid()
+        except InvalidGraphError as e:
+            raise SchemaError(f"{path}: graph fails validation: {e}") from e
 
 
 def _need(obj: dict, key: str, path: str):
@@ -261,10 +268,7 @@ def load_file(path: str) -> DatasetFile:
 
 def load(path: str) -> HybridGraph:
     """Load a canonical dataset file as a validated graph."""
-    try:
-        return load_file(path).to_graph()
-    except InvalidGraphError as e:
-        raise SchemaError(f"{path}: graph fails validation: {e}") from e
+    return load_file(path).to_graph(path)
 
 
 def _dataset_dict(ds: DatasetFile) -> dict:

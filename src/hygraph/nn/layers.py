@@ -18,11 +18,9 @@ pairs' output rows.  Each pair list is a row-major CSR pattern in storage
 order, so the attention coefficients become the data of a sparse mixing
 matrix with that pattern (``autodiff.edge_mix``): aggregation and its
 gradients are sparse products.  The attention patterns, like the incidence
-factors, keep their columns ascending in each row, so the order in which a
-hyperedge's members are listed changes no output bit.
+factors, keep their columns ascending in each row; ``incidence_t``'s rows
+are the hyperedges' members as the graph stores them, ascending.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,13 +82,13 @@ def _mean_adj(gt) -> dict:
 
 def _incidence(gt) -> dict:
     """The incidence group: ``incidence_t`` is ``(members, offsets)``, rows
-    sorted, and ``incidence`` the member index, both on one read-only array
-    of ones, each the other's adjoint."""
+    ascending as stored, and ``incidence`` the member index, both on one
+    read-only array of ones, each the other's adjoint."""
     g = gt.graph
     n, m = g.num_nodes, g.num_hyperedges
     ones = np.ones(g.hyperedges.offsets[-1])
     ones.setflags(write=False)
-    incidence_t = _csr(ones, g.hyperedges.sorted_members(), g.hyperedges.offsets, (m, n))
+    incidence_t = _csr(ones, g.hyperedges.members, g.hyperedges.offsets, (m, n))
     indptr, positions = g.member_positions
     incidence = _csr(ones, g.hyperedges.edge_of()[positions], indptr, (n, m))
     return {"incidence_t": incidence_t, "incidence": incidence,
@@ -194,16 +192,15 @@ class GraphTensors:
 
     @property
     def hyper_prop(self) -> sp.csr_matrix:
-        """The clique-expanded ``D_v⁻¹ H W D_e⁻¹ Hᵀ``, whose nnz grows with Σ|e|².
+        """The pattern of the clique expansion ``H Hᵀ``, whose nnz grows with Σ|e|².
 
-        No layer reads it; the benchmark tracer reports its nnz.  It reads
-        the graph's stored hyperconv group, or builds one it keeps nowhere
-        from a throwaway incidence group, so reading it leaves nothing on a
-        graph whose layers never read that group.
+        No layer reads it; the benchmark tracer reports its nnz, which is
+        that of hyperconv's ``D_v⁻¹ H W D_e⁻¹ Hᵀ``.  It reads the graph's
+        stored incidence group, or builds one it keeps nowhere, so reading
+        it leaves nothing on a graph whose layers never read that group.
         """
-        conv = (vars(self.graph).get(_GROUPS, {}).get(_hyperconv)
-                or _hyperconv(SimpleNamespace(graph=self.graph, **_incidence(self))))
-        return (conv["hyper_scatter"] @ conv["hyper_gather"]).tocsr()
+        inc = vars(self.graph).get(_GROUPS, {}).get(_incidence) or _incidence(self)
+        return (inc["incidence"] @ inc["incidence_t"]).tocsr()
 
 
 def build_graph_tensors(g: HybridGraph) -> GraphTensors:
@@ -330,7 +327,8 @@ class HyperAttenLayer:
     scores add the log hyperedge weight before the segment softmax, which
     reproduces weighted normalized mixing exactly.  The (node, hyperedge)
     pairs are ``incidence``'s structure, node by node with hyperedges
-    ascending, so the order in which members are listed changes no bit.
+    ascending, and each hyperedge's message sums its members in ascending
+    order, as the graph stores them.
     """
 
     def __init__(self, d_in: int, d_out: int, rng):

@@ -3,7 +3,7 @@
 Each of the five samplers draws a node set and returns the
 ``SampledSubgraph`` that ``induce`` extracts for it.  A sampled subgraph is
 a ``HybridGraph`` in local coordinates: relabeled simple edges, masked
-hyperedges (members restricted to the sample and sorted, empty ones
+hyperedges (members restricted to the sample, still ascending, empty ones
 dropped), inherited features, labels and task, and a parent function that
 falls back to self wherever the original parent fell outside the sample.
 It also carries ``node_ids`` and ``hyperedge_ids``, its map back to the
@@ -14,9 +14,9 @@ walk sampler steps through ``HybridGraph.adjacency_csr``, the edge sampler
 draws on ``HybridGraph.edge_sampling_weights``, and ``induce`` reads the
 sampled nodes' edges through ``HybridGraph.edges_by_first_endpoint`` and
 their hyperedge memberships through ``HybridGraph.member_positions``, which
-point into the members sorted within each hyperedge
-(``Hyperedges.sorted_members``).  Each draw still fills a ``num_nodes`` id
-map, and a sample holding an eighth or more of all members a bool one.
+point into ``Hyperedges.members``, ascending within each hyperedge.  Each
+draw still fills a ``num_nodes`` id map, and a sample holding an eighth or
+more of all members a bool one.
 
 The walk sampler moves all its walks one step per round, with one array
 draw per round; see :func:`sample_random_walk`.
@@ -95,30 +95,30 @@ def _mask_hyperedges(g: HybridGraph, ids: np.ndarray, local: np.ndarray):
     """Hyperedges restricted to the sorted sample ``ids``: (local members, kept ids).
 
     ``local`` maps global node ids to local ones.  A hyperedge is kept iff
-    some member survives; its local members are sorted.
+    some member survives; its local members stay ascending.
     """
     if g.num_hyperedges == 0:  # skips a dozen numpy calls per draw on plain graphs
         return g.hyperedges, np.zeros(0, dtype=np.int64)
-    # Positions in ``sorted_members()`` run hyperedge by hyperedge, members
-    # ascending, and ``local`` is increasing on the sample, so the kept
-    # positions in ascending order give the masked hyperedges as they are.
+    # Positions in ``members`` run hyperedge by hyperedge, members ascending,
+    # and ``local`` is increasing on the sample, so the kept positions in
+    # ascending order give the masked hyperedges as they are.
     # A sample that holds few members sorts its nodes' positions; one that
     # holds an eighth or more tests every member against a bool in-sample
     # array.  The sort was the cheaper below 5-10% of 1M members and below
     # 15-25% of 200k; a bool array reads faster than testing ``local >= 0``.
     indptr, positions = g.member_positions
-    sorted_members = g.hyperedges.sorted_members()
+    members = g.hyperedges.members
     if 8 * int((indptr[ids + 1] - indptr[ids]).sum()) < positions.size:
         kept_at = np.sort(gather_rows(indptr, positions, ids))
     else:
         inside = np.zeros(g.num_nodes, dtype=bool)
         inside[ids] = True
-        kept_at = np.flatnonzero(inside[sorted_members])
+        kept_at = np.flatnonzero(inside[members])
     edge_of = g.hyperedges.edge_of()[kept_at]
     first = np.ones(edge_of.size, dtype=bool)
     first[1:] = edge_of[1:] != edge_of[:-1]
-    members = local[sorted_members[kept_at]]
-    return Hyperedges(members, np.append(np.flatnonzero(first), edge_of.size)), edge_of[first]
+    masked = Hyperedges(local[members[kept_at]], np.append(np.flatnonzero(first), edge_of.size))
+    return masked, edge_of[first]
 
 
 def induce(g: HybridGraph, node_ids) -> SampledSubgraph:

@@ -329,7 +329,7 @@ def mask_loop(g, local):
     """The mask as it was: every member mapped through ``local`` on every draw."""
     if g.num_hyperedges == 0:
         return g.hyperedges, np.zeros(0, dtype=np.int64)
-    mapped = local[g.hyperedges.sorted_members()]
+    mapped = local[g.hyperedges.members]
     inside = mapped >= 0
     counts = np.bincount(g.hyperedges.edge_of()[inside], minlength=g.num_hyperedges)
     kept = np.flatnonzero(counts)
@@ -402,9 +402,9 @@ def test_member_positions_match_loop():
     rng = np.random.default_rng(31)
     g = mask_graph(rng, 30, 20)
     indptr, positions = g.member_positions
-    ranked = g.hyperedges.sorted_members().tolist()
+    members = g.hyperedges.members.tolist()
     for v in range(g.num_nodes):
-        expected = [p for p, u in enumerate(ranked) if u == v]
+        expected = [p for p, u in enumerate(members) if u == v]
         assert positions[indptr[v]:indptr[v + 1]].tolist() == expected
     assert not indptr.flags.writeable and not positions.flags.writeable
     assert g.member_positions[1] is positions
@@ -1250,26 +1250,38 @@ def test_sort_unique_matches_numpy(name):
     np.testing.assert_array_equal(got_first, want_first)
 
 
-def random_hyperedges(rng, ascending):
-    """Hyperedges of 0-6 members drawn from -3..12, duplicates allowed, so
-    empty hyperedges and out-of-range members occur too."""
+def random_members(rng, ascending, empty_ends):
+    """Members and offsets of 40 hyperedges of 0-6 members drawn from -3..12,
+    duplicates allowed, so empty hyperedges and out-of-range members occur
+    too; ``empty_ends`` empties the first two and the last two."""
     sizes = rng.integers(0, 7, size=40)
+    if empty_ends:
+        sizes[[0, 1, -2, -1]] = 0
     members = rng.integers(-3, 13, size=sizes.sum())
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     if ascending:
         members = np.concatenate([np.sort(members[a:b]) for a, b in zip(offsets, offsets[1:])])
-    return Hyperedges(members.astype(np.int64), offsets)
+    return members.astype(np.int64), offsets
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_sorted_members_match_lexsort(seed):
+    # Construction stores each hyperedge's members as a lexsort by
+    # (hyperedge, member) orders them; ascending input is kept, not copied.
     rng = np.random.default_rng(seed)
     for ascending in (False, True):
-        h = random_hyperedges(rng, ascending)
-        got = h.sorted_members()
-        np.testing.assert_array_equal(got, h.members[np.lexsort((h.members, h.edge_of()))])
-        assert not got.flags.writeable and h.sorted_members() is got
-        assert got is h.members or not ascending  # sorted members are not copied
+        members, offsets = random_members(rng, ascending, empty_ends=seed % 2 == 1)
+        given = members.copy()
+        want = members[np.lexsort((members, np.repeat(np.arange(40), np.diff(offsets))))]
+        h = Hyperedges(members, offsets)
+        np.testing.assert_array_equal(h.members, want)
+        np.testing.assert_array_equal(members, given)  # the input is not sorted in place
+        assert h.offsets is offsets and not h.members.flags.writeable
+        kept = np.array_equal(given, want)
+        assert kept or not ascending
+        assert (h.members is members) == kept
+        # Only a sort needs each member's hyperedge: a kept array computes none.
+        assert (h._edge_of is None) == kept
 
 
 # -- graph transforms ----------------------------------------------------------
@@ -1374,15 +1386,16 @@ def forest(rng, n):
     return parent
 
 
-def transform_graph(seed):
-    """A valid graph for the transforms, its shape picked by the seed.
+def transform_inputs(seed):
+    """The fields, as given to ``HybridGraph``, of a valid graph for the
+    transforms, its shape picked by the seed.
 
     Seeds cycle through four shapes: a hierarchy whose edges are all pairs
     (simple edges and size-2 hyperedges, repeated between the two and among
     the hyperedges), that hierarchy with one level link missing, a flat
     graph with hyperedges of 1 to 12 members, and a hierarchy with such
-    hyperedges.  Members are unsorted; labels are two classes (so majority
-    votes tie) or, for odd seeds, regression values.
+    hyperedges.  Members are listed unsorted; labels are two classes (so
+    majority votes tie) or, for odd seeds, regression values.
     """
     rng = np.random.default_rng(900 + seed)
     n = int(rng.integers(6, 40))
@@ -1412,8 +1425,12 @@ def transform_graph(seed):
         labels, task = rng.standard_normal(n), Task("regression")
     else:
         labels, task = rng.integers(2, size=n), TWO_CLASSES
-    return HybridGraph(node_features=rng.standard_normal((n, 3)), simple_edges=edges,
-                       hyperedges=hyperedges, parent=parent, labels=labels, task=task)
+    return dict(node_features=rng.standard_normal((n, 3)), simple_edges=edges,
+                hyperedges=hyperedges, parent=parent, labels=labels, task=task)
+
+
+def transform_graph(seed):
+    return HybridGraph(**transform_inputs(seed))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -1445,4 +1462,5 @@ def test_transform_graphs_cover_every_branch():
     assert kinds == set(GraphKind)
     sizes = {len(e) for g in graphs for e in g.hyperedges}
     assert {1, 2} <= sizes and max(sizes) >= 8
-    assert any(list(e) != sorted(e) for g in graphs for e in g.hyperedges)
+    assert any(list(e) != sorted(e) for seed in range(24)
+               for e in transform_inputs(seed)["hyperedges"])

@@ -11,6 +11,7 @@ from hygraph.io import load, save
 from hygraph.nn import train
 from hygraph.nn.models import ModelSpec
 from hygraph.synthetic import make_classification_graph
+from tests.test_io import member_order_files
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -103,7 +104,31 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "--in", class_dataset,
                            "--out", str(tmp_path / "x.json"))
         assert code == 1
-        assert "simple|hypergraph|two-level" in err
+        assert "error: convert needs --to simple|hypergraph|two-level" in err
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_member_order_changes_no_byte(self, capsys, tmp_path, task):
+        written = []
+        for i, path in enumerate(member_order_files(tmp_path, task)):
+            out_path = tmp_path / f"levels{i}.json"
+            code, _, _ = run(capsys, "convert", "--in", path, "--out", str(out_path),
+                             "--to", "two-level")
+            assert code == 0
+            written.append(out_path.read_bytes())
+        assert written[0] == written[1]
+
+    def test_invalid_graph_names_the_file(self, capsys, tmp_path):
+        obj = json.loads((DATA / "synthetic_classification.json").read_text())
+        bad = len(obj["edges"])
+        obj["edges"].append([3, 3])
+        path = tmp_path / "looped.json"
+        path.write_text(json.dumps(obj))
+        out_path = tmp_path / "x.json"
+        code, _, err = run(capsys, "convert", "--in", str(path), "--out", str(out_path),
+                           "--to", "simple")
+        assert code == 1
+        assert f"error: {path}: graph fails validation: " in err
+        assert f"self-loop at edge {bad}" in err and not out_path.exists()
 
 
 class TestSplit:
@@ -201,6 +226,12 @@ class TestSample:
         with pytest.raises(SystemExit) as err:
             run(capsys, "sample", class_dataset, "--method", "bogus")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["sample", "sampler-report"])
+    def test_requires_method(self, capsys, class_dataset, command):
+        code, _, err = run(capsys, command, class_dataset, "--budget", "5")
+        assert code == 1
+        assert f"error: {command} needs --method node|edge|rw|rand-node|rand-hyperedge" in err
 
 
 class TestSamplerReport:
@@ -334,6 +365,20 @@ class TestTrainEval:
                            "--model-file", model_path)
         assert code == 1
         assert "task" in err
+
+    def test_eval_class_count_mismatch(self, capsys, class_dataset, tmp_path):
+        model_path = str(tmp_path / "m.npz")
+        run(capsys, "train", class_dataset, "--model", "gcn", "--epochs", "1",
+            "--hidden", "4", "--trials", "1", "--save-model", model_path)
+        wider = tmp_path / "wider.json"
+        obj = json.loads(Path(class_dataset).read_text())
+        trained = obj["num_classes"]
+        obj["num_classes"] = trained + 1
+        wider.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "eval", str(wider), "--model-file", model_path)
+        assert code == 1
+        assert (f"error: num_classes: {model_path} was trained for {trained} classes; "
+                f"{wider} has {trained + 1}") in err
 
     def test_eval_feature_width_mismatch(self, capsys, class_dataset, tmp_path):
         model_path = str(tmp_path / "m.npz")

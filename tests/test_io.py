@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hygraph import HybridGraph, Task, structurally_equal
+from hygraph import HybridGraph, Task, structurally_equal, to_two_level_hierarchy
 from hygraph import io as hygraph_io
 from hygraph.io import (
     DatasetFile,
@@ -42,18 +42,18 @@ def minimal(n=3, **overrides):
 
 class TestLoad:
     def test_minimal_roundtrip_fields(self, tmp_path):
-        ds = load_file(write_json(tmp_path / "a.json", minimal()))
+        path = write_json(tmp_path / "a.json", minimal())
+        ds = load_file(path)
         assert ds.name == "toy"
         assert ds.num_nodes == 3
         assert ds.hyperedges == ((0, 1, 2),)
         assert ds.task == Task("classification", num_classes=2)
-        g = ds.to_graph()
+        g = ds.to_graph(path)
         assert g.num_edges == 1
 
     def test_defaults_applied(self, tmp_path):
-        obj = minimal()
-        ds = load_file(write_json(tmp_path / "a.json", obj))
-        g = ds.to_graph()
+        path = write_json(tmp_path / "a.json", minimal())
+        g = load_file(path).to_graph(path)
         np.testing.assert_array_equal(g.hyperedge_weights, [1.0])
         np.testing.assert_array_equal(g.parent, [0, 1, 2])
 
@@ -254,6 +254,57 @@ class TestSaveRoundTrip:
         loaded = load(path)
         assert loaded.task == g.task
         assert structurally_equal(g, loaded)
+
+
+def member_order_files(tmp_path, task):
+    """Two dataset files that list the same hyperedges of 3 to 8 members
+    with the members of each in other orders, neither ascending; float
+    features, and labels for ``task``."""
+    rng = np.random.default_rng(41)
+    n = 30
+    listed = [rng.choice(n, size=int(rng.integers(3, 9)), replace=False).tolist()
+              for _ in range(12)]
+    permuted = [rng.permutation(e).tolist() for e in listed]
+    obj = minimal(n, node_features=rng.standard_normal((n, 4)).tolist(),
+                  edges=[[0, 1], [2, 3]], task=task)
+    if task == "classification":
+        obj.update(labels=rng.integers(3, size=n).tolist(), num_classes=3)
+    else:
+        obj.update(labels=rng.standard_normal(n).tolist())
+        del obj["num_classes"]
+    assert listed != permuted
+    assert all(e != sorted(e) for e in listed + permuted if len(e) > 3)
+    return [write_json(tmp_path / f"{name}.json", {**obj, "hyperedges": hyperedges})
+            for name, hyperedges in (("listed", listed), ("permuted", permuted))]
+
+
+class TestMemberOrder:
+    """A hyperedge is a node set: the order its members are listed in
+    changes neither the graph, nor its saved bytes, nor what derives from it."""
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_permuted_members_give_one_graph(self, tmp_path, task):
+        paths = member_order_files(tmp_path, task)
+        graphs = [load(path) for path in paths]
+        for path in paths:
+            ds = load_file(path)
+            given = json.loads(Path(path).read_text())["hyperedges"]
+            built = HybridGraph(node_features=ds.node_features, simple_edges=ds.edges,
+                                hyperedges=given, labels=ds.labels, task=ds.task)
+            assert built.hyperedges == tuple(tuple(sorted(e)) for e in given)
+            graphs.append(built)
+        saved, levels = [], []
+        for i, g in enumerate(graphs):
+            np.testing.assert_array_equal(g.hyperedges.members, graphs[0].hyperedges.members)
+            assert structurally_equal(g, graphs[0])
+            save(g, str(tmp_path / f"saved{i}.json"))
+            saved.append((tmp_path / f"saved{i}.json").read_bytes())
+            levels.append(to_two_level_hierarchy(g))
+        assert len(set(saved)) == 1
+        for h in levels[1:]:
+            assert structurally_equal(h, levels[0])
+            assert h.node_features.tobytes() == levels[0].node_features.tobytes()
+            assert h.labels.tobytes() == levels[0].labels.tobytes()
 
 
 class TestResolve:

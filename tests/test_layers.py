@@ -286,7 +286,10 @@ class TestLazyGroups:
         gt = build_graph_tensors(sub)
         prop = gt.hyper_prop
         assert "graph_tensor_groups" not in vars(sub) and set(vars(gt)) == {"graph"}
-        assert (prop != (gt.hyper_scatter @ gt.hyper_gather).tocsr()).nnz == 0
+        # The clique expansion's pattern is that of hyperconv's operator.
+        conv = (gt.hyper_scatter @ gt.hyper_gather).tocsr()
+        np.testing.assert_array_equal(prop.indptr, conv.indptr)
+        np.testing.assert_array_equal(prop.indices, conv.indices)
 
     def test_build_checks_the_graph_at_once(self):
         g = graph(3, [[1, 1]])
@@ -655,10 +658,11 @@ class TestHyperConv:
             want = dense_hyperconv(n, hyperedges, weights, x, layer.theta.value)
             np.testing.assert_allclose(forward(layer, g, x), want,
                                        rtol=1e-10, atol=1e-12)
-            # The derived clique-expanded matrix is the same operator.
+            # The derived clique expansion has the operator's pattern.
             prop = dense_hyperconv(n, hyperedges, weights, np.eye(n), np.eye(n))
-            np.testing.assert_allclose(build_graph_tensors(g).hyper_prop.toarray(),
-                                       prop, rtol=1e-10, atol=1e-12)
+            got = build_graph_tensors(g).hyper_prop
+            assert got.nnz == np.count_nonzero(prop)
+            np.testing.assert_array_equal(got.toarray() != 0, prop != 0)
 
         for trial in range(8):
             n = int(rng.integers(4, 10))
@@ -818,9 +822,9 @@ class TestMemberOrder:
     def test_member_order_changes_no_bit(self, layer_type, seed):
         rng = np.random.default_rng(880 + seed)
         g = self.random_graph(rng)
-        shuffled = dataclasses.replace(g, hyperedges=tuple(
-            tuple(rng.permutation(e).tolist()) for e in g.hyperedges))
-        assert shuffled.hyperedges != g.hyperedges
+        given = tuple(tuple(rng.permutation(e).tolist()) for e in g.hyperedges)
+        assert given != tuple(g.hyperedges)  # listed in another order than g's
+        shuffled = dataclasses.replace(g, hyperedges=given)
         layer = layer_type(3, 4, np.random.default_rng(seed))
         upstream = rng.standard_normal((g.num_nodes, 4))
         got = self.outputs_and_grads(layer, shuffled, upstream)
