@@ -412,8 +412,7 @@ def validate(g: HybridGraph) -> list[str]:
             out.append(f"duplicate edge at index {i}")
 
     m = g.num_hyperedges
-    members, offsets = g.incidence_arrays
-    sizes = np.diff(offsets)
+    members, sizes = g.hyperedges.members, np.diff(g.hyperedges.offsets)
     edge_of = g.hyperedges.edge_of()
     twice = (members[1:] == members[:-1]) & (edge_of[1:] == edge_of[:-1])  # members ascend
     has_twice = np.bincount(edge_of[1:][twice], minlength=m) > 0
@@ -508,8 +507,7 @@ def to_simple(g: HybridGraph) -> HybridGraph:
     g.require_valid()
     if not g.hyperedges and _parent_is_identity(g):
         return g
-    members, offsets = g.incidence_arrays
-    sizes = np.diff(offsets)
+    members, sizes = g.hyperedges.members, np.diff(g.hyperedges.offsets)
     pairs = members[np.repeat(sizes == 2, sizes)].reshape(-1, 2)
     return HybridGraph(
         node_features=g.node_features,
@@ -549,7 +547,7 @@ def to_two_level_hierarchy(g: HybridGraph) -> HybridGraph:
             labels[n + k] = np.bincount(g.labels[e].astype(np.int64)).argmax()
         else:
             labels[n + k] = g.labels[e].mean()
-    members, _ = g.incidence_arrays
+    members = g.hyperedges.members
     virtual = n + g.hyperedges.edge_of()
     parent = np.concatenate([g.parent, n + np.arange(m)])
     covered, first = sort_unique(members, return_index=True)

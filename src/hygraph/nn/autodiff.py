@@ -12,14 +12,18 @@ features enter as constants) keep their gradients.  A training step
 therefore holds one tape, its own: the previous step's ``out`` and
 ``loss``, still bound while the next forward runs, hold only their values.
 Each closure keeps only what its backward reads (``add`` keeps its
-operands' shapes, ``dropout`` its bool mask).
+operands' shapes, ``dropout`` its bool mask, ``additive_scores`` the bool
+sign of each pair's pre-activation).
 
-The op set holds only what the layers and losses use: linear maps
-(``matmul``, ``add``, ``concat``, ``take_rows``, ``edge_mix``), pointwise
-nonlinearities (``relu``, ``leaky_relu``), GATv2's fused pair scores
-(``gatv2_scores``), normalizers (``log_softmax``, ``segment_softmax``) and
-masked ``dropout``, plus ``mean``, the reduction every gradient check ends
-in.  Gathers and scatters are linear maps too: ``take_rows`` (and
+The op set holds what the layers and losses use: linear maps (``matmul``,
+``add``, ``concat``, ``take_rows``, ``edge_mix``), ``relu``, the attention
+layers' fused pair scores (``additive_scores`` for GAT and hyperatten,
+``gatv2_scores`` for GATv2), normalizers (``log_softmax``,
+``segment_softmax``) and masked ``dropout``, plus ``mean``, the reduction
+every gradient check ends in.  No layer calls ``leaky_relu`` any more; it
+stays because the benchmark tracer wraps it by name and the test oracles
+build the chains the fused score ops replace from it, ``take_rows`` and
+``add``.  Gathers and scatters are linear maps too: ``take_rows`` (and
 ``gatv2_scores``) scatters its gradient back through a 0/1 selection
 matrix, and ``edge_mix`` is a CSR matrix whose fixed pattern holds the
 pairs, row by row, and whose data is the per-pair coefficients.  Both are
@@ -48,6 +52,7 @@ import scipy.sparse as sp
 __all__ = [
     "Tensor",
     "add",
+    "additive_scores",
     "concat",
     "dropout",
     "edge_mix",
@@ -240,6 +245,34 @@ def _leaky_slopes(pos: np.ndarray, slope: float) -> np.ndarray:
     return out
 
 
+def additive_scores(s_a: Tensor, a, s_b: Tensor, b, slope: float, bias=None) -> Tensor:
+    """Pair scores ``LeakyReLU(s_a[a] + s_b[b])``, plus a constant ``bias`` after it.
+
+    GAT's and hyperatten's scores, shape (pairs, 1) from one-column ``s_a``
+    and ``s_b``.  Bit for bit the chain ``add(leaky_relu(add(take_rows(s_a,
+    a), take_rows(s_b, b)), slope), bias)``, but the tape keeps one bool per
+    pair, the pre-activation's sign, where the chain keeps four or five
+    float64 arrays.  The backward scales ``g`` by LeakyReLU's slopes and
+    scatters it to ``s_a``, then to ``s_b``, as ``take_rows`` scatters one
+    column (``_scatter_column``).
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    z = np.take(s_a.value, a, axis=0)
+    z += np.take(s_b.value, b, axis=0)
+    pos = z > 0
+    out = np.maximum(z, slope * z, out=z)
+    if bias is not None:
+        out += bias
+
+    def backward(g):
+        g_pre = _leaky_slopes(pos, slope)
+        g_pre *= g
+        _accumulate(s_a, _scatter_column(a, g_pre, s_a.value.shape))
+        _accumulate(s_b, _scatter_column(b, g_pre, s_b.value.shape))
+
+    return Tensor(out, (s_a, s_b), backward)
+
+
 def log_softmax(a: Tensor) -> Tensor:
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -285,9 +318,8 @@ def take_rows(a: Tensor, idx) -> Tensor:
     rows = np.asarray(idx)
 
     def backward(g):
-        if g.shape[1:] in ((), (1,)):  # adds as the selection product: in order, from zero
-            ga = np.bincount(rows, weights=g.ravel(), minlength=a.value.shape[0])
-            return _accumulate(a, ga.reshape(a.value.shape))
+        if g.shape[1:] in ((), (1,)):
+            return _accumulate(a, _scatter_column(rows, g, a.value.shape))
         if (rows[1:] > rows[:-1]).all():
             ga = np.zeros(a.value.shape)
             ga[rows] = g
@@ -296,6 +328,12 @@ def take_rows(a: Tensor, idx) -> Tensor:
         _accumulate(a, _selection(rows, a.value.shape[0]) @ g)
 
     return Tensor(np.take(a.value, rows, axis=0), (a,), backward)
+
+
+def _scatter_column(rows: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """One-column ``g`` added at ``rows`` of zeros of ``shape``: ``np.bincount``
+    adds in pair order, from zero, as the selection product does."""
+    return np.bincount(rows, weights=g.ravel(), minlength=shape[0]).reshape(shape)
 
 
 def _selection(rows: np.ndarray, num_rows: int) -> sp.csr_matrix:

@@ -215,12 +215,6 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> n
     return rng.uniform(-limit, limit, size=shape if shape is not None else (fan_in, fan_out))
 
 
-def _additive_scores(s_a: ad.Tensor, a: np.ndarray, s_b: ad.Tensor,
-                     b: np.ndarray) -> ad.Tensor:
-    """The pair scores ``LeakyReLU(s_a[a] + s_b[b])`` of GAT and hyperatten."""
-    return ad.leaky_relu(ad.add(ad.take_rows(s_a, a), ad.take_rows(s_b, b)), LEAKY_SLOPE)
-
-
 def _attend(scores: ad.Tensor, h: ad.Tensor, pattern: sp.csr_matrix,
             rows: np.ndarray) -> ad.Tensor:
     """Softmax ``scores`` within each of ``pattern``'s rows, then mix ``h``'s rows by them."""
@@ -258,7 +252,11 @@ class SAGELayer:
 
 
 class GATLayer:
-    """Single-head additive attention over neighbors plus self."""
+    """Single-head additive attention over neighbors plus self.
+
+    The pair scores ``LeakyReLU(s_src[src] + s_dst[dst])`` are one op,
+    ``autodiff.additive_scores``, whose tape keeps one bool per pair.
+    """
 
     def __init__(self, d_in: int, d_out: int, rng):
         self.theta = ad.Tensor(glorot(rng, d_in, d_out))
@@ -273,7 +271,8 @@ class GATLayer:
         s_src = ad.matmul(h, self.a_src)
         s_dst = ad.matmul(h, self.a_dst)
         src, dst = gt.a_hat.indices, gt.att_dst
-        return _attend(_additive_scores(s_src, src, s_dst, dst), h, gt.a_hat, dst)
+        scores = ad.additive_scores(s_src, src, s_dst, dst, LEAKY_SLOPE)
+        return _attend(scores, h, gt.a_hat, dst)
 
 
 class GATv2Layer:
@@ -325,10 +324,12 @@ class HyperAttenLayer:
 
     Hyperedge messages are sums of transformed member rows; per-incidence
     scores add the log hyperedge weight before the segment softmax, which
-    reproduces weighted normalized mixing exactly.  The (node, hyperedge)
-    pairs are ``incidence``'s structure, node by node with hyperedges
-    ascending, and each hyperedge's message sums its members in ascending
-    order, as the graph stores them.
+    reproduces weighted normalized mixing exactly.  The scores
+    ``LeakyReLU(s_node[node] + s_edge[edge]) + log w[edge]`` are one op,
+    ``autodiff.additive_scores``, whose tape keeps one bool per pair.  The
+    (node, hyperedge) pairs are ``incidence``'s structure, node by node with
+    hyperedges ascending, and each hyperedge's message sums its members in
+    ascending order, as the graph stores them.
     """
 
     def __init__(self, d_in: int, d_out: int, rng):
@@ -345,8 +346,8 @@ class HyperAttenLayer:
         s_node = ad.matmul(h, self.a_node)
         s_edge = ad.matmul(z, self.a_edge)
         node, edge = gt.inc_node, gt.incidence.indices
-        raw = _additive_scores(s_node, node, s_edge, edge)
-        scores = ad.add(raw, gt.log_weights[edge].reshape(-1, 1))
+        scores = ad.additive_scores(s_node, node, s_edge, edge, LEAKY_SLOPE,
+                                    gt.log_weights[edge].reshape(-1, 1))
         return _attend(scores, z, gt.incidence, node)
 
 

@@ -257,8 +257,7 @@ def sample_uniform_hyperedges(g: HybridGraph, budget: int, rng) -> SampledSubgra
     if budget < 1 or budget > m:
         raise ValueError(f"budget must be in [1, {m}], got {budget}")
     picked = rng.choice(m, size=budget, replace=False)
-    members, offsets = g.incidence_arrays
-    return induce(g, gather_rows(offsets, members, picked))
+    return induce(g, gather_rows(g.hyperedges.offsets, g.hyperedges.members, picked))
 
 
 def run_sampler(g: HybridGraph, spec: SamplerSpec, rng) -> SampledSubgraph:

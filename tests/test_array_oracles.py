@@ -978,6 +978,38 @@ def gatv2_scores_chain(h_l, h_r, a, src, dst, slope):
     return ad.matmul(leaky_relu_where(pair, slope), a)
 
 
+def additive_scores_chain(s_a, a, s_b, b, slope, bias=None):
+    """GAT's and hyperatten's scores as the layers composed them before
+    ``additive_scores``."""
+    raw = ad.leaky_relu(ad.add(ad.take_rows(s_a, a), ad.take_rows(s_b, b)), slope)
+    return raw if bias is None else ad.add(raw, bias)
+
+
+def gat_chain(layer, gt, x):
+    h = ad.matmul(x, layer.theta)
+    s_src = ad.matmul(h, layer.a_src)
+    s_dst = ad.matmul(h, layer.a_dst)
+    src, dst = gt.a_hat.indices, gt.att_dst
+    scores = additive_scores_chain(s_src, src, s_dst, dst, LEAKY_SLOPE)
+    alpha = ad.segment_softmax(scores, dst, gt.a_hat.shape[0])
+    return ad.edge_mix(alpha, h, gt.a_hat, dst)
+
+
+def hyperatten_chain(layer, gt, x):
+    h = ad.matmul(x, layer.theta)
+    z = ad.matmul(gt.incidence_t, h, gt.incidence)
+    s_node = ad.matmul(h, layer.a_node)
+    s_edge = ad.matmul(z, layer.a_edge)
+    node, edge = gt.inc_node, gt.incidence.indices
+    scores = additive_scores_chain(s_node, node, s_edge, edge, LEAKY_SLOPE,
+                                   gt.log_weights[edge].reshape(-1, 1))
+    alpha = ad.segment_softmax(scores, node, gt.incidence.shape[0])
+    return ad.edge_mix(alpha, z, gt.incidence, node)
+
+
+CHAIN_LAYERS = {"gat": gat_chain, "hyperatten": hyperatten_chain}
+
+
 # The loop layers read their pairs from the patterns' COO form, in storage
 # order, not from the arrays the layers use.
 
@@ -1093,6 +1125,61 @@ def test_gatv2_scores_match_composed_ops(k, d):
         out = scores(*tensors, src, dst, LEAKY_SLOPE)
         backprop(out, upstream)
         results.append([out.value] + [t.grad for t in tensors])
+    for got, want in zip(*results):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 16, 500])
+def test_additive_scores_match_composed_ops(k, with_bias, index_dtype):
+    # Indices repeat and are unsorted, and row 39 of s_a is no pair's.  The
+    # first pairs run (i, i) over rows 0-7 twice, whose sums are exactly
+    # 0.0 (five ways), -0.0, a negative denormal and 2.0, each repeated:
+    # ties at the kink and away from it.  The bias holds exact zeros (log 1).
+    rng = np.random.default_rng(790 + k + 2 * with_bias)
+    n = 40
+    s_a_value, s_b_value = rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
+    s_a_value[:8, 0] = [0.0, -0.0, -0.0, 5e-324, -5e-324, 2.5, -2.5, 1.0]
+    s_b_value[:8, 0] = [-0.0, -0.0, 0.0, -5e-324, -5e-324, -2.5, 2.5, 1.0]
+    a, b = rng.integers(n - 1, size=k), rng.integers(n, size=k)
+    crafted = np.tile(np.arange(8), 2)[:k]
+    a[:crafted.size] = b[:crafted.size] = crafted
+    a, b = a.astype(index_dtype), b.astype(index_dtype)
+    bias = np.log(rng.choice([1.0, 0.5, 2.0], size=(k, 1))) if with_bias else None
+    upstream = rng.standard_normal((k, 1))
+    upstream[::7] = -0.0
+    results = []
+    for scores in (ad.additive_scores, additive_scores_chain):
+        s_a, s_b = ad.Tensor(s_a_value), ad.Tensor(s_b_value)
+        out = scores(s_a, a, s_b, b, LEAKY_SLOPE, bias)
+        # A product with the upstream makes a scalar root on no pairs too.
+        ad.matmul(upstream.T, out).backward()
+        results.append((out.value, s_a.grad, s_b.grad))
+    for got, want in zip(*results):
+        assert_same_bits(got, want)
+    pre = (s_a_value + s_b_value)[:8, 0]
+    assert (pre == 0).sum() == 6 and np.signbit(pre[1]) and pre[4] < 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(CHAIN_LAYERS))
+def test_attention_layer_matches_composed_score_chain(name, seed):
+    # The whole layer against the one whose scores are the op chain: every
+    # gradient's terms must be added in the chain's order.  Seed 0 has no
+    # hyperedges, so hyperatten scores an empty pair list.
+    rng = np.random.default_rng(800 + seed)
+    g = random_graph(rng, int(rng.integers(8, 80)), 0 if seed == 0 else int(rng.integers(1, 30)))
+    gt = build_graph_tensors(g)
+    layer = LAYER_TYPES[name](3, 5, np.random.default_rng(seed))
+    upstream = rng.standard_normal((g.num_nodes, 5))
+    results = []
+    for forward in (layer.forward, lambda gt, x: CHAIN_LAYERS[name](layer, gt, x)):
+        for p in layer.params():
+            p.grad = None
+        out = forward(gt, ad.Tensor(g.node_features))
+        backprop(out, upstream)
+        results.append([out.value] + [p.grad for p in layer.params()])
     for got, want in zip(*results):
         assert_same_bits(got, want)
 

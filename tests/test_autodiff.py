@@ -204,6 +204,27 @@ class TestNonlinearities:
             [h_l, h_r, a],
         )
 
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_additive_scores(self, with_bias):
+        # Unsorted pairs with repeats; row 3 of s_a and row 0 of s_b are no pair's.
+        rng = np.random.default_rng(14)
+        s_a = ad.Tensor(rng.standard_normal((4, 1)))
+        s_b = ad.Tensor(rng.standard_normal((4, 1)))
+        a = np.array([2, 0, 2, 1, 0, 2, 1])
+        b = np.array([1, 3, 3, 2, 1, 2, 1])
+        bias = rng.standard_normal((7, 1)) if with_bias else None
+        pre = s_a.value[a] + s_b.value[b]
+        assert np.abs(pre).min() > 0.01 and (pre > 0).any() and (pre < 0).any()
+        out = ad.additive_scores(s_a, a, s_b, b, 0.2, bias)
+        want = np.where(pre > 0, pre, 0.2 * pre) + (0.0 if bias is None else bias)
+        np.testing.assert_allclose(out.value, want)
+        weights = rng.standard_normal((7, 1))
+        gradcheck(
+            lambda: ad.mean(ad.dropout(ad.additive_scores(s_a, a, s_b, b, 0.2, bias),
+                                       weights, 1.0)),
+            [s_a, s_b],
+        )
+
     def test_log_softmax(self):
         rng = np.random.default_rng(13)
         x = ad.Tensor(rng.standard_normal((4, 5)))

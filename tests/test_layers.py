@@ -436,37 +436,66 @@ class TestFeaturesTakeNoGradient:
         assert all(t.shape != g.node_features.shape for t in made)
 
 
+def step_peak(g, name) -> int:
+    """Traced peak bytes of one full-batch step on ``g`` after a first, with
+    that step's out and loss still bound (as train_single binds them)."""
+    model, step = training_step(g, name)
+    with ad.no_grad():  # builds the graph's operators
+        model.forward(build_graph_tensors(g))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out, loss = step()
+        tracemalloc.reset_peak()
+        out, loss = step()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestStepMemory:
-    # Traced peak of one full-batch step on 5k nodes, d=32, with the previous
-    # step's out and loss still bound (as train_single binds them), in units
-    # of one (n, 32) float64 array.  Measured: gcn 7.5, sage 10.6, gat 8.6,
-    # gatv2 13.8, hyperconv 7.7, hyperatten 7.9 and lp 13.3.  A tape that
-    # outlives its backward, or gradients kept until backward returns, read
-    # 27-55 units.
-    BOUNDS = {"gcn": 9, "sage": 12, "gat": 10, "gatv2": 16, "hyperconv": 9,
+    # Traced peak of one full-batch step on 5k nodes, d=32, in units of one
+    # (n, 32) float64 array.  Measured: gcn 7.3, sage 10.4, gat 7.9, gatv2
+    # 13.7, hyperconv 7.5, hyperatten 7.6 and lp 13.0; gat 8.5 and
+    # hyperatten 7.8 with scores composed of take_rows, add and leaky_relu.
+    # A tape that outlives its backward, or gradients kept until backward
+    # returns, read 27-55 units.
+    BOUNDS = {"gcn": 9, "sage": 12, "gat": 9, "gatv2": 16, "hyperconv": 9,
               "hyperatten": 9, "lp:gcn+hyperconv": 15}
     N = 5000
+    # The same step where pairs far outnumber nodes: 2,000 nodes of average
+    # degree 40 and 2,000 hyperedges of 40 members, so gat scores 82k
+    # (edge) pairs and hyperatten 80k (incidence) pairs.  In units of one
+    # (pairs,) float64 array: measured gat 11.6 and hyperatten 12.6.  The
+    # composed scores, whose tape keeps four or five such arrays, read 17.4
+    # and 22.4.
+    PAIR_BOUND = 14
 
     @pytest.fixture(scope="class")
     def large(self):
         return make_classification_graph(num_nodes=self.N, feature_dim=32,
                                          num_hyperedges=self.N // 5, seed=0)
 
+    @pytest.fixture(scope="class")
+    def pair_heavy(self):
+        g = make_classification_graph(num_nodes=2000, feature_dim=32, avg_degree=40,
+                                      num_hyperedges=0, seed=0)
+        rng = np.random.default_rng(0)
+        hyperedges = [rng.choice(2000, size=40, replace=False) for _ in range(2000)]
+        return dataclasses.replace(g, hyperedges=hyperedges,
+                                   hyperedge_weights=rng.uniform(0.5, 2.0, size=2000))
+
     @pytest.mark.parametrize("name", STEP_MODELS)
     def test_step_peak_is_bounded(self, large, name):
-        model, step = training_step(large, name)
-        with ad.no_grad():  # builds the graph's operators
-            model.forward(build_graph_tensors(large))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out, loss = step()
-            tracemalloc.reset_peak()
-            out, loss = step()
-            units = (tracemalloc.get_traced_memory()[1] - base) / (self.N * 32 * 8)
-        finally:
-            tracemalloc.stop()
+        units = step_peak(large, name) / (self.N * 32 * 8)
         assert units < self.BOUNDS[name]
+
+    @pytest.mark.parametrize("name", ["gat", "hyperatten"])
+    def test_step_peak_per_pair_is_bounded(self, pair_heavy, name):
+        gt = build_graph_tensors(pair_heavy)
+        pairs = (gt.a_hat if name == "gat" else gt.incidence).nnz
+        units = step_peak(pair_heavy, name) / (pairs * 8)
+        assert units < self.PAIR_BOUND
 
 
 class TestGCN:
