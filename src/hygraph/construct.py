@@ -114,7 +114,7 @@ def ball_hyperedges(
         raise ValueError(f"embeddings must be 2-D, got shape {emb.shape}")
     if not np.all(np.isfinite(emb)):
         raise ValueError("embeddings contain non-finite values")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     n = emb.shape[0]
     if metric == "euclidean":

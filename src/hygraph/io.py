@@ -250,8 +250,12 @@ def load_file(path: str) -> DatasetFile:
     if embeddings is not None:
         embeddings = _matrix(embeddings, path, "embeddings", n)
 
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise SchemaError(f"{path}: field 'name' must be a string")
+
     return DatasetFile(
-        name=obj.get("name", ""),
+        name=name,
         num_nodes=n,
         node_features=features,
         edges=edges,

@@ -22,22 +22,19 @@ layers' fused pair scores (``additive_scores`` for GAT and hyperatten,
 ``segment_softmax``) and masked ``dropout``, plus ``mean``, the reduction
 every gradient check ends in.  No layer calls ``leaky_relu`` any more; it
 stays because the benchmark tracer wraps it by name and the test oracles
-build the chains the fused score ops replace from it, ``take_rows`` and
-``add``.  Gathers and scatters are linear maps too: ``take_rows`` (and
-``gatv2_scores``) scatters its gradient back through a 0/1 selection
-matrix, and ``edge_mix`` is a CSR matrix whose fixed pattern holds the
-pairs, row by row, and whose data is the per-pair coefficients.  Both are
-applied as scipy sparse products.  Such a product adds each output row's
-terms in storage order, starting from zero, so its floats equal those of
-a loop that adds the pairs one by one in that order; and every gradient
+build the chains the fused score ops replace from it.  ``take_rows``
+gathers the loss rows alone, unique and ascending, and places their
+gradient.  The other scatters add each row's terms in pair order from
+zero, as a loop over the pairs would: ``additive_scores``' through
+``np.bincount``, ``gatv2_scores``' through 0/1 selection matrices, and
+``edge_mix``'s through a CSR matrix whose fixed pattern holds the pairs,
+row by row, and whose data is the per-pair coefficients.  Every gradient
 stays a hand-derivable expression checked by finite differences.
 
-Graph operators are built once per graph, not once per step.  ``matmul``'s
-backward reads the stored adjoint of a sparse left operand, ``a.T.tocsr()``,
-a CSR with sorted indices that adds each output row's terms in the order
-the CSC product of ``a.T`` does; and GATv2's selection matrices are
-``_selection``'s, stored with the graph.  Loss rows, unique and sorted,
-scatter their gradient without a selection matrix.
+This module builds no graph operator; the layers build each once per graph
+and hand it in: the selection matrices, and the adjoint of ``matmul``'s
+sparse left operand, ``a.T.tocsr()``, a CSR with sorted indices that adds
+each output row's terms in the order the CSC product of ``a.T`` does.
 
 Inside ``no_grad()`` every op computes the same values but records no
 tape: its output keeps no parents and no backward closure, so nothing
@@ -249,12 +246,11 @@ def additive_scores(s_a: Tensor, a, s_b: Tensor, b, slope: float, bias=None) -> 
     """Pair scores ``LeakyReLU(s_a[a] + s_b[b])``, plus a constant ``bias`` after it.
 
     GAT's and hyperatten's scores, shape (pairs, 1) from one-column ``s_a``
-    and ``s_b``.  Bit for bit the chain ``add(leaky_relu(add(take_rows(s_a,
-    a), take_rows(s_b, b)), slope), bias)``, but the tape keeps one bool per
-    pair, the pre-activation's sign, where the chain keeps four or five
-    float64 arrays.  The backward scales ``g`` by LeakyReLU's slopes and
-    scatters it to ``s_a``, then to ``s_b``, as ``take_rows`` scatters one
-    column (``_scatter_column``).
+    and ``s_b``.  Bit for bit the chain ``add(leaky_relu(add(s_a[a], s_b[b]),
+    slope), bias)`` whose gathers scatter-add in pair order, but the tape
+    keeps one bool per pair, the pre-activation's sign, where the chain keeps
+    four or five float64 arrays.  The backward scales ``g`` by LeakyReLU's
+    slopes and scatters it to ``s_a``, then to ``s_b`` (``_scatter_column``).
     """
     a, b = np.asarray(a), np.asarray(b)
     z = np.take(s_a.value, a, axis=0)
@@ -309,41 +305,29 @@ def segment_softmax(scores: Tensor, segments, num_segments: int) -> Tensor:
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows; the transpose scatter-adds, so repeats accumulate.
+    """Gather the loss rows, which must be unique and ascending.
 
-    Each backward equals the selection product bit for bit.  Unique sorted
-    rows (the loss rows) are placed, then ``+ 0.0`` turns -0.0 into +0.0
-    as the product's ``0.0 + 1.0·x`` does.
+    The backward places ``g`` at those rows of zeros, then ``+ 0.0`` turns
+    -0.0 into +0.0 as a selection product's ``0.0 + 1.0·x`` does, so the
+    gradient equals that product bit for bit.
     """
     rows = np.asarray(idx)
+    if not (rows[1:] > rows[:-1]).all():
+        raise ValueError("take_rows gathers unique ascending rows; got repeated or unsorted rows")
 
     def backward(g):
-        if g.shape[1:] in ((), (1,)):
-            return _accumulate(a, _scatter_column(rows, g, a.value.shape))
-        if (rows[1:] > rows[:-1]).all():
-            ga = np.zeros(a.value.shape)
-            ga[rows] = g
-            ga += 0.0
-            return _accumulate(a, ga)
-        _accumulate(a, _selection(rows, a.value.shape[0]) @ g)
+        ga = np.zeros(a.value.shape)
+        ga[rows] = g
+        ga += 0.0
+        _accumulate(a, ga)
 
     return Tensor(np.take(a.value, rows, axis=0), (a,), backward)
 
 
 def _scatter_column(rows: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     """One-column ``g`` added at ``rows`` of zeros of ``shape``: ``np.bincount``
-    adds in pair order, from zero, as the selection product does."""
+    adds in pair order, from zero, as a selection product does."""
     return np.bincount(rows, weights=g.ravel(), minlength=shape[0]).reshape(shape)
-
-
-def _selection(rows: np.ndarray, num_rows: int) -> sp.csr_matrix:
-    """The (num_rows, k) 0/1 matrix whose column j selects row ``rows[j]``.
-
-    Its product with a (k, d) gradient adds each row's entries in pair order,
-    as COO's stable counting sort keeps them.
-    """
-    k = rows.size
-    return sp.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(num_rows, k))
 
 
 def edge_mix(alpha: Tensor, h: Tensor, pattern: sp.csr_matrix, rows) -> Tensor:
@@ -397,17 +381,16 @@ def gatv2_scores(h_l: Tensor, h_r: Tensor, a: Tensor, src, dst, slope: float,
                  selections) -> Tensor:
     """GATv2's pair scores ``LeakyReLU(h_l[src] + h_r[dst]) @ a``, shape (pairs, 1).
 
-    Bit for bit the chain ``matmul(leaky_relu(add(take_rows(h_l, src),
-    take_rows(h_r, dst)), slope), a)`` (Brody et al., arXiv:2105.14491), but
+    Bit for bit the chain ``matmul(leaky_relu(add(h_l[src], h_r[dst]), slope),
+    a)`` (Brody et al., arXiv:2105.14491), gathers as in ``additive_scores``, but
     the forward works in blocks of ``_PAIR_BLOCK`` pairs and keeps no
     (pairs, d) array.  The backward rebuilds the activations, block by
     block, in one (pairs, d) buffer and gives ``a`` its gradient as the
     chain's single product over that buffer (per-block products would add
     in another order).  It then overwrites each block with ``(g aᵀ)`` times
     LeakyReLU's slopes, in that order, and scatters the buffer to ``h_l``
-    and ``h_r`` in pair order, as ``take_rows`` does, through the selection
-    matrices of ``src`` and ``dst`` (``_selection``'s) in ``selections``,
-    built once per graph by their owner.
+    and ``h_r`` in pair order through ``selections``, the 0/1 selection
+    matrices of ``src`` and ``dst`` that ``layers.GraphTensors`` stores.
 
     One caveat on the bits: where OpenBLAS threads the chain's full
     matrix-vector product, the row at a thread boundary can be summed in

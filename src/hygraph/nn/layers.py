@@ -3,14 +3,15 @@
 Every layer maps a node feature matrix (n, d_in) to (n, d_out) using
 structure held in :class:`GraphTensors`, which builds each group of
 structures the first time a layer reads it: a gcn batch builds ``a_hat`` and
-nothing else.  The groups are kept on the graph, like its ``adjacency_csr``,
-so every later trial, model and evaluation on the same graph object builds
-nothing, and a sampled batch's groups are freed with its subgraph.  Patterns
-are read off the graph's indexes, ``adjacency_csr`` and
-``member_positions``.  Hypergraph convolution keeps its two incidence
-factors, so nothing grows with Σ|e|².  Each sparse operator's builder also
-builds its adjoint, its transpose as a CSR with sorted indices, which the
-layers hand ``autodiff.matmul`` to read in place of ``.T``.
+nothing else.  Only this module builds graph operators.  It keeps each
+graph's groups beside it, in a map weakly keyed by the graph, so every later
+trial, model and evaluation on that object builds nothing, a batch's groups
+go with its subgraph, and the graph holds none.  Patterns are read off the
+graph's indexes, ``adjacency_csr`` and ``member_positions``.  Hypergraph
+convolution keeps its two incidence factors, so nothing grows with Σ|e|².
+Each sparse operator's builder also builds its adjoint, its transpose as a
+CSR with sorted indices, which the layers hand ``autodiff.matmul`` to read
+in place of ``.T``.
 
 Attention never materializes dense score matrices; scores live on the edge
 or incidence pair lists and are normalized with a segment softmax over the
@@ -21,6 +22,8 @@ gradients are sparse products.  The attention patterns, like the incidence
 factors, keep their columns ascending in each row; ``incidence_t``'s rows
 are the hyperedges' members as the graph stores them, ascending.
 """
+
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,10 +65,12 @@ def _attention(gt) -> dict:
 
 
 def _att_selections(gt) -> dict:
-    """The 0/1 selection matrices of GATv2's gathers ``a_hat.indices`` and ``att_dst``."""
-    n = gt.graph.num_nodes
-    return {"src_selection": ad._selection(gt.a_hat.indices, n),
-            "dst_selection": ad._selection(gt.att_dst, n)}
+    """GATv2's 0/1 selection matrices: column j of ``src_selection`` selects row
+    ``a_hat.indices[j]``, of ``dst_selection`` row ``att_dst[j]``.  A product with
+    either adds each row's entries in pair order, as COO's stable counting sort keeps them."""
+    n, k = gt.graph.num_nodes, gt.att_dst.size
+    return {name: sp.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(n, k))
+            for name, rows in (("src_selection", gt.a_hat.indices), ("dst_selection", gt.att_dst))}
 
 
 def _mean_adj(gt) -> dict:
@@ -127,23 +132,14 @@ def _read_only(group: dict) -> dict:
     return group
 
 
-# The key of a graph's instance dict that holds its built groups, by builder.
-# Only arrays and matrices are kept there, never a ``GraphTensors``, so the
-# graph and its groups form no reference cycle.
-_GROUPS = "graph_tensor_groups"
-
-
-class _Groups(dict):
-    """A graph's built groups.  A cache: a pickled or deep-copied graph
-    carries none and builds its own."""
-
-    def __reduce__(self):
-        return _Groups, ()
+# Each graph's built groups, ``{builder: group}``, weakly keyed by the graph, so
+# an entry goes with its graph.  A group holds arrays and matrices, never a graph.
+_GROUPS = weakref.WeakKeyDictionary()
 
 
 class GraphTensors:
     """The structure every layer reads, each group built on its first read
-    of the graph and reused by every ``GraphTensors`` of that graph.
+    of the graph, kept in ``_GROUPS`` and reused by every ``GraphTensors`` of it.
 
     Every matrix is CSR.  Each pair list attention reads is a CSR pattern,
     columns ascending in each row, plus an int64 array that holds each
@@ -157,8 +153,8 @@ class GraphTensors:
       source), the neighbour CSR of A + I, so ``D̃`` is its row lengths;
       gat and gatv2 read its structure as their pairs.  ``att_dst`` (gat,
       gatv2): each attention pair's target, the softmax segment.
-    * selections (gatv2): ``src_selection`` and ``dst_selection``, the
-      ``autodiff._selection`` of ``a_hat.indices`` and ``att_dst``.
+    * selections (gatv2): ``src_selection`` and ``dst_selection``, the 0/1
+      selection matrices of ``a_hat.indices`` and ``att_dst``.
     * ``mean_adj`` (sage): ``D⁻¹ A``, zero rows for isolated nodes.
     * incidence (hyperatten): ``incidence_t``, CSR ``Hᵀ``, members
       ascending, and ``incidence``, CSR ``H`` off ``member_positions``, on
@@ -181,10 +177,10 @@ class GraphTensors:
 
     def __getattr__(self, name):
         """Copy in the group that holds ``name``, built once per graph and
-        kept in the graph's ``_GROUPS`` entry; later reads find it in ``__dict__``."""
+        kept in ``_GROUPS`` under the graph; later reads find it in ``__dict__``."""
         if name not in _BUILDERS:
             raise AttributeError(f"'GraphTensors' object has no attribute {name!r}")
-        build, groups = _BUILDERS[name], vars(self.graph).setdefault(_GROUPS, _Groups())
+        build, groups = _BUILDERS[name], _GROUPS.setdefault(self.graph, {})
         if build not in groups:
             groups[build] = _read_only(build(self))
         vars(self).update(groups[build])
@@ -197,9 +193,9 @@ class GraphTensors:
         No layer reads it; the benchmark tracer reports its nnz, which is
         that of hyperconv's ``D_v⁻¹ H W D_e⁻¹ Hᵀ``.  It reads the graph's
         stored incidence group, or builds one it keeps nowhere, so reading
-        it leaves nothing on a graph whose layers never read that group.
+        it stores nothing for a graph whose layers never read that group.
         """
-        inc = vars(self.graph).get(_GROUPS, {}).get(_incidence) or _incidence(self)
+        inc = _GROUPS.get(self.graph, {}).get(_incidence) or _incidence(self)
         return (inc["incidence"] @ inc["incidence_t"]).tocsr()
 
 

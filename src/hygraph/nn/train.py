@@ -15,8 +15,8 @@ The parent graph is validated on its first trial and then marked valid;
 sampled batches are not checked again, because a subgraph that ``induce``
 cuts from a valid graph is valid by construction (see ``sampling.induce``).
 The graph's operators are built on its first trial that reads them and kept
-on the graph object (see ``layers.GraphTensors``), so later trials and calls
-on it build none; each batch's are freed with its subgraph.
+beside it (see ``layers.GraphTensors``), so later trials and calls on it
+build none; each batch's are freed with its subgraph.
 """
 
 import json
@@ -57,8 +57,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.saint is not None and self.batches_per_epoch < 1:

@@ -42,16 +42,28 @@ def file_checksum(path: str) -> str:
 _MODEL_KEYS = ("hidden", "dropout")
 _SAMPLER_KEYS = ("budget", "roots", "walk_length")
 _TRAIN_KEYS = ("epochs", "lr", "trials", "batches_per_epoch")
-_MANIFEST_KEYS = {"dataset", "model", "saint", *_MODEL_KEYS, *_SAMPLER_KEYS, *_TRAIN_KEYS}
 
 
-def _run_config(defaults: dict, overrides: dict) -> dict:
+# The JSON types each manifest key takes, and their name; a bool is none of them.
+_KEY_TYPES = {**dict.fromkeys(_MODEL_KEYS + _SAMPLER_KEYS + _TRAIN_KEYS, (int, "an integer")),
+              "lr": ((int, float), "a number"), "dropout": ((int, float), "a number"),
+              "saint": ((str, type(None)), "a string or null"),
+              **dict.fromkeys(("dataset", "model"), (str, "a string"))}
+
+
+def _run_config(index: int, defaults: dict, overrides) -> dict:
+    """Run ``index``'s config; errors name the run and the key."""
+    if not isinstance(overrides, dict):
+        raise ValueError(f"run {index}: each run must be a JSON object")
     cfg = {**defaults, **overrides}
-    for key in cfg:
-        if key not in _MANIFEST_KEYS:
-            raise ValueError(f"unknown manifest key {key!r}")
+    for key, value in cfg.items():
+        if key not in _KEY_TYPES:
+            raise ValueError(f"run {index}: unknown manifest key {key!r}")
+        types, name = _KEY_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"run {index}: manifest key {key!r} must be {name}, got {value!r}")
     if not cfg.get("model") or not cfg.get("dataset"):
-        raise ValueError("every run needs 'dataset' and 'model'")
+        raise ValueError(f"run {index}: every run needs 'dataset' and 'model'")
     return cfg
 
 
@@ -75,16 +87,20 @@ def _execute_run(cfg: dict, base_seed: int) -> dict:
 
 
 def run_experiment_suite(manifest: dict) -> dict:
-    """Run every entry in the manifest; never raises on a missing dataset."""
-    master_seed = int(manifest.get("master_seed", 0))
+    """Run every entry in the manifest, all checked first; never raises on a missing dataset."""
+    master_seed = manifest.get("master_seed", 0)
+    if isinstance(master_seed, bool) or not isinstance(master_seed, int):
+        raise ValueError(f"manifest key 'master_seed' must be an integer, got {master_seed!r}")
     defaults = manifest.get("defaults", {})
+    if not isinstance(defaults, dict):
+        raise ValueError("manifest key 'defaults' must be a JSON object")
     runs = manifest.get("runs", [])
     if not isinstance(runs, list) or not runs:
         raise ValueError("manifest needs a non-empty 'runs' list")
+    configs = [_run_config(i, defaults, overrides) for i, overrides in enumerate(runs)]
     rows = []
     num_failed = 0
-    for i, overrides in enumerate(runs):
-        cfg = _run_config(defaults, overrides)
+    for i, cfg in enumerate(configs):
         base_seed = master_seed + RUN_SEED_STRIDE * i
         row = {
             "index": i,

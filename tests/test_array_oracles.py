@@ -776,7 +776,7 @@ def test_stored_adjoints_match_transposes(name):
         num_nodes = gt.a_hat.shape[0]
         for selection, rows in ((gt.src_selection, gt.a_hat.indices),
                                 (gt.dst_selection, gt.att_dst)):
-            assert_same_matrix(selection, ad._selection(rows, num_nodes))
+            assert_same_matrix(selection, selection_matrix(rows, num_nodes))
 
 
 # -- weighted draws ------------------------------------------------------------
@@ -915,6 +915,9 @@ def test_triangles_match_networkx_and_product(name, block, monkeypatch):
 
 
 def take_rows_loop(a, idx):
+    """A gather of any rows, repeats and any order included.  Its backward's
+    ``np.add.at`` adds in pair order from zero, as ``selection_matrix(idx,
+    rows of a) @ g`` does, bit for bit."""
     rows = np.asarray(idx, dtype=np.int64)
 
     def backward(g):
@@ -974,14 +977,14 @@ def leaky_relu_where(a, slope):
 
 def gatv2_scores_chain(h_l, h_r, a, src, dst, slope):
     """GATv2's scores as the layer composed them before ``gatv2_scores``."""
-    pair = ad.add(ad.take_rows(h_l, src), ad.take_rows(h_r, dst))
+    pair = ad.add(take_rows_loop(h_l, src), take_rows_loop(h_r, dst))
     return ad.matmul(leaky_relu_where(pair, slope), a)
 
 
 def additive_scores_chain(s_a, a, s_b, b, slope, bias=None):
     """GAT's and hyperatten's scores as the layers composed them before
     ``additive_scores``."""
-    raw = ad.leaky_relu(ad.add(ad.take_rows(s_a, a), ad.take_rows(s_b, b)), slope)
+    raw = ad.leaky_relu(ad.add(take_rows_loop(s_a, a), take_rows_loop(s_b, b)), slope)
     return raw if bias is None else ad.add(raw, bias)
 
 
@@ -1118,7 +1121,7 @@ def test_gatv2_scores_match_composed_ops(k, d):
     values = (rng.standard_normal((n, d)), rng.standard_normal((n, d)),
               rng.standard_normal((d, 1)))
     upstream = rng.standard_normal((k, 1))
-    selections = (ad._selection(src, n), ad._selection(dst, n))
+    selections = (selection_matrix(src, n), selection_matrix(dst, n))
     results = []
     for scores in (lambda *args: ad.gatv2_scores(*args, selections), gatv2_scores_chain):
         tensors = [ad.Tensor(v) for v in values]
@@ -1211,10 +1214,14 @@ def test_activation_matches_where_form(name):
 
 @pytest.mark.parametrize("shape", [(50,), (50, 1), (50, 4)])
 def test_take_rows_matches_scatter_loop(shape):
+    # take_rows gathers unique ascending rows (the loss rows) and refuses
+    # any others, which the loop would scatter-add.
     rng = np.random.default_rng(710 + len(shape))
-    idx = rng.integers(shape[0] - 5, size=200)  # repeats; the last rows unused
+    with pytest.raises(ValueError, match="unique ascending"):
+        ad.take_rows(ad.Tensor(np.zeros(shape)), rng.integers(shape[0] - 5, size=200))
+    idx = np.sort(rng.choice(shape[0] - 5, size=30, replace=False))  # the last rows unused
     value = rng.standard_normal(shape)
-    upstream = rng.standard_normal((200,) + shape[1:])
+    upstream = rng.standard_normal((idx.size,) + shape[1:])
     grads = []
     for take in (ad.take_rows, take_rows_loop):
         a = ad.Tensor(value)
@@ -1225,10 +1232,10 @@ def test_take_rows_matches_scatter_loop(shape):
     np.testing.assert_array_equal(grads[0], grads[1])
 
 
-def selection_product(rows, g, num_rows):
-    """``take_rows``' scatter as a COO-built 0/1 selection matrix times ``g``."""
+def selection_matrix(rows, num_rows):
+    """The COO-built (num_rows, k) 0/1 matrix whose column j selects row ``rows[j]``."""
     k = rows.size
-    return sp.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(num_rows, k)) @ g
+    return sp.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(num_rows, k))
 
 
 SCATTER_ROWS = {
@@ -1245,22 +1252,30 @@ SCATTER_ROWS = {
 }
 
 
+# The row sets take_rows refuses: repeated or out of order.
+REFUSED_ROWS = {"sorted", "unsorted", "unique unsorted", "one row repeated"}
+
+
 @pytest.mark.parametrize("width", [None, 1, 2, 32])
 @pytest.mark.parametrize("name", sorted(SCATTER_ROWS))
 def test_take_rows_backward_matches_selection_product(name, width):
     # Specials (signed zeros, infinities, NaN) at many offsets, so sums hit
-    # -0.0 + -0.0, inf - inf and NaN propagation in both orders.
-    # Unique sorted rows (the loss rows) are placed, not multiplied, when
-    # wider than one column.
+    # -0.0 + -0.0, inf - inf and NaN propagation in both orders.  Unique
+    # ascending rows (the loss rows) are placed, which equals the product
+    # bit for bit; any other rows are refused.
     rng = np.random.default_rng(760 + len(name) + (width or 0))
     rows = SCATTER_ROWS[name](rng)
     shape = (rows.size,) if width is None else (rows.size, width)
     upstream = specials(rng, shape)
     a = ad.Tensor(np.zeros((40,) + shape[1:]))
     for idx in (rows, rows.astype(np.int32)):
+        if name in REFUSED_ROWS:
+            with pytest.raises(ValueError, match="unique ascending"):
+                ad.take_rows(a, idx)
+            continue
         a.grad = None
         ad.take_rows(a, idx)._backward(upstream)
-        assert_same_bits(a.grad, selection_product(rows, upstream, 40))
+        assert_same_bits(a.grad, selection_matrix(rows, 40) @ upstream)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -6,6 +6,7 @@ from scipy.special import expit
 from hygraph.graph import row_index
 from hygraph.nn import autodiff as ad
 from hygraph.nn.losses import bce_with_logits, mse, one_hot
+from tests.test_array_oracles import selection_matrix, take_rows_loop
 
 
 def gradcheck(build, tensors, step=1e-5, rtol=1e-4, atol=1e-7):
@@ -96,22 +97,25 @@ class TestLinearOps:
         gradcheck(lambda: ad.mean(ad.matmul(ad.concat([a, b], axis=1), mix)), [a, b])
 
     def test_take_rows_with_repeats(self):
-        rng = np.random.default_rng(6)
-        x = ad.Tensor(rng.standard_normal((4, 3)))
-        idx = np.array([0, 2, 2, 1, 0, 0])
-        mix = rng.standard_normal((3, 1))
-        gradcheck(lambda: ad.mean(ad.matmul(ad.take_rows(x, idx), mix)), [x])
+        # take_rows gathers the loss rows, unique and ascending, alone.
+        x = ad.Tensor(np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="unique ascending"):
+            ad.take_rows(x, np.array([0, 2, 2, 1, 0, 0]))
 
     @pytest.mark.parametrize("width", [None, 1, 3])
-    @pytest.mark.parametrize("idx", [[0, 0, 1, 2, 2, 2], [3, 0, 3, 1], [2]])
+    @pytest.mark.parametrize("idx", [[0, 0, 1, 2, 2, 2], [3, 0, 3, 1], [2], [0, 2, 3]])
     def test_take_rows_sorted_unsorted_and_one_column(self, idx, width):
-        # Sorted rows build their selection matrix directly, unsorted ones
-        # through COO, and one column scatters through a bincount.
+        # Repeated or unsorted rows are refused; unique ascending ones, one
+        # column or many, are placed.
         rng = np.random.default_rng(13)
         shape = (4,) if width is None else (4, width)
         x = ad.Tensor(rng.standard_normal(shape))
         idx = np.array(idx, dtype=np.int64)
         weights = rng.standard_normal((idx.size,) + shape[1:])
+        if (np.diff(idx) <= 0).any():
+            with pytest.raises(ValueError, match="unique ascending"):
+                ad.take_rows(x, idx)
+            return
         gradcheck(lambda: ad.mean(ad.dropout(ad.take_rows(x, idx), weights, 1.0)), [x])
 
     def test_edge_mix(self):
@@ -194,7 +198,7 @@ class TestNonlinearities:
         dst = np.array([1, 1, 2, 2, 3, 3])
         pre = h_l.value[src] + h_r.value[dst]
         assert np.abs(pre).min() > 0.01  # away from LeakyReLU's kink
-        selections = (ad._selection(src, 4), ad._selection(dst, 4))
+        selections = (selection_matrix(src, 4), selection_matrix(dst, 4))
         out = ad.gatv2_scores(h_l, h_r, a, src, dst, 0.2, selections)
         np.testing.assert_allclose(out.value, np.where(pre > 0, pre, 0.2 * pre) @ a.value)
         weights = rng.standard_normal((6, 1))
@@ -260,7 +264,7 @@ class TestNonlinearities:
 
         def build():
             alpha = ad.segment_softmax(scores, segments, 3)
-            mixed = ad.edge_mix(ad.take_rows(alpha, order), h, pattern, rows)
+            mixed = ad.edge_mix(take_rows_loop(alpha, order), h, pattern, rows)
             return ad.mean(ad.matmul(mixed, mix))
 
         gradcheck(build, [scores, h])

@@ -117,6 +117,18 @@ class TestConvert:
             written.append(out_path.read_bytes())
         assert written[0] == written[1]
 
+    def test_non_string_name_is_a_schema_error(self, capsys, tmp_path):
+        obj = json.loads((DATA / "synthetic_classification.json").read_text())
+        obj["name"] = 5
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(obj))
+        out_path = tmp_path / "x.json"
+        code, _, err = run(capsys, "convert", "--in", str(path), "--out", str(out_path),
+                           "--to", "simple")
+        assert code == 1
+        assert f"error: {path}: field 'name' must be a string" in err
+        assert "Traceback" not in err and not out_path.exists()
+
     def test_invalid_graph_names_the_file(self, capsys, tmp_path):
         obj = json.loads((DATA / "synthetic_classification.json").read_text())
         bad = len(obj["edges"])
@@ -165,6 +177,14 @@ class TestBuildHyperedges:
                          "--threshold", "2.0")
         assert code == 0
         assert load(out_path).hyperedges == ((0, 1), (0, 1), (2, 3), (2, 3))
+
+    def test_ball_refuses_a_nan_threshold(self, capsys, geo_dataset, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, _, err = run(capsys, "build-hyperedges", "--in", geo_dataset,
+                           "--out", str(out_path), "--method", "ball", "--threshold", "nan")
+        assert code == 1
+        assert "error: tau must be non-negative, got nan" in err and "Traceback" not in err
+        assert not out_path.exists()
 
     def test_ball_requires_threshold(self, capsys, geo_dataset, tmp_path):
         code, _, err = run(capsys, "build-hyperedges", "--in", geo_dataset,
@@ -324,6 +344,11 @@ class TestTrainEval:
         assert run(capsys, *args, "--out", a)[0] == 0
         assert run(capsys, *args, "--out", b)[0] == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+    def test_nan_lr_is_refused_before_training(self, capsys, class_dataset):
+        code, out, err = run(capsys, "train", class_dataset, "--model", "gcn", "--lr", "nan")
+        assert code == 1 and not out
+        assert "error: lr must be finite and positive, got nan" in err
 
     def test_saint_flag(self, capsys, class_dataset):
         code, out, _ = run(capsys, "train", class_dataset, "--model", "gcn",

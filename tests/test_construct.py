@@ -268,6 +268,11 @@ class TestBalls:
         for tau in (0.0, 0.3, 1.1):
             assert ball_hyperedges(emb, tau, metric) == whole_matrix_balls(emb, tau, metric)
 
+    def test_nan_tau_is_refused(self):
+        # A NaN tau compares false everywhere: every hyperedge would be empty.
+        with pytest.raises(ValueError, match="tau must be non-negative, got nan"):
+            ball_hyperedges(np.zeros((3, 2)), float("nan"))
+
     def test_memory_is_a_few_row_blocks(self):
         # 5000 points: the whole distance matrix would be 200 MB.
         emb = np.random.default_rng(46).standard_normal((5000, 4))

@@ -152,6 +152,9 @@ class TestLoad:
         ("hyperedge_weights", [float("inf")]),
         ("hyperedge_features", [[1.0, float("nan")]]),
         ("embeddings", [[0.0], [float("-inf")], [1.0]]),
+        ("name", 5),
+        ("name", None),
+        ("name", ["toy"]),
     ])
     def test_malformed_field_named(self, tmp_path, field, value):
         obj = minimal(**{field: value})

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import tracemalloc
@@ -10,6 +11,7 @@ from scipy.sparse._compressed import _cs_matrix
 from hygraph import HybridGraph
 from hygraph.io import load, split
 from hygraph.nn import autodiff as ad
+from hygraph.nn import layers
 from hygraph.nn.layers import (
     LAYER_TYPES,
     GATLayer,
@@ -270,22 +272,33 @@ class TestLazyGroups:
 
     @pytest.mark.parametrize("name", ["sage", "hyperconv"])
     def test_a_graph_holding_groups_pickles_without_them(self, name):
-        # The groups are a cache: a pickled graph carries none and builds
-        # its own.
+        # The groups are a cache kept beside the graph: a pickled or copied
+        # graph carries none and builds its own.
         sub = saint_batch()
         layer = LAYER_TYPES[name](sub.node_features.shape[1], 4, np.random.default_rng(0))
         x = ad.Tensor(sub.node_features)
         ad.mean(layer.forward(build_graph_tensors(sub), x)).backward()
-        copy = pickle.loads(pickle.dumps(sub))
-        assert not vars(copy)["graph_tensor_groups"]
-        np.testing.assert_array_equal(layer.forward(build_graph_tensors(copy), x).value,
-                                      layer.forward(build_graph_tensors(sub), x).value)
+        assert sub in layers._GROUPS
+        for twin in (pickle.loads(pickle.dumps(sub)), copy.copy(sub), copy.deepcopy(sub)):
+            assert twin not in layers._GROUPS
+            np.testing.assert_array_equal(layer.forward(build_graph_tensors(twin), x).value,
+                                          layer.forward(build_graph_tensors(sub), x).value)
+
+    def test_dropping_a_batch_drops_its_groups(self):
+        # The map holds its graphs weakly: once a batch is dropped, its
+        # entry goes with it.
+        sub = saint_batch()
+        gt = build_graph_tensors(sub)
+        gt.a_hat
+        (entry,) = [ref for ref in layers._GROUPS.keyrefs() if ref() is sub]
+        del sub, gt
+        assert entry() is None and entry not in layers._GROUPS.keyrefs()
 
     def test_hyper_prop_leaves_no_group_on_the_graph(self):
         sub = saint_batch()
         gt = build_graph_tensors(sub)
         prop = gt.hyper_prop
-        assert "graph_tensor_groups" not in vars(sub) and set(vars(gt)) == {"graph"}
+        assert sub not in layers._GROUPS and set(vars(gt)) == {"graph"}
         # The clique expansion's pattern is that of hyperconv's operator.
         conv = (gt.hyper_scatter @ gt.hyper_gather).tocsr()
         np.testing.assert_array_equal(prop.indptr, conv.indptr)
@@ -356,7 +369,7 @@ class TestConstructorCount:
 
     @pytest.mark.parametrize("name", ["gcn", "sage", "hyperconv", "lp:gcn+hyperconv"])
     def test_a_second_experiment_on_the_graph_builds_nothing(self, name, monkeypatch):
-        # Operators and adjoints are kept on the graph object, so later
+        # Operators and adjoints are kept per graph object, so later
         # trials and calls reuse them, evaluation included.
         g = load(str(DATA / "synthetic_classification.json"))
         cfg = TrainConfig(epochs=2, trials=2)

@@ -1,12 +1,14 @@
 import gc
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import hygraph.graph
+import hygraph.nn.train
 from hygraph import HybridGraph, InvalidGraphError, Task
 from hygraph.io import load, split
 from hygraph.nn import autodiff as ad
@@ -24,6 +26,7 @@ from hygraph.nn.train import (
     train_single,
 )
 from hygraph.sampling import SampledSubgraph, SamplerSpec
+from hygraph.stats import sampler_report
 from hygraph.synthetic import make_classification_graph, make_regression_graph
 from tests.test_array_oracles import DATA
 from tests.test_sampling import TestPinnedStreams as Pinned  # a name pytest does not collect twice
@@ -173,6 +176,13 @@ class TestSchedule:
     def test_monotone_decreasing(self):
         values = [cosine_lr(0.01, e, 50) for e in range(51)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            TrainConfig(lr=lr)
 
 
 class TestTrainSingle:
@@ -326,8 +336,9 @@ class TestOperatorsKeptOnTheGraph:
 
     @pytest.mark.parametrize("name", ["gcn", "lp:gcn+hyperatten"])
     def test_saint_batches_are_freed_by_reference_count(self, name, monkeypatch):
-        # The operators hang off each batch subgraph and refer to nothing,
-        # so no cycle keeps a batch alive once training is done with it.
+        # The operators sit in a map weakly keyed by each batch subgraph and
+        # refer to nothing, so no cycle keeps a batch alive once training is
+        # done with it.
         g = make_classification_graph(num_nodes=120, num_hyperedges=30, seed=9)
         batches = []
         to_graph = SampledSubgraph.to_graph
@@ -346,6 +357,25 @@ class TestOperatorsKeptOnTheGraph:
             assert all(ref() is None for ref in batches)
         finally:
             gc.enable()
+
+    def test_graphs_hold_no_operator(self, monkeypatch):
+        # After a SAINT trial, an evaluation and a sampler report, the parent
+        # graph and each batch hold their fields, their cached properties
+        # and the known_valid mark: their operators are kept beside them.
+        g = load(str(DATA / "synthetic_classification.json"))
+        built = []
+        build = hygraph.nn.train.build_graph_tensors
+        monkeypatch.setattr(hygraph.nn.train, "build_graph_tensors",
+                            lambda h: (built.append(h), build(h))[1])
+        cfg = TrainConfig(epochs=2, trials=1, saint=self.RW, batches_per_epoch=2)
+        model, masks, _ = train_single(g, ModelSpec("lp:gatv2+hyperconv", hidden=8), cfg, 0)
+        evaluate(model, build_graph_tensors(g), masks.test)
+        sampler_report(g, self.RW, trials=2, seed=0)
+        assert built[0] is g and len(built) > 1
+        cached = {name for name, value in vars(HybridGraph).items()
+                  if isinstance(value, cached_property)}
+        for h in built:
+            assert set(vars(h)) <= {f.name for f in fields(h)} | cached | {"known_valid"}
 
 
 class TestEvaluate:

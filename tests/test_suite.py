@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import jsonschema
 import pytest
@@ -9,6 +10,7 @@ from hygraph.io import load
 from hygraph.io import save
 from hygraph.nn.models import ModelSpec
 from hygraph.nn.train import TrainConfig, run_experiment
+from hygraph import suite
 from hygraph.suite import RUN_SEED_STRIDE, format_metric, run_experiment_suite
 from hygraph.synthetic import make_classification_graph, make_regression_graph
 
@@ -96,6 +98,37 @@ class TestSuite:
     def test_empty_runs_raises(self):
         with pytest.raises(ValueError, match="non-empty 'runs'"):
             run_experiment_suite({"runs": []})
+
+    @pytest.mark.parametrize("manifest, named", [
+        ({"runs": ["gcn"]}, "run 0: each run must be a JSON object"),
+        (make_manifest(defaults=[1]), "'defaults' must be a JSON object"),
+        (make_manifest(master_seed="5"), "'master_seed' must be an integer, got '5'"),
+        (make_manifest(master_seed=1.7), "'master_seed' must be an integer, got 1.7"),
+        (make_manifest(master_seed=True), "'master_seed' must be an integer, got True"),
+    ], ids=["run", "defaults", "seed-string", "seed-float", "seed-bool"])
+    def test_malformed_manifest_is_named(self, manifest, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            run_experiment_suite(manifest)
+
+    @pytest.mark.parametrize("key, value, kind", [
+        *[(key, bad, "an integer") for key in ("epochs", "trials", "batches_per_epoch",
+                                                "hidden", "budget", "roots", "walk_length")
+          for bad in ("5", 5.0, True)],
+        *[(key, bad, "a number") for key in ("lr", "dropout") for bad in ("0.1", False, None)],
+        *[(key, 5, "a string") for key in ("dataset", "model")],
+        ("saint", ["node"], "a string or null"),
+    ])
+    def test_bad_value_type_is_named_before_any_run_trains(self, data_dir, monkeypatch,
+                                                           key, value, kind):
+        # The bad value sits in the last run: no earlier run may train.
+        trained = []
+        monkeypatch.setattr(suite, "run_experiment", lambda *args: trained.append(args))
+        manifest = make_manifest()
+        manifest["runs"][1][key] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"run 1: manifest key {key!r} must be {kind}, got {value!r}")):
+            run_experiment_suite(manifest)
+        assert not trained
 
 
 class TestSchema:
